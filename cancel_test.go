@@ -79,8 +79,8 @@ func TestCertifyCtxCancelPromptly(t *testing.T) {
 	if !rep.Equivalent {
 		t.Fatalf("retry after cancellation: not SC-equivalent: %s", rep)
 	}
-	if entries, err := st.List(); err != nil || len(entries) != 1 {
-		t.Errorf("successful retry wrote %d store entries (err %v), want 1", len(entries), err)
+	if entries, err := st.List(); err != nil || len(entries) != 2 {
+		t.Errorf("successful retry wrote %d store entries (err %v), want 2 (SC + TSO)", len(entries), err)
 	}
 }
 

@@ -16,9 +16,10 @@
 // With -strategy all the three placements are certified against a single
 // SC exploration of the original program (the analyzer session's memoized
 // baseline), so the run costs 1 SC + 3 TSO explorations instead of 3+3.
-// With -cache-dir (or $FENCEPLACE_CACHE_DIR) the baseline additionally
-// persists in a content-addressed store, so repeated invocations skip the
-// SC exploration entirely (inspect the store with cmd/fencecache).
+// With -cache-dir (or $FENCEPLACE_CACHE_DIR) the baseline and every
+// variant's TSO outcome set additionally persist in a content-addressed
+// store, so repeated invocations skip both explorations (inspect the store
+// with cmd/fencecache).
 //
 // -json emits the certification as a fenceplace/corpus Report (one Row,
 // cert verdicts per strategy) on stdout instead of prose; such reports
@@ -66,7 +67,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "exploration workers (0 = GOMAXPROCS)")
 		exact    = flag.Bool("exact", false, "exact string-keyed seen sets instead of fingerprints (slow oracle mode)")
 		unfenced = flag.Bool("unfenced", false, "certify the unfenced legacy build instead of the instrumented one")
-		cacheDir = flag.String("cache-dir", "", "persistent certification-baseline store (default $FENCEPLACE_CACHE_DIR; empty = no persistence)")
+		cacheDir = flag.String("cache-dir", "", "persistent exploration store for SC baselines and TSO outcome sets (default $FENCEPLACE_CACHE_DIR; empty = no persistence)")
 		spillDir = flag.String("spill-dir", "", "scratch area for seen-set spill under -memcap (default $FENCEPLACE_SPILL_DIR; empty = keep sealed runs in RAM)")
 		memCap   = flag.Int("memcap", 0, "memory budget in arena words; the seen set spills past it (0 = default 1<<22, negative = uncapped)")
 		deadline = flag.Duration("deadline", 0, "wall-clock budget for the whole run; exceeding it aborts with the inconclusive exit code 2 (0 = none)")

@@ -56,7 +56,7 @@ func main() {
 		maxDeadline  = flag.Duration("max-deadline", 2*time.Minute, "ceiling for per-job deadlines")
 		defDeadline  = flag.Duration("default-deadline", 30*time.Second, "deadline applied when a job names none")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "how long SIGTERM lets in-flight jobs finish before cancelling them")
-		cacheDir     = flag.String("cache-dir", "", "persistent certification-baseline store (default $FENCEPLACE_CACHE_DIR; empty = no persistence)")
+		cacheDir     = flag.String("cache-dir", "", "persistent exploration store for SC baselines and TSO outcome sets (default $FENCEPLACE_CACHE_DIR; empty = no persistence)")
 		spillDir     = flag.String("spill-dir", "", "scratch area for seen-set spill (default $FENCEPLACE_SPILL_DIR; empty = keep sealed runs in RAM)")
 		version      = flag.Bool("version", false, "print the build identity and exit")
 	)

@@ -55,7 +55,7 @@ func main() {
 		budget   = flag.Int64("certbudget", 1<<21, "model-checker state budget per exploration")
 		deadline = flag.Duration("deadline", 0, "wall-clock budget for the whole run; exceeding it aborts with the inconclusive exit code 2 (0 = none)")
 		jobs     = flag.Int("j", 0, "corpus analysis workers (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cache-dir", "", "persistent certification-baseline store (default $FENCEPLACE_CACHE_DIR; empty = no persistence)")
+		cacheDir = flag.String("cache-dir", "", "persistent exploration store for SC baselines and TSO outcome sets (default $FENCEPLACE_CACHE_DIR; empty = no persistence)")
 		spillDir = flag.String("spill-dir", "", "scratch area for seen-set spill (default $FENCEPLACE_SPILL_DIR; empty = keep sealed runs in RAM)")
 		shard    = flag.String("shard", "", "run only shard i/n of the corpus (e.g. 2/4); rows keep their unsharded index")
 		jsonOut  = flag.String("json", "", "write the run's corpus Report JSON to this file")
@@ -148,8 +148,9 @@ func main() {
 		// Exhaustive certification runs the sync kernels at a reduced
 		// instantiation (2 threads) so the whole state space fits. Rows are
 		// analyzed in parallel; per row, one SC exploration serves as the
-		// baseline all four variants certify against — served from the
-		// persistent store without exploring when -cache-dir is warm.
+		// baseline all four variants certify against. With a warm
+		// -cache-dir both the baselines and the variants' TSO outcome sets
+		// are served from the persistent store without exploring.
 		rep, err := runCert(ctx, shardI, shardN, *jobs, opts, dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -222,8 +223,8 @@ func parseShard(s string) (i, n int, err error) {
 }
 
 // runCert certifies the kernel corpus and prints the certification table
-// with its warm-vs-cold footer (SC explorations performed; store deltas
-// when a baseline cache is in play).
+// with its warm-vs-cold footer (SC and TSO explorations performed; store
+// deltas when an exploration cache is in play).
 func runCert(ctx context.Context, shardI, shardN, jobs int, opts []fenceplace.Option, dir string) (*corpus.Report, error) {
 	src := corpus.CertSource()
 	if shardN > 0 {
@@ -233,7 +234,7 @@ func runCert(ctx context.Context, shardI, shardN, jobs int, opts []fenceplace.Op
 		}
 	}
 
-	scBefore := mc.SCExploreRuns()
+	scBefore, allBefore := mc.SCExploreRuns(), mc.ExploreRuns()
 	var st *store.Store
 	var stBefore store.Stats
 	if dir != "" {
@@ -249,10 +250,12 @@ func runCert(ctx context.Context, shardI, shardN, jobs int, opts []fenceplace.Op
 	}
 	var sb strings.Builder
 	sb.WriteString(corpus.CertTable(rep))
-	fmt.Fprintf(&sb, "\nSC explorations: %d\n", mc.SCExploreRuns()-scBefore)
+	scRuns := mc.SCExploreRuns() - scBefore
+	fmt.Fprintf(&sb, "\nSC explorations: %d\n", scRuns)
+	fmt.Fprintf(&sb, "TSO explorations: %d\n", mc.ExploreRuns()-allBefore-scRuns)
 	if st != nil {
 		d := st.Stats().Sub(stBefore)
-		fmt.Fprintf(&sb, "baseline cache (%s): %d warm hits, %d cold misses, %d written, %d quarantined\n",
+		fmt.Fprintf(&sb, "exploration cache (%s): %d warm hits, %d cold misses, %d written, %d quarantined\n",
 			st.Dir(), d.Hits, d.Misses, d.Puts, d.Quarantined)
 	}
 	fmt.Println(sb.String())

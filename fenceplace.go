@@ -402,11 +402,11 @@ type CertOptions struct {
 	// WithSpillDir). Empty keeps sealed runs in RAM.
 	SpillDir string
 
-	// CacheDir names a persistent, content-addressed baseline store
-	// (internal/store): SC explorations are looked up there by canonical
-	// program+config hash before running and written back after, so
-	// repeated certification runs — across processes and machines —
-	// warm-start past the SC side entirely. Empty means the
+	// CacheDir names a persistent, content-addressed exploration store
+	// (internal/store): SC and TSO explorations are looked up there by
+	// canonical program+config hash before running and written back
+	// after, so repeated certification runs — across processes and
+	// machines — warm-start past both explorations. Empty means the
 	// FENCEPLACE_CACHE_DIR environment variable, then no persistence.
 	// Corrupt or truncated store entries degrade to cache misses (and are
 	// quarantined); they can never yield a wrong certification.
@@ -524,9 +524,11 @@ func CertifyOpt(res *Result, threads []string, opt CertOptions) (*CertReport, er
 // certifying all strategies of one program performs at most one SC
 // exploration; hand-built Results build (or load) a baseline per call.
 // With a cache directory in play (WithCacheDir or $FENCEPLACE_CACHE_DIR)
-// both paths consult the persistent baseline store first and write fresh
-// explorations back, so a warm store eliminates the SC side across
-// processes.
+// both paths consult the persistent exploration store first, for the SC
+// baseline and for the variant's TSO outcome set, and write fresh
+// explorations back, so a warm store eliminates both explorations across
+// processes. A stored exploration is complete, so it answers any state
+// budget.
 //
 // Cancelling ctx abandons whichever exploration is in flight promptly and
 // returns ctx's error: exploration workers drain their frontiers instead
@@ -552,13 +554,13 @@ func CertifyCtx(ctx context.Context, res *Result, threads []string, opts ...Opti
 		if err != nil {
 			return nil, err
 		}
-		return mc.CertifyAgainstCtx(ctx, base, res.Instrumented, cfg)
+		return passes.CertifyAgainstCtx(ctx, base, res.Instrumented, cfg, c.cacheDir)
 	}
 	base, _, err := passes.LoadOrExploreBaselineCtx(ctx, res.Prog, threads, cfg, c.cacheDir)
 	if err != nil {
 		return nil, err
 	}
-	return mc.CertifyAgainstCtx(ctx, base, res.Instrumented, cfg)
+	return passes.CertifyAgainstCtx(ctx, base, res.Instrumented, cfg, c.cacheDir)
 }
 
 // Baseline returns the analyzer's memoized SC exploration for the given
@@ -597,8 +599,9 @@ func (a *Analyzer) BaselineCtx(ctx context.Context, threads []string, opts ...Op
 // analyzer's program — typically an expert manual placement that no
 // Result carries — against the session's shared SC baseline: one TSO
 // exploration, with the SC side served from the memo (or the persistent
-// store) like every other certification of this analyzer. With no options
-// given, the analyzer's construction-time options apply.
+// store) like every other certification of this analyzer, and the TSO
+// side from the store when it holds this build's outcome set. With no
+// options given, the analyzer's construction-time options apply.
 func (a *Analyzer) CertifyProgramCtx(ctx context.Context, inst *Program, threads []string, opts ...Option) (rep *CertReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -615,5 +618,5 @@ func (a *Analyzer) CertifyProgramCtx(ctx context.Context, inst *Program, threads
 	if err != nil {
 		return nil, err
 	}
-	return mc.CertifyAgainstCtx(ctx, base, inst, cfg)
+	return passes.CertifyAgainstCtx(ctx, base, inst, cfg, c.cacheDir)
 }

@@ -109,14 +109,30 @@ func NewBaseline(orig *ir.Program, threadFns []string, cfg Config) (*Baseline, e
 func NewBaselineCtx(ctx context.Context, orig *ir.Program, threadFns []string, cfg Config) (*Baseline, error) {
 	scCfg := cfg.withDefaults()
 	scCfg.Mode = tso.SC
-	sc, err := ExploreCtx(ctx, orig, threadFns, scCfg)
+	sc, err := ExploreCompleteCtx(ctx, orig, threadFns, scCfg)
 	if err != nil {
 		return nil, err
 	}
-	if sc.Truncated {
-		return nil, fmt.Errorf("mc: certify %s: SC exploration after %d states: %w", orig.Name, sc.Visited, ErrTruncated)
-	}
 	return &Baseline{Prog: orig, ThreadFns: threadFns, Cfg: scCfg, SC: sc}, nil
+}
+
+// ExploreCompleteCtx is ExploreCtx for callers that need the whole state
+// space — certification and the exploration store. A truncated
+// exploration is an error wrapping ErrTruncated that names the program,
+// the mode and the states visited.
+func ExploreCompleteCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Config) (*StateSet, error) {
+	ss, err := ExploreCtx(ctx, p, threadFns, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if ss.Truncated {
+		return nil, truncatedErr(p, cfg.Mode, ss.Visited)
+	}
+	return ss, nil
+}
+
+func truncatedErr(p *ir.Program, mode tso.Mode, visited int64) error {
+	return fmt.Errorf("mc: certify %s: %s exploration after %d states: %w", p.Name, mode, visited, ErrTruncated)
 }
 
 // Certify decides whether the instrumented program running under x86-TSO
@@ -159,16 +175,31 @@ func CertifyAgainst(base *Baseline, inst *ir.Program, cfg Config) (*Report, erro
 // exploration and any counterexample reconstruction abandon promptly when
 // ctx is cancelled.
 func CertifyAgainstCtx(ctx context.Context, base *Baseline, inst *ir.Program, cfg Config) (*Report, error) {
-	sc := base.SC
 	tsoCfg := cfg.withDefaults()
 	tsoCfg.Mode = tso.TSO
-	ts, err := ExploreCtx(ctx, inst, base.ThreadFns, tsoCfg)
+	ts, err := ExploreCompleteCtx(ctx, inst, base.ThreadFns, tsoCfg)
 	if err != nil {
 		return nil, err
 	}
+	return Compare(ctx, base, inst, ts, cfg)
+}
+
+// Compare is the second half of CertifyAgainstCtx: it decides the
+// certification of inst from ts, the complete TSO exploration of inst
+// under the baseline's entry configuration, whether just explored or
+// loaded from the store. It diffs the outcome sets and, for every TSO-only
+// outcome, reconstructs a schedule by a witness search over inst. That
+// search is a sequential DFS bounded by cfg.MaxStates (counted in
+// mc.witness_runs, not mc.explore_runs), so a budget too small to find a
+// schedule leaves the violation without one but never changes the
+// verdict. A truncated ts is an error wrapping ErrTruncated.
+func Compare(ctx context.Context, base *Baseline, inst *ir.Program, ts *StateSet, cfg Config) (*Report, error) {
 	if ts.Truncated {
-		return nil, fmt.Errorf("mc: certify %s: TSO exploration after %d states: %w", inst.Name, ts.Visited, ErrTruncated)
+		return nil, truncatedErr(inst, tso.TSO, ts.Visited)
 	}
+	sc := base.SC
+	tsoCfg := cfg.withDefaults()
+	tsoCfg.Mode = tso.TSO
 
 	r := &Report{
 		Program:     base.Prog.Name,
@@ -225,6 +256,7 @@ type wframe struct {
 // out, or ctx is cancelled (polled every 1024 states to keep the loop
 // cheap); missing entries stay nil.
 func witness(ctx context.Context, p *ir.Program, threadFns []string, cfg Config, targets map[string]bool) map[string][]Step {
+	mWitnessRuns.Inc(0)
 	e, init, err := newEngine(p, threadFns, cfg)
 	if err != nil {
 		return nil

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -214,5 +215,121 @@ func TestBaselineCodecCorruption(t *testing.T) {
 	}
 	if decode([]byte("FPB\x02")) == nil {
 		t.Error("future version decoded successfully")
+	}
+}
+
+// TestExplorationKeyGoldenAndSensitivity pins the TSO exploration key: a
+// golden vector, SC keys equal to BaselineKey bit for bit, and the same
+// split between semantic inputs (which change the key) and search-shaping
+// knobs (which do not).
+func TestExplorationKeyGoldenAndSensitivity(t *testing.T) {
+	threads := []string{"t0", "t1"}
+	tsoKey := func(p *ir.Program, threads []string, cfg Config) Key {
+		cfg.Mode = tso.TSO
+		return ExplorationKey(p, threads, cfg)
+	}
+	base := tsoKey(sbProgram(), threads, Config{})
+	// Regenerate after an intentional keySchema bump, like the baseline
+	// vectors above.
+	if want := "061adbeafde221cf2d94a3cea6c99d13"; base.String() != want {
+		t.Errorf("TSO key %s, want golden %s", base, want)
+	}
+
+	for _, tc := range []struct {
+		prog    *ir.Program
+		threads []string
+	}{{sbProgram(), threads}, {sbProgram(), nil}, {spawnProgram(), nil}} {
+		sc := ExplorationKey(tc.prog, tc.threads, Config{Mode: tso.SC})
+		if bk := BaselineKey(tc.prog, tc.threads, Config{}); sc != bk {
+			t.Errorf("%s: SC exploration key %s, BaselineKey %s", tc.prog.Name, sc, bk)
+		}
+		if tk := tsoKey(tc.prog, tc.threads, Config{}); tk == sc {
+			t.Errorf("%s: TSO and SC explorations share key %s", tc.prog.Name, tk)
+		}
+	}
+
+	for name, cfg := range map[string]Config{
+		"workers":  {Workers: 3},
+		"budget":   {MaxStates: 1 << 10},
+		"spilldir": {SpillDir: "/elsewhere"},
+		"seen":     {SeenBudget: 1 << 12},
+		"exact":    {ExactSeen: true},
+		"nopor":    {NoPOR: true},
+	} {
+		if k := tsoKey(sbProgram(), threads, cfg); k != base {
+			t.Errorf("%s changed the TSO key: %s vs %s", name, k, base)
+		}
+	}
+
+	if k := tsoKey(sbProgram(), threads, Config{BufferCap: 2}); k == base {
+		t.Error("buffer capacity did not change the TSO key")
+	}
+	if k := tsoKey(sbProgram(), threads, Config{MemoryCap: 1 << 10}); k == base {
+		t.Error("memory cap did not change the TSO key")
+	}
+	if k := tsoKey(sbProgram(), []string{"t1", "t0"}, Config{}); k == base {
+		t.Error("thread order did not change the TSO key")
+	}
+	fenced := sbProgram()
+	fenced.Fn("t0").Blocks[0].Insert(1, &ir.Instr{Kind: ir.Fence, Imm: int64(ir.FenceFull)})
+	fenced.Finalize()
+	if k := tsoKey(fenced, threads, Config{}); k == base {
+		t.Error("an inserted fence did not change the TSO key")
+	}
+}
+
+// TestExplorationRecordKinds round-trips a TSO outcome set, and checks
+// that a record of one kind never decodes as the other and that
+// RecordKind tells them apart.
+func TestExplorationRecordKinds(t *testing.T) {
+	ts, err := ExploreCompleteCtx(context.Background(), sbProgram(), []string{"t0", "t1"}, Config{Mode: tso.TSO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := MarshalExploration(tso.TSO, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := UnmarshalExploration(tso.TSO, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Visited != ts.Visited || !reflect.DeepEqual(got.Outcomes, ts.Outcomes) {
+		t.Errorf("TSO record round trip: got %d visited / %d outcomes, want %d / %d",
+			got.Visited, len(got.Outcomes), ts.Visited, len(ts.Outcomes))
+	}
+	if _, err := UnmarshalExploration(tso.SC, data); err == nil {
+		t.Error("a TSO record decoded as an SC baseline")
+	}
+	if _, err := UnmarshalBaseline(sbProgram(), nil, Config{}, data); err == nil {
+		t.Error("a TSO record decoded through UnmarshalBaseline")
+	}
+
+	b, err := NewBaseline(sbProgram(), []string{"t0", "t1"}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scData, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaSet, _ := MarshalExploration(tso.SC, b.SC); string(viaSet) != string(scData) {
+		t.Error("MarshalExploration(SC) and Baseline.MarshalBinary disagree")
+	}
+	if _, err := UnmarshalExploration(tso.TSO, scData); err == nil {
+		t.Error("an SC baseline decoded as a TSO record")
+	}
+	for _, tc := range []struct {
+		data []byte
+		want string
+	}{{scData, "SC-baseline"}, {data, "TSO-outcomes"}, {[]byte("FPT\x02"), "unknown"}, {nil, "unknown"}} {
+		if k := RecordKind(tc.data); k != tc.want {
+			t.Errorf("RecordKind(%q...) = %s, want %s", tc.data[:min(4, len(tc.data))], k, tc.want)
+		}
+	}
+
+	ts.Truncated = true
+	if _, err := MarshalExploration(tso.TSO, ts); err == nil {
+		t.Error("a truncated exploration marshaled")
 	}
 }

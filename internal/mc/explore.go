@@ -30,6 +30,7 @@ var (
 	mSeenStates    = telemetry.NewCounter("mc.seen_states")
 	mFreelistHits  = telemetry.NewCounter("mc.freelist_hits")
 	mTruncated     = telemetry.NewCounter("mc.truncated_runs")
+	mWitnessRuns   = telemetry.NewCounter("mc.witness_runs") // counterexample searches, not in explore_runs
 	mFrontierDepth = telemetry.NewHistogram("mc.frontier_depth")
 	mMemHeadroom   = telemetry.NewGauge("mc.memcap_headroom")
 

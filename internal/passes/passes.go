@@ -472,25 +472,43 @@ func (s *Session) CertBaselineAtCtx(ctx context.Context, threadFns []string, cfg
 }
 
 // LoadOrExploreBaseline produces the SC certification baseline of (p,
-// threadFns, cfg), consulting the persistent store at cacheDir first. A
-// verified store entry is decoded and returned without exploring (warm =
-// true); a miss — including corrupt or truncated entries, which the store
-// quarantines — falls back to a fresh SC exploration whose result is
-// written back. An unusable cache directory degrades to the uncached path:
-// persistence is an optimization and must never fail a certification that
-// exploration could complete.
+// threadFns, cfg), consulting the persistent store at cacheDir first (see
+// LoadOrExploreCtx).
 func LoadOrExploreBaseline(p *ir.Program, threadFns []string, cfg mc.Config, cacheDir string) (b *mc.Baseline, warm bool, err error) {
 	return LoadOrExploreBaselineCtx(context.Background(), p, threadFns, cfg, cacheDir)
 }
 
 // LoadOrExploreBaselineCtx is LoadOrExploreBaseline bounded by a context:
-// store reads, the SC exploration and the write-back all observe ctx, so a
-// cancelled certification returns ctx's error promptly and never leaves a
-// fresh store entry behind (writes are skipped outright once ctx is done;
-// the store's atomic rename already rules out partial entries).
+// the SC case of LoadOrExploreCtx, packaged as a baseline.
 func LoadOrExploreBaselineCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg mc.Config, cacheDir string) (b *mc.Baseline, warm bool, err error) {
 	ncfg := cfg.Normalize()
 	ncfg.Mode = tso.SC
+	sc, warm, err := LoadOrExploreCtx(ctx, p, threadFns, ncfg, cacheDir)
+	if err != nil {
+		return nil, false, err
+	}
+	return &mc.Baseline{Prog: p, ThreadFns: threadFns, Cfg: ncfg, SC: sc}, warm, nil
+}
+
+// LoadOrExploreCtx produces the complete exploration of (p, threadFns)
+// under cfg.Mode — an SC baseline or a TSO outcome set — consulting the
+// persistent store at cacheDir (empty: none) first. A verified store entry
+// is decoded and returned without exploring (warm = true), whatever
+// cfg.MaxStates is: a stored exploration is complete, so it answers any
+// budget. A miss falls back to a fresh exploration whose result is written
+// back. The rules:
+//
+//   - a corrupt or undecodable entry is quarantined and treated as a miss;
+//   - a truncated exploration is an error wrapping mc.ErrTruncated and is
+//     never stored;
+//   - a cancelled exploration returns ctx's error and writes nothing (store
+//     reads, the exploration and the write-back all observe ctx, and the
+//     store's atomic rename already rules out partial entries);
+//   - an unusable cache directory degrades to the uncached path:
+//     persistence is an optimization and must never fail a certification
+//     that exploration could complete.
+func LoadOrExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg mc.Config, cacheDir string) (ss *mc.StateSet, warm bool, err error) {
+	ncfg := cfg.Normalize()
 
 	var st *store.Store
 	var key string
@@ -504,10 +522,10 @@ func LoadOrExploreBaselineCtx(ctx context.Context, p *ir.Program, threadFns []st
 			st = nil
 		}
 		if st != nil {
-			key = mc.BaselineKey(p, threadFns, ncfg).String()
+			key = mc.ExplorationKey(p, threadFns, ncfg).String()
 			if data, ok := st.GetCtx(ctx, key); ok {
-				if b, err := mc.UnmarshalBaseline(p, threadFns, ncfg, data); err == nil {
-					return b, true, nil
+				if ss, err := mc.UnmarshalExploration(ncfg.Mode, data); err == nil {
+					return ss, true, nil
 				}
 				// The framing verified but the record did not decode (e.g.
 				// an incompatible codec version): reclassify as a miss and
@@ -517,19 +535,34 @@ func LoadOrExploreBaselineCtx(ctx context.Context, p *ir.Program, threadFns []st
 		}
 	}
 
-	b, err = mc.NewBaselineCtx(ctx, p, threadFns, ncfg)
+	ss, err = mc.ExploreCompleteCtx(ctx, p, threadFns, ncfg)
 	if err != nil {
 		return nil, false, err
 	}
 	if st != nil {
-		if data, merr := b.MarshalBinary(); merr == nil {
+		if data, merr := mc.MarshalExploration(ncfg.Mode, ss); merr == nil {
 			// Best-effort write-back; a failure on a live ctx means the
-			// cache could not absorb this baseline — the next run pays a
-			// cold exploration, so meter the uncached rung.
+			// cache could not absorb this exploration — the next run pays
+			// it again, so meter the uncached rung.
 			if perr := st.PutCtx(ctx, key, data); perr != nil && ctx.Err() == nil {
 				store.NoteUncached()
 			}
 		}
 	}
-	return b, false, nil
+	return ss, false, nil
+}
+
+// CertifyAgainstCtx certifies inst against base like mc.CertifyAgainstCtx,
+// with the TSO exploration served by LoadOrExploreCtx: with a warm store
+// at cacheDir a repeated certification costs a store read and an
+// outcome-set comparison, no exploration. Without a cache directory it is
+// exactly mc.CertifyAgainstCtx.
+func CertifyAgainstCtx(ctx context.Context, base *mc.Baseline, inst *ir.Program, cfg mc.Config, cacheDir string) (*mc.Report, error) {
+	tcfg := cfg.Normalize()
+	tcfg.Mode = tso.TSO
+	ts, _, err := LoadOrExploreCtx(ctx, inst, base.ThreadFns, tcfg, cacheDir)
+	if err != nil {
+		return nil, err
+	}
+	return mc.Compare(ctx, base, inst, ts, cfg)
 }

@@ -279,9 +279,10 @@ func TestCancelledWaiterKeepsSharedJob(t *testing.T) {
 	}
 }
 
-// TestWarmCacheRestart is the PR 4 CI invariant transplanted onto the
-// service: a second identical submission against a restarted manager
-// sharing the same cache directory must perform zero SC explorations.
+// TestWarmCacheRestart is the warm-cache CI invariant transplanted onto
+// the service: a second identical submission against a restarted manager
+// sharing the same cache directory must perform zero explorations, SC or
+// TSO — both come from the store.
 func TestWarmCacheRestart(t *testing.T) {
 	dir := t.TempDir()
 	opts := []fenceplace.Option{fenceplace.WithCacheDir(dir)}
@@ -300,7 +301,7 @@ func TestWarmCacheRestart(t *testing.T) {
 	}
 
 	// "Restart": a fresh manager over the same store directory.
-	scBefore := mc.SCExploreRuns()
+	scBefore, runsBefore := mc.SCExploreRuns(), mc.ExploreRuns()
 	m2 := newTestManager(t, Config{Options: opts})
 	c2, _, err := m2.Submit(dekkerRequest())
 	if err != nil {
@@ -313,6 +314,9 @@ func TestWarmCacheRestart(t *testing.T) {
 	}
 	if d := mc.SCExploreRuns() - scBefore; d != 0 {
 		t.Errorf("warm restart performed %d SC explorations, want 0 (baseline must come from %s)", d, dir)
+	}
+	if d := mc.ExploreRuns() - runsBefore; d != 0 {
+		t.Errorf("warm restart performed %d explorations, want 0 (TSO outcome set must come from %s)", d, dir)
 	}
 	if st := rep.Rows[0].Variants[0].Cert.Status; st != corpus.CertCertified {
 		t.Errorf("warm verdict = %q, want %q", st, corpus.CertCertified)

@@ -1,7 +1,7 @@
 // Package store is a persistent, content-addressed artifact store: the
 // disk layer behind warm-starting certification baselines across
 // processes. Artifacts are opaque byte payloads filed under 128-bit
-// content keys (32 lowercase hex digits, produced by mc.BaselineKey) in
+// content keys (32 lowercase hex digits, produced by mc.ExplorationKey) in
 // two-level sharded directories:
 //
 //	<dir>/<key[:2]>/<key>.art    one artifact per file
@@ -361,6 +361,20 @@ func (s *Store) get(ctx context.Context, key string) ([]byte, bool) {
 	}
 	count(s.hits, gHits, 1)
 	return payload, true
+}
+
+// Peek returns the verified payload stored under key like Get, but
+// read-only: it moves no counter and quarantines nothing, so inspection
+// tools can look at a store without changing it.
+func (s *Store) Peek(key string) ([]byte, bool) {
+	if !validKey(key) {
+		return nil, false
+	}
+	data, err := s.fs.ReadFile(s.entryPath(key))
+	if err != nil {
+		return nil, false
+	}
+	return Unframe(data)
 }
 
 // PutCtx is Put gated by a context: a cancelled ctx skips the write

@@ -99,9 +99,10 @@ func WithTiming() Option {
 	return func(c *config) { c.timing = true }
 }
 
-// WithCacheDir names the persistent, content-addressed baseline store
+// WithCacheDir names the persistent, content-addressed exploration store
 // (internal/store) certifications consult before exploring and write back
-// after. The empty string disables persistence explicitly — unlike
+// after: SC baselines and the TSO outcome sets of instrumented variants.
+// The empty string disables persistence explicitly — unlike
 // omitting the option, which falls back to $FENCEPLACE_CACHE_DIR (read
 // once, when the option list is resolved).
 func WithCacheDir(dir string) Option {

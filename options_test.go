@@ -44,8 +44,8 @@ func TestResolvedPinsCacheDirOnce(t *testing.T) {
 	st2, _ := store.Open(dir2)
 	e1, _ := st1.List()
 	e2, _ := st2.List()
-	if len(e1) != 1 || len(e2) != 0 {
-		t.Errorf("baseline landed in the wrong store: dir1 has %d entries, dir2 has %d (want 1, 0)", len(e1), len(e2))
+	if len(e1) != 2 || len(e2) != 0 {
+		t.Errorf("explorations landed in the wrong store: dir1 has %d entries, dir2 has %d (want 2 (SC + TSO), 0)", len(e1), len(e2))
 	}
 }
 
@@ -98,8 +98,8 @@ func TestCertifyCtxInheritsAnalyzerOptions(t *testing.T) {
 		t.Fatalf("not SC-equivalent: %s", rep)
 	}
 	st, _ := store.Open(dir)
-	if entries, _ := st.List(); len(entries) != 1 {
-		t.Errorf("inherited options wrote %d baseline entries, want 1", len(entries))
+	if entries, _ := st.List(); len(entries) != 2 {
+		t.Errorf("inherited options wrote %d store entries, want 2 (SC + TSO)", len(entries))
 	}
 
 	// Explicit options replace the configuration: a tiny budget must
