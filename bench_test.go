@@ -284,12 +284,13 @@ func BenchmarkCertify(b *testing.B) {
 	}
 }
 
-// BenchmarkCertifySpill measures capped-memory certification: the medium
-// kernel at an instantiation whose seen set does not fit the memory budget,
+// BenchmarkCertifySpill measures capped-memory certification: msqueue at
+// an instantiation whose seen set does not fit the memory budget,
 // so the two-level seen set must seal hot tables into sorted runs and
 // spill them to disk to finish. The budget comes from
 // FENCEPLACE_BENCH_MEMCAP (MemoryCap in arena words; the default 1<<19
-// words anchors a 4 MiB seen budget against a ~50 MiB resident set).
+// words anchors a 4 MiB seen budget, against the ~29 MiB an unbounded hot
+// tier would hold at ~26 B per state).
 //
 // The benchmark fails if spilling never engaged (the program fit in RAM —
 // the bench measured nothing) or the exploration truncated, and on ≥4-core
@@ -306,10 +307,10 @@ func BenchmarkCertifySpill(b *testing.B) {
 		}
 		memCap = n
 	}
-	m := progs.ByName("szymanski")
+	m := progs.ByName("msqueue")
 	pp := m.Defaults
-	pp.Threads = 2
-	pp.Size = 3 // ~1.9M states: far past the capped seen budget
+	pp.Threads = 3
+	pp.Size = 4 // ~1.1M states: far past the capped seen budget
 	res := fenceplace.Analyze(m.Build(pp), fenceplace.Control)
 	opt := fenceplace.CertOptions{
 		Workers:   runtime.GOMAXPROCS(0),
@@ -328,7 +329,7 @@ func BenchmarkCertifySpill(b *testing.B) {
 			b.Fatal(err)
 		}
 		if !rep.Equivalent {
-			b.Fatalf("szymanski: not SC-equivalent: %s", rep)
+			b.Fatalf("msqueue: not SC-equivalent: %s", rep)
 		}
 		states += rep.VisitedSC + rep.VisitedTSO
 	}

@@ -327,10 +327,10 @@ func TestIncompleteTSOExplorationNotStored(t *testing.T) {
 	// Cancelled: stop the certification at the TSO exploration's first
 	// heartbeat.
 	dir = t.TempDir()
-	m := progs.ByName("szymanski")
+	m := progs.ByName("msqueue")
 	pp := m.Defaults
-	pp.Threads = 2
-	pp.Size = 2
+	pp.Threads = 3
+	pp.Size = 4
 	res := fenceplace.Analyze(m.Build(pp), fenceplace.Control)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

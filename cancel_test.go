@@ -17,18 +17,18 @@ import (
 )
 
 // TestCertifyCtxCancelPromptly is the acceptance check for cancellation:
-// certifying a large kernel (szymanski at the benchmark's medium
-// instantiation explores on the order of a million states) and cancelling
-// mid-exploration must return context.Canceled within 100ms and must not
-// write a baseline entry to the store.
+// certifying a large kernel (msqueue at threads=3/size=4 explores about a
+// million states) and cancelling mid-exploration must return
+// context.Canceled within 100ms and must not write a baseline entry to the
+// store.
 func TestCertifyCtxCancelPromptly(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "")
 	dir := t.TempDir()
 
-	m := progs.ByName("szymanski")
+	m := progs.ByName("msqueue")
 	pp := m.Defaults
-	pp.Threads = 2
-	pp.Size = 2
+	pp.Threads = 3
+	pp.Size = 4
 	res := fenceplace.Analyze(m.Build(pp), fenceplace.Control)
 
 	ctx, cancel := context.WithCancel(context.Background())

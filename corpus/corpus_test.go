@@ -8,7 +8,9 @@ package corpus_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"sort"
 	"testing"
 
@@ -232,5 +234,73 @@ func TestRunnerCancelled(t *testing.T) {
 	runner := corpus.Runner{}
 	if _, err := runner.Run(ctx, corpus.EvalSource()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Run returned %v, want context.Canceled", err)
+	}
+}
+
+// TestCertKernelsMatchGolden is the differential check of the model
+// checker's reductions on the Table II kernels and the benchmark's large
+// certification (szymanski at size 3 under Control): at one, two and four
+// exploration workers, every variant's verdict and SC and TSO outcome
+// counts must equal those the benchmark's oracle records (read, never
+// written, here).
+func TestCertKernelsMatchGolden(t *testing.T) {
+	t.Setenv("FENCEPLACE_CACHE_DIR", "")
+	data, err := os.ReadFile("../bench/testdata/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type verdict struct {
+		Status string `json:"status"`
+		SC     int    `json:"sc_outcomes"`
+		TSO    int    `json:"tso_outcomes"`
+	}
+	var golden struct {
+		Certs map[string]map[string]verdict `json:"certs"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	m := progs.ByName("szymanski")
+	pp := m.Defaults
+	pp.Threads, pp.Size = 2, 3
+	runs := []struct {
+		prefix     string
+		src        corpus.Source
+		strategies []fenceplace.Strategy
+	}{
+		{"cert-kernels/", corpus.CertSource(), nil},
+		{"cert-large/", corpus.SingleSource("szymanski", m.Build(pp), nil), []fenceplace.Strategy{fenceplace.Control}},
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, run := range runs {
+			runner := corpus.Runner{
+				Strategies: run.strategies,
+				Certify:    true,
+				Options:    []fenceplace.Option{fenceplace.WithCacheDir(""), fenceplace.WithWorkers(workers)},
+			}
+			rep, err := runner.Run(context.Background(), run.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Rows) != run.src.Len() {
+				t.Fatalf("workers=%d: %d rows, want %d", workers, len(rep.Rows), run.src.Len())
+			}
+			for _, row := range rep.Rows {
+				kase := run.prefix + row.Program
+				want := golden.Certs[kase]
+				if len(row.Variants) != len(want) {
+					t.Errorf("workers=%d %s: %d variants, golden has %d", workers, kase, len(row.Variants), len(want))
+				}
+				for _, v := range row.Variants {
+					got := verdict{Status: "uncertified"}
+					if v.Cert != nil {
+						got = verdict{Status: v.Cert.Status, SC: v.Cert.SCOutcomes, TSO: v.Cert.TSOOutcomes}
+					}
+					if w, ok := want[v.Name]; !ok || got != w {
+						t.Errorf("workers=%d %s/%s: %+v, golden %+v", workers, kase, v.Name, got, w)
+					}
+				}
+			}
+		}
 	}
 }

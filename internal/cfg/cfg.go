@@ -2,10 +2,15 @@
 // successor/predecessor maps, reverse postorder, and — the workhorse of
 // Pensieve-style ordering generation (paper §4.3) — a reachability lookup
 // table answering "can access v occur after access u on some execution
-// path?".
+// path?" — plus the register liveness the model checker's dead-register
+// reduction runs on.
 package cfg
 
-import "fenceplace/internal/ir"
+import (
+	"slices"
+
+	"fenceplace/internal/ir"
+)
 
 // Graph caches CFG structure and reachability for one function. Build one
 // with New after the owning program has been finalized.
@@ -117,3 +122,73 @@ func (g *Graph) CanFollow(u, v *ir.Instr) bool {
 
 // InLoop reports whether b lies on a CFG cycle.
 func (g *Graph) InLoop(b *ir.Block) bool { return g.BlockReaches(b, b) }
+
+// DeadRegs runs a backward liveness analysis over fn (ir.Instr.Uses and
+// Def, ir.Block.Succs) and returns, for every instruction, the registers
+// dead on entry to it: those that no path from that point reads before
+// writing. The result is indexed [block ID][instruction index], and each
+// list is in ascending register order. A dead register's value cannot
+// influence any future of the executing frame, which is what lets the
+// model checker zero it without changing the reachable outcomes.
+func DeadRegs(fn *ir.Fn) [][][]ir.Reg {
+	n := fn.NRegs
+	live := make([]bool, n)
+	liveIn := make([]bool, len(fn.Blocks)*n) // block b's set is liveIn[b*n:(b+1)*n]
+	// liveOut resets live to the union of b's successors' live-in sets.
+	liveOut := func(b *ir.Block) {
+		clear(live)
+		for _, s := range b.Succs() {
+			for r, l := range liveIn[s.ID()*n : (s.ID()+1)*n] {
+				live[r] = live[r] || l
+			}
+		}
+	}
+	var uses []ir.Reg
+	transfer := func(in *ir.Instr) {
+		if d := in.Def(); d != ir.NoReg {
+			live[d] = false
+		}
+		uses = in.AppendUses(uses[:0])
+		for _, u := range uses {
+			live[u] = true
+		}
+	}
+	// Iterate to the least fixpoint. Visiting blocks in reverse order
+	// follows the backward flow, so acyclic functions settle in one pass
+	// plus the confirming one.
+	for changed := true; changed; {
+		changed = false
+		for bi := len(fn.Blocks) - 1; bi >= 0; bi-- {
+			b := fn.Blocks[bi]
+			liveOut(b)
+			for i := len(b.Instrs) - 1; i >= 0; i-- {
+				transfer(b.Instrs[i])
+			}
+			if in := liveIn[bi*n : (bi+1)*n]; !slices.Equal(live, in) {
+				copy(in, live)
+				changed = true
+			}
+		}
+	}
+	// The lists share one backing array, sized for every register dead
+	// everywhere (most are), so the table costs a fixed handful of
+	// allocations per function.
+	flat := make([]ir.Reg, 0, fn.NumInstrs()*n)
+	lists := make([][]ir.Reg, fn.NumInstrs())
+	dead := make([][][]ir.Reg, len(fn.Blocks))
+	for bi, b := range fn.Blocks {
+		dead[bi], lists = lists[:len(b.Instrs)], lists[len(b.Instrs):]
+		liveOut(b)
+		for i := len(b.Instrs) - 1; i >= 0; i-- {
+			transfer(b.Instrs[i])
+			start := len(flat)
+			for r, l := range live {
+				if !l {
+					flat = append(flat, ir.Reg(r))
+				}
+			}
+			dead[bi][i] = flat[start:len(flat):len(flat)]
+		}
+	}
+	return dead
+}

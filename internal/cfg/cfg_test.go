@@ -1,6 +1,9 @@
 package cfg
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"fenceplace/internal/ir"
@@ -192,6 +195,120 @@ func TestRPO(t *testing.T) {
 			if pos[s] <= pos[b] {
 				t.Errorf("edge %s->%s goes backward in RPO of acyclic CFG", b.Name, s.Name)
 			}
+		}
+	}
+}
+
+// liveSrc exercises every shape the liveness analysis must get right: a
+// loop whose counter and bound cross the back edge, a Br join where a
+// register is defined on one arm only, Call and Spawn arguments, a
+// Call's destination, a Join operand and an unused parameter.
+const liveSrc = `
+program live
+global g 1
+main main
+
+func main params=0 regs=4 {
+entry:
+  r0 = const 5
+  r1 = spawn loop(r0)
+  r2 = call inc(r0, r0)
+  join r1
+  store g, r2
+  ret
+}
+
+func inc params=2 regs=3 {
+entry:
+  r2 = const 1
+  r2 = add r0, r2
+  ret r2
+}
+
+func loop params=1 regs=3 {
+entry:
+  r1 = const 0
+  jmp head
+head:
+  r2 = lt r1, r0
+  br r2, body, done
+body:
+  store g, r1
+  r2 = const 1
+  r1 = add r1, r2
+  jmp head
+done:
+  ret
+}
+
+func pick params=2 regs=3 {
+entry:
+  r2 = const 9
+  br r0, a, b
+a:
+  r1 = const 1
+  jmp join
+b:
+  jmp join
+join:
+  ret r1
+}
+`
+
+// TestDeadRegs pins the dead set on entry to every instruction of liveSrc.
+func TestDeadRegs(t *testing.T) {
+	p, err := ir.Parse(liveSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		"main": {
+			"r0 r1 r2 r3", // r0 = const 5
+			"r1 r2 r3",    // spawn reads r0
+			"r2 r3",       // call reads r0; r1 is joined later; r2 is its destination
+			"r0 r3",       // join reads r1; r2 is stored after it
+			"r0 r1 r3",    // store reads r2
+			"r0 r1 r2 r3", // ret
+		},
+		"inc": {
+			"r1 r2", // the second parameter is never read
+			"r1",    // add reads r0 and r2
+			"r0 r1", // ret reads r2
+		},
+		"loop": {
+			"r1 r2", // entry: the bound r0 is live throughout the loop
+			"r2",
+			"r2", // head: r1 and r0 cross the back edge
+			"",   // br reads r2
+			"r2", // body
+			"r2",
+			"",
+			"r2",
+			"r0 r1 r2", // done
+		},
+		"pick": {
+			"r2", // r1 is live on entry: the b arm reads it at the join
+			"r2",
+			"r0 r1 r2", // a redefines r1
+			"r0 r2",
+			"r0 r2", // b passes r1 through
+			"r0 r2", // join reads r1
+		},
+	}
+	for _, f := range p.Funcs {
+		dead := DeadRegs(f)
+		var got []string
+		for _, b := range f.Blocks {
+			for i := range b.Instrs {
+				var names []string
+				for _, r := range dead[b.ID()][i] {
+					names = append(names, fmt.Sprintf("r%d", r))
+				}
+				got = append(got, strings.Join(names, " "))
+			}
+		}
+		if !slices.Equal(got, want[f.Name]) {
+			t.Errorf("%s: dead sets\n got %q\nwant %q", f.Name, got, want[f.Name])
 		}
 	}
 }

@@ -235,8 +235,12 @@ func (i *Instr) Def() Reg {
 
 // Uses returns the registers the instruction reads. The result is a fresh
 // slice and may be retained by the caller.
-func (i *Instr) Uses() []Reg {
-	var u []Reg
+func (i *Instr) Uses() []Reg { return i.AppendUses(nil) }
+
+// AppendUses appends the registers the instruction reads to u and returns
+// the extended slice, so a loop over many instructions can reuse one
+// buffer.
+func (i *Instr) AppendUses(u []Reg) []Reg {
 	add := func(r Reg) {
 		if r != NoReg {
 			u = append(u, r)

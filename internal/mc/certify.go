@@ -250,8 +250,9 @@ type wframe struct {
 	i    int
 }
 
-// witness reconstructs, by sequential depth-first search over the full
-// (unreduced) transition graph, one schedule per target outcome key. The
+// witness reconstructs, by sequential depth-first search over the
+// transition graph without partial-order reduction, one schedule per
+// target outcome key. The
 // search stops when every target has a schedule, the state budget runs
 // out, or ctx is cancelled (polled every 1024 states to keep the loop
 // cheap); missing entries stay nil.

@@ -63,7 +63,7 @@ type engine struct {
 	prog   *ir.Program
 	cfg    Config
 	base   map[*ir.Global]int64
-	fnIdx  map[*ir.Fn]int32
+	fns    map[string]*fnInfo
 	gwords int
 
 	shards      [nShards]seenShard
@@ -219,13 +219,13 @@ func newEngine(p *ir.Program, threadFns []string, cfg Config) (*engine, *state, 
 		prog:     p,
 		cfg:      cfg,
 		base:     make(map[*ir.Global]int64),
-		fnIdx:    make(map[*ir.Fn]int32, len(p.Funcs)),
+		fns:      make(map[string]*fnInfo, len(p.Funcs)),
 		handoff:  make(chan *node, 4096),
 		done:     make(chan struct{}),
 		outcomes: make(map[string][]int64),
 	}
 	for i, f := range p.Funcs {
-		e.fnIdx[f] = int32(i)
+		e.fns[f.Name] = newFnInfo(f, i)
 	}
 	e.shardBudget, e.hotMaxSlots = seenBudget(cfg)
 
@@ -246,18 +246,18 @@ func newEngine(p *ir.Program, threadFns []string, cfg Config) (*engine, *state, 
 			return nil, nil, fmt.Errorf("mc: %d thread functions exceed the %d-thread limit", len(threadFns), MaxThreads)
 		}
 		for _, name := range threadFns {
-			fn := p.Fn(name)
+			fn := e.fns[name]
 			if fn == nil {
 				return nil, nil, fmt.Errorf("mc: explore: no function %q", name)
 			}
-			init.threads = append(init.threads, thr{frames: []frm{newFrame(fn, nil, ir.NoReg)}})
+			init.threads = append(init.threads, thr{frames: []frm{newFrame(fn)}})
 		}
 	} else {
-		mainFn := p.Fn(p.Main)
+		mainFn := e.fns[p.Main]
 		if mainFn == nil {
 			return nil, nil, fmt.Errorf("mc: explore: program %q has no main function %q", p.Name, p.Main)
 		}
-		init.threads = []thr{{frames: []frm{newFrame(mainFn, nil, ir.NoReg)}}}
+		init.threads = []thr{{frames: []frm{newFrame(mainFn)}}}
 	}
 	return e, init, nil
 }

@@ -6,7 +6,7 @@
 // counterexample schedule when it does not.
 //
 // Compared with the legacy sequential enumerator (tso.Explore) the engine
-// adds three things:
+// adds four things:
 //
 //   - canonical state hashing: states are encoded into a compact canonical
 //     byte string (memory, per-thread frame stacks, store buffers), so
@@ -19,6 +19,13 @@
 //     sleep sets prune commuting interleavings of the remaining visible
 //     transitions. Reduction preserves the reachable final-state set, which
 //     is the property certification compares;
+//
+//   - dead-register reduction: after every step, the registers a frame
+//     will overwrite before reading again (cfg.DeadRegs, a backward
+//     liveness pass per function) are set to zero, so states that differ
+//     only in values no path reads hash alike and are explored once. A
+//     dead value cannot reach memory, a branch or an outcome, so the
+//     reachable final-state set is unchanged;
 //
 //   - a sharded work-stealing worker pool: every worker owns a frontier
 //     stack and a shard of the seen set; surplus states are handed off to
@@ -40,6 +47,7 @@ import (
 	"slices"
 	"strconv"
 
+	"fenceplace/internal/cfg"
 	"fenceplace/internal/fsx"
 	"fenceplace/internal/ir"
 	"fenceplace/internal/tso"
@@ -166,8 +174,21 @@ type bufEntry struct {
 	addr, val int64
 }
 
+// fnInfo is the engine's per-function record, shared by every frame of
+// the function: its identity in state encodings (its index in
+// Program.Funcs) and its dead-register table from cfg.DeadRegs.
+type fnInfo struct {
+	*ir.Fn
+	id   int32
+	dead [][][]ir.Reg // [block ID][instruction index] -> registers dead on entry
+}
+
+func newFnInfo(fn *ir.Fn, id int) *fnInfo {
+	return &fnInfo{Fn: fn, id: int32(id), dead: cfg.DeadRegs(fn)}
+}
+
 type frm struct {
-	fn     *ir.Fn
+	fn     *fnInfo
 	blk    *ir.Block
 	idx    int
 	regs   []int64
@@ -244,6 +265,16 @@ func (t *thr) next() *ir.Instr {
 	return f.blk.Instrs[f.idx]
 }
 
+// kill zeroes the registers that are dead at the frame's program point.
+// Every frame of every state the engine produces is killed this way, so
+// two states that differ only in values no path will read encode alike
+// and are explored once.
+func (f *frm) kill() {
+	for _, r := range f.fn.dead[f.blk.ID()][f.idx] {
+		f.regs[r] = 0
+	}
+}
+
 // encode renders the state into its canonical byte form, appending to buf
 // (callers keep a per-worker buffer to avoid allocation churn). Block
 // identity is (function index, block id), so the encoding is stable across
@@ -274,7 +305,7 @@ func (e *engine) encode(s *state, buf []byte) []byte {
 		b = binary.AppendVarint(b, int64(len(t.frames)))
 		for j := range t.frames {
 			f := &t.frames[j]
-			b = binary.AppendVarint(b, int64(e.fnIdx[f.fn]))
+			b = binary.AppendVarint(b, int64(f.fn.id))
 			b = binary.AppendVarint(b, int64(f.blk.ID()))
 			b = binary.AppendVarint(b, int64(f.idx))
 			b = binary.AppendVarint(b, int64(f.retDst))
@@ -539,7 +570,8 @@ func applyDrain(s *state, tid int) {
 
 // applyStep executes the next instruction of thread tid, in place. It
 // mirrors tso.Run's semantics exactly (including forced drains, LOCK-prefix
-// RMWs and thread-exit buffer publication) minus cost accounting.
+// RMWs and thread-exit buffer publication) minus cost accounting, then
+// kills every frame whose position or registers the step changed.
 func (e *engine) applyStep(s *state, tid int) error {
 	t := &s.threads[tid]
 	f := t.top()
@@ -701,14 +733,14 @@ func (e *engine) applyStep(s *state, tid int) error {
 		// The caller's register file survives frame-stack growth (it is its
 		// own array), so arguments are read through it after the push.
 		f.idx++ // return to the next instruction
-		t.pushFrame(e.prog.Fn(in.Callee), in.Dst, f.regs, in.Args)
+		t.pushFrame(e.fns[in.Callee], in.Dst, f.regs, in.Args)
 		advance = false
 	case ir.Spawn:
 		drainAll() // thread creation synchronizes
 		if len(s.threads) >= MaxThreads {
 			return fail("spawn exceeds the %d-thread limit of the model checker", MaxThreads)
 		}
-		callee := e.prog.Fn(in.Callee)
+		callee := e.fns[in.Callee]
 		ntid := len(s.threads)
 		if ntid < cap(s.threads) {
 			// Reslice to recycle the stale thr slot's buffers and frames.
@@ -748,20 +780,32 @@ func (e *engine) applyStep(s *state, tid int) error {
 		f = t.top()
 		f.idx++
 	}
+	// The top frame moved (or, after a Ret, had its retDst written); a
+	// Call also moved the caller past it, and a Spawn started a frame
+	// whose unused parameters are dead.
+	if len(t.frames) > 0 {
+		t.top().kill()
+	}
+	switch in.Kind {
+	case ir.Call:
+		t.frames[len(t.frames)-2].kill()
+	case ir.Spawn:
+		s.threads[len(s.threads)-1].top().kill()
+	}
 	return nil
 }
 
-func newFrame(fn *ir.Fn, args []int64, retDst ir.Reg) frm {
-	regs := make([]int64, fn.NRegs)
-	copy(regs, args)
-	return frm{fn: fn, blk: fn.Entry(), idx: 0, regs: regs, retDst: retDst}
+// newFrame builds an entry frame with zeroed registers, which is already
+// killed: a register holding zero needs no clearing.
+func newFrame(fn *fnInfo) frm {
+	return frm{fn: fn, blk: fn.Entry(), idx: 0, regs: make([]int64, fn.NRegs), retDst: ir.NoReg}
 }
 
 // pushFrame appends a frame for callee to the thread's stack, reusing the
 // register file a recycled frm slot may still hold. Argument registers are
 // resolved through callerRegs — passed as a slice header so the values
 // stay reachable even when growing t.frames moves the stack.
-func (t *thr) pushFrame(callee *ir.Fn, retDst ir.Reg, callerRegs []int64, argRegs []ir.Reg) {
+func (t *thr) pushFrame(callee *fnInfo, retDst ir.Reg, callerRegs []int64, argRegs []ir.Reg) {
 	if len(t.frames) < cap(t.frames) {
 		t.frames = t.frames[:len(t.frames)+1]
 	} else {

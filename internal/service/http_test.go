@@ -193,7 +193,7 @@ func TestHTTPStreamDisconnectCancels(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, MaxStatesCap: 1 << 26})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/jobs?stream=1",
-		strings.NewReader(`{"corpus":"szymanski","budget":{"max_states":67108864},"progress_ms":10}`))
+		strings.NewReader(`{"corpus":"msqueue","threads":3,"size":4,"budget":{"max_states":67108864},"progress_ms":10}`))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestHTTPCoalescedWaiters(t *testing.T) {
 
 	blockCtx, unblock := context.WithCancel(context.Background())
 	blockReq, _ := http.NewRequestWithContext(blockCtx, "POST", ts.URL+"/v1/jobs?stream=1",
-		strings.NewReader(`{"corpus":"szymanski","budget":{"max_states":67108864},"progress_ms":10}`))
+		strings.NewReader(`{"corpus":"msqueue","threads":3,"size":4,"budget":{"max_states":67108864},"progress_ms":10}`))
 	blockResp, err := http.DefaultClient.Do(blockReq)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestHTTPBackpressure(t *testing.T) {
 	blockCtx, unblock := context.WithCancel(context.Background())
 	defer unblock()
 	blockReq, _ := http.NewRequestWithContext(blockCtx, "POST", ts.URL+"/v1/jobs?stream=1",
-		strings.NewReader(`{"corpus":"szymanski","budget":{"max_states":67108864},"progress_ms":10}`))
+		strings.NewReader(`{"corpus":"msqueue","threads":3,"size":4,"budget":{"max_states":67108864},"progress_ms":10}`))
 	blockResp, err := http.DefaultClient.Do(blockReq)
 	if err != nil {
 		t.Fatal(err)

@@ -32,12 +32,14 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	return m
 }
 
-// blockerRequest is a deliberately heavy job (szymanski's reduced
-// instantiation explores on the order of a million states) used to occupy
-// a one-worker pool while the interesting submissions queue up behind it.
+// blockerRequest is a deliberately heavy job (msqueue at threads=3/size=4
+// explores about a million states) used to occupy a one-worker pool while
+// the interesting submissions queue up behind it.
 func blockerRequest() *Request {
 	return &Request{
-		Corpus:     "szymanski",
+		Corpus:     "msqueue",
+		Threads:    3,
+		Size:       4,
 		Budget:     Budget{MaxStates: 1 << 26},
 		ProgressMS: 10,
 	}
@@ -382,8 +384,10 @@ func TestStateBudgetVerdict(t *testing.T) {
 func TestDeadlineEnforced(t *testing.T) {
 	m := newTestManager(t, Config{MaxStatesCap: 1 << 26})
 	c, _, err := m.Submit(&Request{
-		Corpus: "szymanski",
-		Budget: Budget{MaxStates: 1 << 26, DeadlineMS: 50},
+		Corpus:  "msqueue",
+		Threads: 3,
+		Size:    4,
+		Budget:  Budget{MaxStates: 1 << 26, DeadlineMS: 50},
 	})
 	if err != nil {
 		t.Fatal(err)
