@@ -1,15 +1,17 @@
 package fenceplace_test
 
 // One benchmark per table and figure of the paper's evaluation, plus
-// ablation benches for the design choices DESIGN.md calls out. Run with:
+// ablation benches for the pipeline's design choices (the §4.4 entry-fence
+// rule, drain policies, schedulers, the exhaustive explorer). Run with:
 //
 //	go test -bench=. -benchmem
 //
 // The figure benches measure the cost of regenerating the result (static
-// pipeline and/or simulation); the printed experiment values themselves
-// come from cmd/paperbench and are recorded in EXPERIMENTS.md.
+// pipeline and/or simulation); the experiment values themselves are
+// printed by cmd/paperbench.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -17,12 +19,12 @@ import (
 	"testing"
 
 	"fenceplace"
+	"fenceplace/corpus"
 
 	"fenceplace/internal/acquire"
 	"fenceplace/internal/alias"
 	"fenceplace/internal/delayset"
 	"fenceplace/internal/escape"
-	"fenceplace/internal/exp"
 	"fenceplace/internal/fence"
 	"fenceplace/internal/ir"
 	"fenceplace/internal/mc"
@@ -134,19 +136,19 @@ func BenchmarkFigure9(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure10 runs the instrumented corpus on the TSO simulator under
-// every strategy — the dynamic experiment behind Figure 10.
+// BenchmarkFigure10 regenerates Figure 10 the way paperbench -fig10 does:
+// the corpus runner analyzes every evaluation program, verifies its plans
+// and runs each variant (Manual included) once on the TSO simulator — the
+// dynamic experiment behind the figure. A failing run fails the bench.
 func BenchmarkFigure10(b *testing.B) {
-	rows := exp.AnalyzeAll(progs.Params{})
-	b.ResetTimer()
+	runner := corpus.Runner{Seeds: 1}
 	for i := 0; i < b.N; i++ {
-		for _, r := range rows {
-			for _, v := range exp.Variants {
-				d := r.RunDynamic(v, 1)
-				if d.Failed {
-					b.Fatalf("%s/%s: %s", r.Meta.Name, v, d.Detail)
-				}
-			}
+		rep, err := runner.Run(context.Background(), corpus.EvalSource())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := corpus.Fig10(rep); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -155,11 +157,12 @@ func BenchmarkFigure10(b *testing.B) {
 // evaluation program under all three strategies — in two architectures:
 //
 //	sequential    three independent seed-style Analyze calls per program,
-//	              walking the corpus one program at a time (the pre-session
-//	              pipeline shape);
-//	session/j=N   one shared Analyzer session per program (alias, escape
-//	              and ordering generation run once for all strategies),
-//	              with the corpus fanned out over N workers.
+//	              each plan verified, walking the corpus one program at a
+//	              time (the pre-session pipeline shape);
+//	session/j=N   the corpus runner: one shared Analyzer session per
+//	              program (alias, escape and ordering generation run once
+//	              for all strategies, plans verified), with the corpus
+//	              fanned out over N workers.
 //
 // Both report programs/s. On ≥4 cores the shared-session run must beat the
 // sequential sweep by ≥2x (pass sharing alone saves ~2/3 of the pass work;
@@ -176,7 +179,11 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 			for _, m := range set {
 				p := m.Default()
 				for _, s := range strategies {
-					sink += fenceplace.Analyze(p, s).FullFences
+					res := fenceplace.Analyze(p, s)
+					if err := res.Verify(); err != nil {
+						b.Fatal(err)
+					}
+					sink += res.FullFences
 				}
 				pm := m.Defaults
 				pm.Manual = true
@@ -195,15 +202,19 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 		seen[w] = true
 		b.Run(fmt.Sprintf("session/j=%d", w), func(b *testing.B) {
 			n := 0
+			runner := corpus.Runner{Workers: w}
 			for i := 0; i < b.N; i++ {
-				rows := exp.AnalyzeAllN(progs.Params{}, w)
-				if len(rows) != len(set) {
-					b.Fatalf("analyzed %d programs, want %d", len(rows), len(set))
+				rep, err := runner.Run(context.Background(), corpus.EvalSource())
+				if err != nil {
+					b.Fatal(err)
 				}
-				for _, r := range rows {
-					sink += r.Fences(exp.Control)
+				if len(rep.Rows) != len(set) {
+					b.Fatalf("analyzed %d programs, want %d", len(rep.Rows), len(set))
 				}
-				n += len(rows)
+				for _, r := range rep.Rows {
+					sink += r.Variants[len(r.Variants)-1].FullFences // Control
+				}
+				n += len(rep.Rows)
 			}
 			b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "programs/s")
 		})
@@ -269,7 +280,7 @@ func BenchmarkCertify(b *testing.B) {
 				b.ReportAllocs()
 				var states int64
 				for i := 0; i < b.N; i++ {
-					rep, err := fenceplace.CertifyOpt(res, nil, fenceplace.CertOptions{Workers: w})
+					rep, err := fenceplace.CertifyCtx(context.Background(), res, nil, fenceplace.WithWorkers(w))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -312,18 +323,18 @@ func BenchmarkCertifySpill(b *testing.B) {
 	pp.Threads = 3
 	pp.Size = 4 // ~1.1M states: far past the capped seen budget
 	res := fenceplace.Analyze(m.Build(pp), fenceplace.Control)
-	opt := fenceplace.CertOptions{
-		Workers:   runtime.GOMAXPROCS(0),
-		MaxStates: 16 << 20,
-		MemoryCap: memCap,
-		SpillDir:  b.TempDir(),
+	opts := []fenceplace.Option{
+		fenceplace.WithWorkers(runtime.GOMAXPROCS(0)),
+		fenceplace.WithMaxStates(16 << 20),
+		fenceplace.WithMemoryCap(memCap),
+		fenceplace.WithSpillDir(b.TempDir()),
 	}
 	before := telemetry.Default().Snapshot().Counters
 	b.ReportAllocs()
 	b.ResetTimer()
 	var states int64
 	for i := 0; i < b.N; i++ {
-		rep, err := fenceplace.CertifyOpt(res, nil, opt)
+		rep, err := fenceplace.CertifyCtx(context.Background(), res, nil, opts...)
 		if err != nil {
 			// Includes ErrTruncated: the bench must certify to completion.
 			b.Fatal(err)
@@ -361,55 +372,57 @@ func BenchmarkCertifySpill(b *testing.B) {
 // per iteration so the reported wall time covers the whole pipeline, not a
 // warm session. states/s counts the SC exploration once.
 //
-// The cold variant explores every SC baseline; the warm variant serves
-// them from a pre-populated persistent store (the cross-process cache
-// behind -cache-dir), so the delta between the two is what the disk-backed
-// baselines buy a repeated run.
+// The cold variant explores everything; the warm variant serves the SC
+// baselines and the variants' TSO outcome sets from a pre-populated
+// persistent store (the cross-process cache behind -cache-dir), so the
+// delta between the two is what the store buys a repeated run.
 func BenchmarkCertifyCorpus(b *testing.B) {
 	// The operator's cache must not leak in: it would warm the cold leg
 	// and erase the delta this benchmark exists to show.
 	b.Setenv("FENCEPLACE_CACHE_DIR", "")
-	kernels := []string{"dekker", "peterson"}
-	run := func(b *testing.B, opt fenceplace.CertOptions) {
+	var sources []corpus.Source
+	for _, name := range []string{"dekker", "peterson"} {
+		m := progs.ByName(name)
+		pp := m.Defaults
+		pp.Threads = 2
+		pp.Size = 1
+		pm := pp
+		pm.Manual = true
+		sources = append(sources, corpus.SingleSource(name, m.Build(pp), m.Build(pm)))
+	}
+	certify := func(b *testing.B, dir string) (states int64) {
+		runner := corpus.Runner{Certify: true, Options: []fenceplace.Option{fenceplace.WithCacheDir(dir)}}
+		for _, src := range sources {
+			rep, err := runner.Run(context.Background(), src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for vi, v := range rep.Rows[0].Variants {
+				if v.Cert.Status != corpus.CertCertified {
+					b.Fatalf("%s/%s: %s (%s)", src.Label(), v.Name, v.Cert.Status, v.Cert.Err)
+				}
+				if vi == 0 {
+					states += v.Cert.VisitedSC // explored once per row
+				}
+				states += v.Cert.VisitedTSO
+			}
+		}
+		return states
+	}
+	run := func(b *testing.B, dir string) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		var states int64
 		for i := 0; i < b.N; i++ {
-			for _, name := range kernels {
-				m := progs.ByName(name)
-				pp := m.Defaults
-				pp.Threads = 2
-				pp.Size = 1
-				row := exp.Analyze(m, pp)
-				for vi, v := range exp.Variants {
-					cell := row.Certify(v, opt)
-					if cell.Status != exp.CertOK {
-						b.Fatalf("%s/%s: %s", name, v, cell)
-					}
-					if vi == 0 {
-						states += cell.Report.VisitedSC // explored once per row
-					}
-					states += cell.Report.VisitedTSO
-				}
-			}
+			states += certify(b, dir)
 		}
 		b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
 	}
-	b.Run("cold", func(b *testing.B) { run(b, fenceplace.CertOptions{}) })
+	b.Run("cold", func(b *testing.B) { run(b, "") })
 	b.Run("warm", func(b *testing.B) {
-		opt := fenceplace.CertOptions{CacheDir: b.TempDir()}
-		// Populate the store outside the timer: one certification per
-		// kernel writes its baseline.
-		for _, name := range kernels {
-			m := progs.ByName(name)
-			pp := m.Defaults
-			pp.Threads = 2
-			pp.Size = 1
-			if cell := exp.Analyze(m, pp).Certify(exp.Manual, opt); cell.Status != exp.CertOK {
-				b.Fatalf("prepopulate %s: %s", name, cell)
-			}
-		}
-		run(b, opt)
+		dir := b.TempDir()
+		certify(b, dir) // populate the store outside the timer
+		run(b, dir)
 	})
 }
 

@@ -41,19 +41,19 @@ func freshControlResult() *fenceplace.Result {
 func TestCertifyWarmStartsFromDiskCache(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "") // isolate from the operator's cache
 	dir := t.TempDir()
-	opt := fenceplace.CertOptions{CacheDir: dir}
+	opt := fenceplace.WithCacheDir(dir)
 
 	// Cold: the first session explores the SC side and populates the store.
 	res := freshControlResult()
-	scBefore := mc.SCExploreRuns()
-	repCold, err := fenceplace.CertifyOpt(res, nil, opt)
+	scBefore := scExplorations()
+	repCold, err := fenceplace.CertifyCtx(context.Background(), res, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !repCold.Equivalent {
 		t.Fatalf("cold certification not SC-equivalent: %s", repCold)
 	}
-	if d := mc.SCExploreRuns() - scBefore; d != 1 {
+	if d := scExplorations() - scBefore; d != 1 {
 		t.Fatalf("cold run performed %d SC explorations, want 1", d)
 	}
 
@@ -61,16 +61,16 @@ func TestCertifyWarmStartsFromDiskCache(t *testing.T) {
 	// explorations from disk — zero SC and zero TSO explorations — and
 	// reach the identical report.
 	res2 := freshControlResult()
-	scBefore = mc.SCExploreRuns()
-	allBefore := mc.ExploreRuns()
-	repWarm, err := fenceplace.CertifyOpt(res2, nil, opt)
+	scBefore = scExplorations()
+	allBefore := explorations()
+	repWarm, err := fenceplace.CertifyCtx(context.Background(), res2, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := mc.SCExploreRuns() - scBefore; d != 0 {
+	if d := scExplorations() - scBefore; d != 0 {
 		t.Errorf("warm run performed %d SC explorations, want 0", d)
 	}
-	if d := mc.ExploreRuns() - allBefore; d != 0 {
+	if d := explorations() - allBefore; d != 0 {
 		t.Errorf("warm run performed %d explorations, want 0", d)
 	}
 	if !reflect.DeepEqual(repWarm, repCold) {
@@ -96,9 +96,9 @@ func TestCertifyWarmStartsFromDiskCache(t *testing.T) {
 func TestCorruptCacheEntryDegradesToMiss(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "")
 	dir := t.TempDir()
-	opt := fenceplace.CertOptions{CacheDir: dir}
+	opt := fenceplace.WithCacheDir(dir)
 
-	if _, err := fenceplace.CertifyOpt(freshControlResult(), nil, opt); err != nil {
+	if _, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil, opt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -122,15 +122,15 @@ func TestCorruptCacheEntryDegradesToMiss(t *testing.T) {
 
 	st, _ := store.Open(dir)
 	qBefore := st.Stats().Quarantined
-	scBefore := mc.SCExploreRuns()
-	rep, err := fenceplace.CertifyOpt(freshControlResult(), nil, opt)
+	scBefore := scExplorations()
+	rep, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil, opt)
 	if err != nil {
 		t.Fatalf("certification over a corrupt cache failed: %v", err)
 	}
 	if !rep.Equivalent {
 		t.Fatalf("certification over a corrupt cache changed the verdict: %s", rep)
 	}
-	if d := mc.SCExploreRuns() - scBefore; d != 1 {
+	if d := scExplorations() - scBefore; d != 1 {
 		t.Errorf("corrupt entry did not force a re-exploration: %d SC explorations, want 1", d)
 	}
 	if d := st.Stats().Quarantined - qBefore; d != 2 {
@@ -138,11 +138,11 @@ func TestCorruptCacheEntryDegradesToMiss(t *testing.T) {
 	}
 
 	// The re-exploration wrote a good entry back: the next session is warm.
-	scBefore = mc.SCExploreRuns()
-	if _, err := fenceplace.CertifyOpt(freshControlResult(), nil, opt); err != nil {
+	scBefore = scExplorations()
+	if _, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil, opt); err != nil {
 		t.Fatal(err)
 	}
-	if d := mc.SCExploreRuns() - scBefore; d != 0 {
+	if d := scExplorations() - scBefore; d != 0 {
 		t.Errorf("store not repopulated after quarantine: %d SC explorations, want 0", d)
 	}
 }
@@ -198,12 +198,12 @@ func TestWarmViolationEqualsCold(t *testing.T) {
 		t.Fatalf("unfenced dekker certified cold: %s", cold)
 	}
 
-	before := mc.ExploreRuns()
+	before := explorations()
 	warm, err := unfencedDekker(t, fenceplace.WithCacheDir(dir), one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := mc.ExploreRuns() - before; d != 0 {
+	if d := explorations() - before; d != 0 {
 		t.Errorf("warm run performed %d explorations, want 0", d)
 	}
 	if !reflect.DeepEqual(warm, cold) {
@@ -285,7 +285,7 @@ func TestCorruptTSOEntryReexplored(t *testing.T) {
 
 	st, _ := store.Open(dir)
 	qBefore := st.Stats().Quarantined
-	scBefore, allBefore := mc.SCExploreRuns(), mc.ExploreRuns()
+	scBefore, allBefore := scExplorations(), explorations()
 	rep, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -293,10 +293,10 @@ func TestCorruptTSOEntryReexplored(t *testing.T) {
 	if rep.Equivalent != cold.Equivalent || rep.TSOOutcomes != cold.TSOOutcomes {
 		t.Fatalf("verdict changed over a corrupt TSO entry: %s vs %s", rep, cold)
 	}
-	if d := mc.SCExploreRuns() - scBefore; d != 0 {
+	if d := scExplorations() - scBefore; d != 0 {
 		t.Errorf("%d SC explorations, want 0 (the baseline entry is intact)", d)
 	}
-	if d := mc.ExploreRuns() - allBefore; d != 1 {
+	if d := explorations() - allBefore; d != 1 {
 		t.Errorf("%d explorations, want 1 (the TSO side again)", d)
 	}
 	if d := st.Stats().Quarantined - qBefore; d != 1 {

@@ -5,13 +5,21 @@ package fenceplace_test
 // analyzer's pass session.
 
 import (
+	"context"
 	"testing"
 
 	"fenceplace"
 
 	"fenceplace/internal/mc"
 	"fenceplace/internal/progs"
+	"fenceplace/internal/telemetry"
 )
+
+// explorations and scExplorations read the model checker's process-wide
+// counts of all explorations and of SC explorations.
+func explorations() int64 { return telemetry.Default().Counter("mc.explore_runs").Value() }
+
+func scExplorations() int64 { return telemetry.Default().Counter("mc.sc_explore_runs").Value() }
 
 // TestCertifyVariantsShareOneSCExploration is the acceptance check for
 // baseline reuse: certifying all three placement strategies of one
@@ -28,9 +36,9 @@ func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 	az := fenceplace.NewAnalyzer(m.Build(pp))
 	results := az.AnalyzeAll()
 
-	before := mc.ExploreRuns()
+	before := explorations()
 	for _, res := range results {
-		rep, err := fenceplace.CertifyOpt(res, nil, fenceplace.CertOptions{})
+		rep, err := fenceplace.CertifyCtx(context.Background(), res, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", res.Strategy, err)
 		}
@@ -38,7 +46,7 @@ func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 			t.Fatalf("%s: not SC-equivalent: %s", res.Strategy, rep)
 		}
 	}
-	delta := mc.ExploreRuns() - before
+	delta := explorations() - before
 	want := int64(1 + len(results)) // one shared SC baseline + one TSO per variant
 	if delta != want {
 		t.Errorf("certifying %d variants ran %d explorations, want %d (shared baseline)",
@@ -47,17 +55,17 @@ func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 
 	// Further certifications of the same session hit the memoized baseline:
 	// exactly one more exploration (the TSO side) per call.
-	before = mc.ExploreRuns()
-	if _, err := fenceplace.CertifyOpt(results[0], nil, fenceplace.CertOptions{}); err != nil {
+	before = explorations()
+	if _, err := fenceplace.CertifyCtx(context.Background(), results[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if d := mc.ExploreRuns() - before; d != 1 {
+	if d := explorations() - before; d != 1 {
 		t.Errorf("re-certification ran %d explorations, want 1", d)
 	}
 }
 
 // TestAnalyzerBaselineMemoized pins the identity semantics: the analyzer
-// serves one Baseline per entry configuration, and its SC state set is
+// serves one baseline per entry configuration, and its SC state set is
 // what CertifyAgainst compares variants to.
 func TestAnalyzerBaselineMemoized(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "") // identity assertions assume no disk cache
@@ -67,11 +75,11 @@ func TestAnalyzerBaselineMemoized(t *testing.T) {
 	pp.Size = 1
 	az := fenceplace.NewAnalyzer(m.Build(pp))
 
-	b1, err := az.Baseline(nil, fenceplace.CertOptions{})
+	b1, err := az.BaselineCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := az.Baseline(nil, fenceplace.CertOptions{})
+	b2, err := az.BaselineCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

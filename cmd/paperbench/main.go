@@ -35,8 +35,10 @@ import (
 	"fenceplace"
 	"fenceplace/corpus"
 	"fenceplace/internal/cli"
-	"fenceplace/internal/exp"
-	"fenceplace/internal/mc"
+	"fenceplace/internal/delayset"
+	"fenceplace/internal/passes"
+	"fenceplace/internal/progs"
+	"fenceplace/internal/stats"
 	"fenceplace/internal/store"
 	"fenceplace/internal/telemetry"
 )
@@ -127,7 +129,7 @@ func main() {
 	}
 
 	if all || *table2 {
-		fmt.Println(exp.Table2())
+		fmt.Println(renderTable2())
 	}
 
 	// Resolve the baseline store directory exactly once, up front: the
@@ -151,7 +153,7 @@ func main() {
 		// baseline all four variants certify against. With a warm
 		// -cache-dir both the baselines and the variants' TSO outcome sets
 		// are served from the persistent store without exploring.
-		rep, err := runCert(ctx, shardI, shardN, *jobs, opts, dir)
+		rep, err := runCert(ctx, os.Stdout, shardI, shardN, *jobs, opts, dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit(failCode(err))
@@ -160,7 +162,7 @@ func main() {
 		certRan = true
 	}
 	if all || *fig2 {
-		fmt.Println(exp.Fig2())
+		fmt.Println(renderFig2())
 	}
 	if all || *fig7 || *fig8 || *fig9 || *fig10 || *manual {
 		src := corpus.EvalSource()
@@ -222,10 +224,10 @@ func parseShard(s string) (i, n int, err error) {
 	return i, n, nil
 }
 
-// runCert certifies the kernel corpus and prints the certification table
-// with its warm-vs-cold footer (SC and TSO explorations performed; store
-// deltas when an exploration cache is in play).
-func runCert(ctx context.Context, shardI, shardN, jobs int, opts []fenceplace.Option, dir string) (*corpus.Report, error) {
+// runCert certifies the kernel corpus and writes the certification table
+// to w with its warm-vs-cold footer (SC and TSO explorations performed;
+// store deltas when an exploration cache is in play).
+func runCert(ctx context.Context, w io.Writer, shardI, shardN, jobs int, opts []fenceplace.Option, dir string) (*corpus.Report, error) {
 	src := corpus.CertSource()
 	if shardN > 0 {
 		var err error
@@ -234,7 +236,9 @@ func runCert(ctx context.Context, shardI, shardN, jobs int, opts []fenceplace.Op
 		}
 	}
 
-	scBefore, allBefore := mc.SCExploreRuns(), mc.ExploreRuns()
+	runs := telemetry.Default().Counter("mc.explore_runs")
+	scRuns := telemetry.Default().Counter("mc.sc_explore_runs")
+	allBefore, scBefore := runs.Value(), scRuns.Value()
 	var st *store.Store
 	var stBefore store.Stats
 	if dir != "" {
@@ -250,15 +254,15 @@ func runCert(ctx context.Context, shardI, shardN, jobs int, opts []fenceplace.Op
 	}
 	var sb strings.Builder
 	sb.WriteString(corpus.CertTable(rep))
-	scRuns := mc.SCExploreRuns() - scBefore
-	fmt.Fprintf(&sb, "\nSC explorations: %d\n", scRuns)
-	fmt.Fprintf(&sb, "TSO explorations: %d\n", mc.ExploreRuns()-allBefore-scRuns)
+	sc := scRuns.Value() - scBefore
+	fmt.Fprintf(&sb, "\nSC explorations: %d\n", sc)
+	fmt.Fprintf(&sb, "TSO explorations: %d\n", runs.Value()-allBefore-sc)
 	if st != nil {
 		d := st.Stats().Sub(stBefore)
 		fmt.Fprintf(&sb, "exploration cache (%s): %d warm hits, %d cold misses, %d written, %d quarantined\n",
 			st.Dir(), d.Hits, d.Misses, d.Puts, d.Quarantined)
 	}
-	fmt.Println(sb.String())
+	fmt.Fprintln(w, sb.String())
 	return rep, nil
 }
 
@@ -321,4 +325,62 @@ func renderMerged(files string, all, fig7, fig8, fig9, fig10, manual, cert bool)
 	}
 	renderFigures(merged, all, fig7, fig8, fig9, fig10, manual)
 	return nil
+}
+
+// renderTable2 regenerates the paper's Table II: the signature breakdown
+// of the nine synchronization kernels.
+func renderTable2() string {
+	t := stats.NewTable("kernel", "addr", "ctrl", "pure addr", "source")
+	pureAddrAnywhere := false
+	for _, m := range progs.ByKind(progs.SyncKernel) {
+		sig := passes.NewSession(m.Default()).Signatures()
+		t.Add(m.Name, mark(sig.HasAddress()), mark(sig.HasControl()),
+			mark(sig.HasPureAddress()), m.Source)
+		if sig.HasPureAddress() {
+			pureAddrAnywhere = true
+		}
+	}
+	out := "Table II: acquire signatures found in the synchronization kernels\n" + t.String()
+	if !pureAddrAnywhere {
+		out += "No kernel contains a pure-address acquire (matches the paper).\n"
+	} else {
+		out += "WARNING: a pure-address acquire appeared; the paper found none.\n"
+	}
+	return out
+}
+
+func mark(b bool) string {
+	if b {
+		return "yes"
+	}
+	return "no"
+}
+
+// renderFig2 regenerates the §2.4 worked example via exact delay-set analysis.
+func renderFig2() string {
+	p, isAcq := delayset.Fig2()
+	delays := delayset.Delays(p)
+	fullFences := delayset.MinimizeFences(delays)
+	pruned := delayset.Prune(delays, isAcq)
+	prunedFences := delayset.MinimizeFences(pruned)
+
+	var sb strings.Builder
+	sb.WriteString("Figure 2 (worked example, §2.4): exact Shasha-Snir delay-set analysis\n")
+	writeDelays(&sb, "delay edges", delays)
+	fmt.Fprintf(&sb, "full fence placement: %d fences at %v (paper: 5, F1..F5)\n", len(fullFences), fullFences)
+	writeDelays(&sb, "pruned delay edges", pruned)
+	fmt.Fprintf(&sb, "pruned fence placement: %d fences at %v (paper: 2, F2 and F4)\n", len(prunedFences), prunedFences)
+	return sb.String()
+}
+
+// writeDelays writes one labelled, comma-separated line of delay edges.
+func writeDelays(sb *strings.Builder, label string, delays []delayset.Delay) {
+	fmt.Fprintf(sb, "%s (%d): ", label, len(delays))
+	for i, d := range delays {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(d.String())
+	}
+	sb.WriteByte('\n')
 }

@@ -12,13 +12,47 @@ import (
 	"errors"
 	"os"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"fenceplace"
 	"fenceplace/corpus"
 
 	"fenceplace/internal/progs"
+	"fenceplace/internal/stats"
 )
+
+var (
+	evalOnce sync.Once
+	evalRep  *corpus.Report
+	evalErr  error
+)
+
+// evalReport runs the Figures 7-10 evaluation once per test binary, with
+// one simulator seed per variant.
+func evalReport(t *testing.T) *corpus.Report {
+	t.Helper()
+	evalOnce.Do(func() {
+		evalRep, evalErr = (&corpus.Runner{Seeds: 1}).Run(context.Background(), corpus.EvalSource())
+	})
+	if evalErr != nil {
+		t.Fatal(evalErr)
+	}
+	return evalRep
+}
+
+// variant returns the row's variant with the given display name.
+func variant(t *testing.T, r corpus.Row, name string) corpus.Variant {
+	t.Helper()
+	for _, v := range r.Variants {
+		if v.Name == name {
+			return v
+		}
+	}
+	t.Fatalf("%s: no %s variant", r.Program, name)
+	return corpus.Variant{}
+}
 
 // TestShardPartition pins the partition law: the n shards of a source are
 // disjoint, cover it, and keep the members' names.
@@ -67,10 +101,7 @@ func TestShardMergeIdenticalTables(t *testing.T) {
 	runner := corpus.Runner{Seeds: 1}
 	ctx := context.Background()
 
-	full, err := runner.Run(ctx, corpus.EvalSource())
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := evalReport(t)
 	if len(full.Rows) != corpus.EvalSource().Len() {
 		t.Fatalf("unsharded run produced %d rows, want %d", len(full.Rows), corpus.EvalSource().Len())
 	}
@@ -143,6 +174,151 @@ func TestShardMergeIdenticalTables(t *testing.T) {
 	}
 }
 
+// TestInstrumentedProgramsCorrectUnderTSO is the central soundness claim
+// over the evaluation set: Run verifies every variant's fence plan (an
+// uncovered ordering is an error) and runs every instrumented build, the
+// expert Manual one included, under TSO (a failed assertion, deadlock or
+// runtime error is an error), so a report that exists with a simulated
+// run for each of the four variants of every program is the proof.
+func TestInstrumentedProgramsCorrectUnderTSO(t *testing.T) {
+	rep := evalReport(t)
+	if len(rep.Rows) != corpus.EvalSource().Len() {
+		t.Fatalf("%d rows, want %d", len(rep.Rows), corpus.EvalSource().Len())
+	}
+	for _, r := range rep.Rows {
+		for _, name := range []string{"Manual", "Pensieve", "Address+Control", "Control"} {
+			if v := variant(t, r, name); len(v.Cycles) != 1 {
+				t.Errorf("%s/%s: %d simulated runs, want 1", r.Program, name, len(v.Cycles))
+			}
+		}
+	}
+}
+
+// TestFig7Shape pins the paper's Figure 7 shape: Control flags far fewer
+// reads than Address+Control, which flags far fewer than everything.
+func TestFig7Shape(t *testing.T) {
+	var ctl, ac []float64
+	for _, r := range evalReport(t).Rows {
+		if r.EscReads == 0 {
+			t.Fatalf("%s: no escaping reads", r.Program)
+		}
+		c := stats.Ratio(variant(t, r, "Control").Acquires, r.EscReads)
+		a := stats.Ratio(variant(t, r, "Address+Control").Acquires, r.EscReads)
+		if c > a+1e-9 {
+			t.Errorf("%s: Control ratio %.2f exceeds A+C ratio %.2f", r.Program, c, a)
+		}
+		if a > 1 || c > 1 {
+			t.Errorf("%s: acquire ratio above 1", r.Program)
+		}
+		if c == 0 {
+			t.Errorf("%s: no control acquires at all — every program synchronizes", r.Program)
+		}
+		ctl = append(ctl, c)
+		ac = append(ac, a)
+	}
+	gc, ga := stats.Geomean(ctl), stats.Geomean(ac)
+	if !(gc > 0.05 && gc < 0.45) {
+		t.Errorf("Control geomean %.2f outside the paper's ballpark (≈0.18)", gc)
+	}
+	if !(ga > 0.30 && ga < 0.90) {
+		t.Errorf("A+C geomean %.2f outside the paper's ballpark (≈0.60)", ga)
+	}
+	if ga <= gc {
+		t.Errorf("A+C geomean %.2f not above Control geomean %.2f", ga, gc)
+	}
+}
+
+// TestFig8Shape pins Figure 8: pruning only removes orderings, never
+// touches →w ones, and r→r orderings dominate most programs.
+func TestFig8Shape(t *testing.T) {
+	rows := evalReport(t).Rows
+	rrDominant := 0
+	for _, r := range rows {
+		full := variant(t, r, "Pensieve").Orderings
+		ac := variant(t, r, "Address+Control").Orderings
+		ctl := variant(t, r, "Control").Orderings
+		if ctl.Total > ac.Total || ac.Total > full.Total {
+			t.Errorf("%s: ordering monotonicity violated: %d / %d / %d",
+				r.Program, ctl.Total, ac.Total, full.Total)
+		}
+		if ctl.RW != full.RW || ctl.WW != full.WW {
+			t.Errorf("%s: pruning modified →w orderings", r.Program)
+		}
+		if full.RR > full.Total/2 {
+			rrDominant++
+		}
+	}
+	// The paper: r→r orderings form the majority in all but two programs.
+	if rrDominant < len(rows)*2/3 {
+		t.Errorf("r->r dominant in only %d of %d programs", rrDominant, len(rows))
+	}
+}
+
+// TestFig9Shape pins Figure 9: pruning never adds fences.
+func TestFig9Shape(t *testing.T) {
+	for _, r := range evalReport(t).Rows {
+		p := variant(t, r, "Pensieve").FullFences
+		a := variant(t, r, "Address+Control").FullFences
+		c := variant(t, r, "Control").FullFences
+		if c > a || a > p {
+			t.Errorf("%s: fence monotonicity violated: Control %d, A+C %d, Pensieve %d",
+				r.Program, c, a, p)
+		}
+		if p == 0 {
+			t.Errorf("%s: Pensieve placed no fences", r.Program)
+		}
+	}
+}
+
+// TestFig10Shape pins Figure 10's geomean ordering: Pensieve is slower
+// than the expert placement, and each pruned variant is no slower than
+// the one it refines.
+func TestFig10Shape(t *testing.T) {
+	rep := evalReport(t)
+	report, err := corpus.Fig10(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(report, "geomean") {
+		t.Fatal("missing geomean row")
+	}
+	var pens, ac, ctl []float64
+	for _, r := range rep.Rows {
+		base := float64(variant(t, r, "Manual").Cycles[0])
+		pens = append(pens, float64(variant(t, r, "Pensieve").Cycles[0])/base)
+		ac = append(ac, float64(variant(t, r, "Address+Control").Cycles[0])/base)
+		ctl = append(ctl, float64(variant(t, r, "Control").Cycles[0])/base)
+	}
+	gp, ga, gc := stats.Geomean(pens), stats.Geomean(ac), stats.Geomean(ctl)
+	if !(gp >= ga-0.02 && ga >= gc-0.02) {
+		t.Errorf("normalized time ordering broken: Pensieve %.2f, A+C %.2f, Control %.2f", gp, ga, gc)
+	}
+	if gp < 1.0 {
+		t.Errorf("Pensieve (%.2f) should be slower than manual", gp)
+	}
+	if gc >= gp {
+		t.Errorf("Control (%.2f) shows no speedup over Pensieve (%.2f)", gc, gp)
+	}
+}
+
+// TestReportsRender checks the report-backed tables carry their summary
+// rows and columns.
+func TestReportsRender(t *testing.T) {
+	rep := evalReport(t)
+	if s := corpus.Fig7(rep); !strings.Contains(s, "geomean") {
+		t.Error("Fig7 missing geomean")
+	}
+	if s := corpus.Fig8(rep); !strings.Contains(s, "r->r") {
+		t.Error("Fig8 missing type columns")
+	}
+	if s := corpus.Fig9(rep); !strings.Contains(s, "Pensieve") {
+		t.Error("Fig9 missing variants")
+	}
+	if s := corpus.ManualTable(rep); !strings.Contains(s, "volrend") {
+		t.Error("manual table incomplete")
+	}
+}
+
 // TestMergeRejections pins the merge guards: version skew, source skew and
 // overlapping indices must all refuse.
 func TestMergeRejections(t *testing.T) {
@@ -184,46 +360,51 @@ func TestMergeRejections(t *testing.T) {
 }
 
 // TestRunnerCertifies runs the full pipeline — analysis, verification,
-// certification against the shared SC baseline — over a single-program
-// source and checks the resulting row's plain data.
+// certification against the shared SC baseline — over single-program
+// sources of two Dekker-family kernels at a reduced instantiation and
+// checks the resulting rows' plain data: every variant, the expert Manual
+// build included, must certify SC-equivalent. (The unfenced build's
+// negative control is TestCertifyCorpusKernels in the root package.)
 func TestRunnerCertifies(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "")
-	m := progs.ByName("dekker")
-	pp := m.Defaults
-	pp.Threads = 2
-	pp.Size = 1
-	pm := pp
-	pm.Manual = true
-
 	runner := corpus.Runner{
 		Certify: true,
 		Workers: 1,
 		Options: []fenceplace.Option{fenceplace.WithMaxStates(1 << 20)},
 	}
-	rep, err := runner.Run(context.Background(), corpus.SingleSource("dekker", m.Build(pp), m.Build(pm)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rep.Rows))
-	}
-	row := rep.Rows[0]
-	if len(row.Variants) != 4 {
-		t.Fatalf("got %d variants, want 4 (Manual + 3 strategies)", len(row.Variants))
-	}
-	for _, v := range row.Variants {
-		if v.Cert == nil {
-			t.Fatalf("%s: no certification", v.Name)
+	for _, name := range []string{"dekker", "peterson"} {
+		m := progs.ByName(name)
+		pp := m.Defaults
+		pp.Threads = 2
+		pp.Size = 1
+		pm := pp
+		pm.Manual = true
+
+		rep, err := runner.Run(context.Background(), corpus.SingleSource(name, m.Build(pp), m.Build(pm)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if v.Cert.Status != corpus.CertCertified {
-			t.Errorf("%s: %s (%s)", v.Name, v.Cert.Status, v.Cert.Err)
+		if len(rep.Rows) != 1 {
+			t.Fatalf("%s: got %d rows, want 1", name, len(rep.Rows))
 		}
-		if (v.Name == "Manual") == v.Analyzed {
-			t.Errorf("%s: analyzed flag %v", v.Name, v.Analyzed)
+		row := rep.Rows[0]
+		if len(row.Variants) != 4 {
+			t.Fatalf("%s: got %d variants, want 4 (Manual + 3 strategies)", name, len(row.Variants))
 		}
-	}
-	if s := corpus.CertTable(rep); !bytes.Contains([]byte(s), []byte("certified")) {
-		t.Errorf("cert table missing verdicts:\n%s", s)
+		for _, v := range row.Variants {
+			if v.Cert == nil {
+				t.Fatalf("%s/%s: no certification", name, v.Name)
+			}
+			if v.Cert.Status != corpus.CertCertified {
+				t.Errorf("%s/%s: %s (%s)", name, v.Name, v.Cert.Status, v.Cert.Err)
+			}
+			if (v.Name == "Manual") == v.Analyzed {
+				t.Errorf("%s/%s: analyzed flag %v", name, v.Name, v.Analyzed)
+			}
+		}
+		if s := corpus.CertTable(rep); !strings.Contains(s, "certified") || !strings.Contains(s, name) {
+			t.Errorf("cert table missing verdicts:\n%s", s)
+		}
 	}
 }
 

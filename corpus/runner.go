@@ -220,7 +220,8 @@ func (r *Runner) runOne(ctx context.Context, src Source, i int, strategies []fen
 // report variant: the static counts only — dynamic cycles and the
 // certification verdict are the driving harness's to add. It is the one
 // mapping from live results to report rows; every driver (this runner,
-// the experiment harness) goes through it so their tables cannot drift.
+// the benchmark's traced path) goes through it so their tables cannot
+// drift.
 func VariantFromResult(res *fenceplace.Result) Variant {
 	kept := res.Kept()
 	return Variant{

@@ -21,7 +21,6 @@ package fenceplace
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -142,8 +141,8 @@ type Analyzer struct {
 // NewAnalyzer finalizes the program and prepares a shared analysis
 // session. Passes run lazily on first demand and are computed once across
 // all strategies. The analyzer's resolved options also serve as the
-// defaults for its certification-side methods (Baseline), so one option
-// list can configure the whole pipeline.
+// defaults for its certification-side methods (BaselineCtx,
+// CertifyProgramCtx), so one option list can configure the whole pipeline.
 func NewAnalyzer(p *Program, opts ...Option) *Analyzer {
 	a := &Analyzer{cfg: resolve(opts)}
 	a.sess = passes.NewSession(p, passes.Workers(a.cfg.workers))
@@ -326,8 +325,7 @@ func (r *Result) Verify() error {
 
 // Kept returns the enforced (post-pruning) ordering set. The returned
 // value is an internal analysis type shared with the session; treat it as
-// read-only. It exists for tooling built on the module (the experiment
-// harness, custom reports).
+// read-only. It exists for tooling built on the module (custom reports).
 func (r *Result) Kept() *orders.Set { return r.kept }
 
 // Plan returns the minimized fence plan behind Instrumented; treat it as
@@ -379,103 +377,9 @@ func RunSC(p *Program, seed int64) *RunOutcome {
 // not (see internal/mc).
 type CertReport = mc.Report
 
-// CertOptions tunes a certification run. The zero value uses the model
-// checker's defaults (GOMAXPROCS workers, 2M-state budget, partial-order
-// reduction on, fingerprint seen-sets) and no baseline persistence beyond
-// $FENCEPLACE_CACHE_DIR.
-//
-// Deprecated: CertOptions predates the unified Option set; use the
-// functional options (WithMaxStates, WithWorkers, WithCacheDir, …) with
-// CertifyCtx/BaselineCtx instead. It remains as an adapter — Options
-// converts — and every entry point taking it is a thin wrapper over the
-// Option-based path.
-type CertOptions struct {
-	MaxStates int64 // state budget per exploration; exceeded => error
-	Workers   int   // parallel exploration workers
-	BufferCap int   // TSO store-buffer capacity modeled (default 4)
-	MemoryCap int   // memory budget in arena words (default 1<<22; <0 uncapped)
-	ExactSeen bool  // exact string-keyed seen sets (slow oracle mode)
-	NoPOR     bool  // disable partial-order reduction (cross-check oracle)
-
-	// SpillDir names the scratch area sealed seen-set runs spill to when
-	// an exploration outgrows the MemoryCap-derived seen-set budget (see
-	// WithSpillDir). Empty keeps sealed runs in RAM.
-	SpillDir string
-
-	// CacheDir names a persistent, content-addressed exploration store
-	// (internal/store): SC and TSO explorations are looked up there by
-	// canonical program+config hash before running and written back
-	// after, so repeated certification runs — across processes and
-	// machines — warm-start past both explorations. Empty means the
-	// FENCEPLACE_CACHE_DIR environment variable, then no persistence.
-	// Corrupt or truncated store entries degrade to cache misses (and are
-	// quarantined); they can never yield a wrong certification.
-	CacheDir string
-}
-
-// EffectiveCacheDir resolves the baseline store directory the options
-// select: the explicit CacheDir, else $FENCEPLACE_CACHE_DIR, else "" (no
-// persistence). Note that it re-reads the environment on every call;
-// Options resolves the directory exactly once, which is why multi-program
-// drivers must convert once up front rather than calling this per
-// certification.
-//
-// Deprecated: resolve once via Options and WithCacheDir.
-func (o CertOptions) EffectiveCacheDir() string {
-	if o.CacheDir != "" {
-		return o.CacheDir
-	}
-	return os.Getenv("FENCEPLACE_CACHE_DIR")
-}
-
-// Options converts the deprecated struct into the unified functional-
-// option form. The cache directory is resolved (environment included)
-// exactly once, here, so the resulting options pin one store directory no
-// matter how often or late they are applied.
-func (o CertOptions) Options() []Option {
-	opts := []Option{
-		WithMaxStates(o.MaxStates),
-		WithWorkers(o.Workers),
-		WithBufferCap(o.BufferCap),
-		WithMemoryCap(o.MemoryCap),
-		WithCacheDir(o.EffectiveCacheDir()),
-	}
-	if o.SpillDir != "" {
-		// An unset SpillDir keeps the $FENCEPLACE_SPILL_DIR fallback alive
-		// (resolved once, like the cache directory).
-		opts = append(opts, WithSpillDir(o.SpillDir))
-	}
-	if o.ExactSeen {
-		opts = append(opts, WithExactSeen())
-	}
-	if o.NoPOR {
-		opts = append(opts, WithNoPOR())
-	}
-	return opts
-}
-
-// MCConfig maps the certification options onto a model-checker
-// configuration. Every exploration-shaping Config field has a CertOptions
-// counterpart, so the session-baseline path and the standalone path
-// explore identically; it is exported as the single source of this mapping
-// for tooling built on the module (the experiment harness). CacheDir is
-// deliberately absent: it routes through the baseline loader, not the
-// exploration.
-func (o CertOptions) MCConfig() mc.Config {
-	return mc.Config{
-		MaxStates: o.MaxStates,
-		Workers:   o.Workers,
-		BufferCap: o.BufferCap,
-		MemoryCap: o.MemoryCap,
-		SpillDir:  o.SpillDir,
-		ExactSeen: o.ExactSeen,
-		NoPOR:     o.NoPOR,
-	}
-}
-
 // CertBaseline is a reusable SC exploration of one program — the half of
 // a certification every fence-placement variant shares (see
-// Analyzer.Baseline and internal/mc).
+// Analyzer.BaselineCtx and internal/mc).
 type CertBaseline = mc.Baseline
 
 // ErrTruncated reports a certification whose state budget ran out; the
@@ -491,32 +395,14 @@ var ErrTruncated = mc.ErrTruncated
 //	if errors.As(err, &ie) { log.Printf("panic: %v\n%s", ie.Panic, ie.Stack) }
 type InternalError = mc.InternalError
 
-// Certify model-checks an analysis result: it explores every interleaving
-// (and store-buffer drain schedule) of the instrumented program under
-// x86-TSO and of the original program under SC, and reports whether the
-// reachable final-state sets coincide — the paper's guarantee, decided
-// exhaustively. The program is explored from its main function; use
-// CertifyThreads for litmus-style programs without one.
-func Certify(res *Result) (*CertReport, error) {
-	return CertifyThreads(res, nil)
-}
-
-// CertifyThreads is Certify with an explicit set of flat thread functions
-// run concurrently from the initial state (the litmus configuration).
-func CertifyThreads(res *Result, threads []string) (*CertReport, error) {
-	return CertifyOpt(res, threads, CertOptions{})
-}
-
-// CertifyOpt is CertifyThreads with explicit exploration options.
-//
-// Deprecated: use CertifyCtx with the unified Option set; this wrapper
-// converts opt via CertOptions.Options and runs with a background context.
-func CertifyOpt(res *Result, threads []string, opt CertOptions) (*CertReport, error) {
-	return CertifyCtx(context.Background(), res, threads, opt.Options()...)
-}
-
-// CertifyCtx model-checks an analysis result under an explicit context and
-// option set. With no options given, a Result produced by an Analyzer
+// CertifyCtx model-checks an analysis result: it explores every
+// interleaving (and store-buffer drain schedule) of the instrumented
+// program under x86-TSO and of the original program under SC, and reports
+// whether the reachable final-state sets coincide — the paper's guarantee,
+// decided exhaustively. Nil threads explores from the program's main
+// function; litmus-style programs without one pass their flat thread
+// functions, which run concurrently from the initial state. With no
+// options given, a Result produced by an Analyzer
 // inherits the analyzer's construction-time options — one option list
 // configures analysis and certification alike; passing any option
 // replaces the configuration wholesale. Results produced by an Analyzer
@@ -561,16 +447,6 @@ func CertifyCtx(ctx context.Context, res *Result, threads []string, opts ...Opti
 		return nil, err
 	}
 	return passes.CertifyAgainstCtx(ctx, base, res.Instrumented, cfg, c.cacheDir)
-}
-
-// Baseline returns the analyzer's memoized SC exploration for the given
-// entry configuration (nil threads explores from main), computing it on
-// first use — or loading it from the persistent baseline store when
-// opt.CacheDir (or $FENCEPLACE_CACHE_DIR) names one.
-//
-// Deprecated: use BaselineCtx with the unified Option set.
-func (a *Analyzer) Baseline(threads []string, opt CertOptions) (*CertBaseline, error) {
-	return a.BaselineCtx(context.Background(), threads, opt.Options()...)
 }
 
 // BaselineCtx returns the analyzer's memoized SC exploration for the given

@@ -1,6 +1,7 @@
 package fenceplace
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -163,7 +164,7 @@ func TestFacadeAgainstCorpus(t *testing.T) {
 func TestCertifyLitmusSuite(t *testing.T) {
 	for _, lt := range litmus.All() {
 		pen := Analyze(lt.Prog, PensieveOnly)
-		rep, err := CertifyThreads(pen, lt.Threads)
+		rep, err := CertifyCtx(context.Background(), pen, lt.Threads)
 		if err != nil {
 			t.Fatalf("%s/Pensieve: %v", lt.Name, err)
 		}
@@ -172,7 +173,7 @@ func TestCertifyLitmusSuite(t *testing.T) {
 		}
 
 		ctl := Analyze(lt.Prog, Control)
-		rep, err = CertifyThreads(ctl, lt.Threads)
+		rep, err = CertifyCtx(context.Background(), ctl, lt.Threads)
 		if err != nil {
 			t.Fatalf("%s/Control: %v", lt.Name, err)
 		}
@@ -200,7 +201,7 @@ func TestCertifyCorpusKernels(t *testing.T) {
 		pp.Threads = 2
 		pp.Size = 1
 		res := Analyze(m.Build(pp), Control)
-		rep, err := Certify(res)
+		rep, err := CertifyCtx(context.Background(), res, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -211,7 +212,7 @@ func TestCertifyCorpusKernels(t *testing.T) {
 		// Negative control: the unfenced build must not certify.
 		bare := *res
 		bare.Instrumented = res.Prog
-		rep, err = Certify(&bare)
+		rep, err = CertifyCtx(context.Background(), &bare, nil)
 		if err != nil {
 			t.Fatalf("%s unfenced: %v", name, err)
 		}
@@ -224,7 +225,7 @@ func TestCertifyCorpusKernels(t *testing.T) {
 func TestCertifyMPFromSource(t *testing.T) {
 	p := MustParse(mpSrc)
 	res := Analyze(p, Control)
-	rep, err := Certify(res)
+	rep, err := CertifyCtx(context.Background(), res, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

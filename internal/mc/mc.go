@@ -1,6 +1,6 @@
 // Package mc is a parallel stateless model checker for the module's IR
 // running on the x86-TSO (or SC) machine of package tso. It is the
-// verification subsystem behind fenceplace.Certify: it enumerates every
+// verification subsystem behind fenceplace.CertifyCtx: it enumerates every
 // reachable final state of a program under both memory models and decides
 // whether a fence placement restores sequential consistency, producing a
 // counterexample schedule when it does not.
@@ -37,6 +37,26 @@
 // explored, not just flat litmus threads. Thread exit models pthread
 // semantics exactly like tso.Run: a finishing thread's buffered stores
 // become visible atomically at its final Ret.
+//
+// Three slower explorers stay in the tree as cross-check oracles, each
+// kept because tests compare the engine against it:
+//
+//   - tso.Explore, the legacy sequential enumerator with none of the
+//     reductions above: litmus.TestModelCheckerAgreesWithLegacyExplorer,
+//     the crossCheck differential of mc_test.go and the dead-register
+//     tests of dead_test.go demand the same final-state sets from it;
+//
+//   - Config.ExactSeen, string-keyed seen sets in place of 128-bit
+//     fingerprints: the fingerprint and two-level seen-set differentials
+//     (seen_test.go, seen_spill_test.go) and the spill-fault tests
+//     (fault_test.go, spill_crash_test.go) compare visit counts and
+//     outcomes against it, and `fencecheck -exact` exposes it;
+//
+//   - Config.NoPOR, the exploration without partial-order reduction: the
+//     POR differentials (crossCheck in mc_test.go,
+//     TestWholeProgramPORDifferential) compare outcomes against it,
+//     TestPORVisitsStrictlyFewerStates checks the reduction visits fewer
+//     states, and BenchmarkCertifyVsNaive measures how many fewer.
 package mc
 
 import (

@@ -61,22 +61,6 @@ func TestExploreMetricsMatchResult(t *testing.T) {
 	}
 }
 
-// TestDeprecatedRunCountersTrackRegistry pins the compatibility contract:
-// the deprecated ExploreRuns/SCExploreRuns reads move in lockstep with the
-// registry counters they now alias.
-func TestDeprecatedRunCountersTrackRegistry(t *testing.T) {
-	before, scBefore := ExploreRuns(), SCExploreRuns()
-	if _, err := Explore(medium3(), []string{"t0", "t1", "t2"}, Config{Mode: tso.SC, Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if d := ExploreRuns() - before; d != 1 {
-		t.Errorf("ExploreRuns advanced by %d, want 1", d)
-	}
-	if d := SCExploreRuns() - scBefore; d != 1 {
-		t.Errorf("SCExploreRuns advanced by %d, want 1", d)
-	}
-}
-
 // TestProgressHeartbeat streams progress from an exploration at a tiny
 // interval and checks the event protocol: sequential delivery per
 // exploration, monotone visited counts, and a Final event whose totals

@@ -18,8 +18,14 @@ import (
 
 	"fenceplace"
 	"fenceplace/corpus"
-	"fenceplace/internal/mc"
+	"fenceplace/internal/telemetry"
 )
+
+// explorations and scExplorations read the model checker's process-wide
+// counts of all explorations and of SC explorations.
+func explorations() int64 { return telemetry.Default().Counter("mc.explore_runs").Value() }
+
+func scExplorations() int64 { return telemetry.Default().Counter("mc.sc_explore_runs").Value() }
 
 // newTestManager builds a manager with a neutral environment: no ambient
 // cache or spill directory can leak into the jobs.
@@ -95,8 +101,8 @@ func encodeRows(t *testing.T, rep *corpus.Report) []byte {
 func TestCoalescingSingleFlight(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1, MaxStatesCap: 1 << 26})
 
-	scBefore := mc.SCExploreRuns()
-	runsBefore := mc.ExploreRuns()
+	scBefore := scExplorations()
+	runsBefore := explorations()
 	coalescedBefore := mCoalesced.Value()
 
 	blocker := startBlocker(t, m)
@@ -140,12 +146,12 @@ func TestCoalescingSingleFlight(t *testing.T) {
 	// Exactly one SC exploration for the N submissions (plus the blocker's
 	// single started-then-abandoned one), and one TSO exploration for the
 	// shared job's only variant.
-	if d := mc.SCExploreRuns() - scBefore; d != 2 {
+	if d := scExplorations() - scBefore; d != 2 {
 		t.Errorf("SC explorations advanced by %d, want 2 (blocker + one shared exploration for %d submissions)", d, N)
 	}
 	// Blocker SC + shared SC + shared TSO; the blocker may have reached its
 	// TSO pass before the release cancelled it.
-	if d := mc.ExploreRuns() - runsBefore; d != 3 && d != 4 {
+	if d := explorations() - runsBefore; d != 3 && d != 4 {
 		t.Errorf("explorations advanced by %d, want 3 (blocker SC + shared SC + shared TSO)", d)
 	}
 
@@ -303,7 +309,7 @@ func TestWarmCacheRestart(t *testing.T) {
 	}
 
 	// "Restart": a fresh manager over the same store directory.
-	scBefore, runsBefore := mc.SCExploreRuns(), mc.ExploreRuns()
+	scBefore, runsBefore := scExplorations(), explorations()
 	m2 := newTestManager(t, Config{Options: opts})
 	c2, _, err := m2.Submit(dekkerRequest())
 	if err != nil {
@@ -314,10 +320,10 @@ func TestWarmCacheRestart(t *testing.T) {
 	if err != nil || rep == nil {
 		t.Fatalf("warm run: (%v, %v)", rep, err)
 	}
-	if d := mc.SCExploreRuns() - scBefore; d != 0 {
+	if d := scExplorations() - scBefore; d != 0 {
 		t.Errorf("warm restart performed %d SC explorations, want 0 (baseline must come from %s)", d, dir)
 	}
-	if d := mc.ExploreRuns() - runsBefore; d != 0 {
+	if d := explorations() - runsBefore; d != 0 {
 		t.Errorf("warm restart performed %d explorations, want 0 (TSO outcome set must come from %s)", d, dir)
 	}
 	if st := rep.Rows[0].Variants[0].Cert.Status; st != corpus.CertCertified {

@@ -14,9 +14,6 @@ import (
 // are simply ignored by it — WithTiming has no effect on a certification,
 // WithMaxStates none on static analysis — so one resolved option list can
 // drive a whole pipeline.
-//
-// Every knob the deprecated CertOptions struct exposed has an Option
-// counterpart; CertOptions.Options converts.
 type Option func(*config)
 
 // config is the resolved form of an option list. The zero value selects
@@ -28,10 +25,8 @@ type config struct {
 	timing  bool // Results carry per-pass wall times
 
 	maxStates int64 // model-checker state budget per exploration
-	bufferCap int   // modeled TSO store-buffer capacity
 	memoryCap int   // model-checker arena limit in words
 	exactSeen bool  // exact string-keyed seen sets (oracle mode)
-	noPOR     bool  // disable partial-order reduction (oracle mode)
 
 	cacheDir    string // persistent baseline store directory ("" = none)
 	cacheDirSet bool   // WithCacheDir was given; skip the env default
@@ -70,17 +65,14 @@ func resolve(opts []Option) config {
 }
 
 // mcConfig maps the exploration-shaping knobs onto a model-checker
-// configuration (the single source of this mapping; CertOptions.MCConfig
-// remains as the deprecated adapter's view of it).
+// configuration (the single source of this mapping).
 func (c config) mcConfig() mc.Config {
 	return mc.Config{
 		MaxStates: c.maxStates,
 		Workers:   c.workers,
-		BufferCap: c.bufferCap,
 		MemoryCap: c.memoryCap,
 		SpillDir:  c.spillDir,
 		ExactSeen: c.exactSeen,
-		NoPOR:     c.noPOR,
 		FS:        c.faultFS,
 		IORetries: c.ioRetries,
 	}
@@ -120,17 +112,6 @@ func WithMaxStates(n int64) Option {
 // sets — the slow cross-checking oracle for the fingerprint tables.
 func WithExactSeen() Option {
 	return func(c *config) { c.exactSeen = true }
-}
-
-// WithNoPOR disables partial-order reduction — the cross-checking oracle
-// for the reduced exploration.
-func WithNoPOR() Option {
-	return func(c *config) { c.noPOR = true }
-}
-
-// WithBufferCap sets the modeled TSO store-buffer capacity (default 4).
-func WithBufferCap(n int) Option {
-	return func(c *config) { c.bufferCap = n }
 }
 
 // WithMemoryCap sets the model checker's memory budget: the per-state
@@ -178,16 +159,10 @@ func WithIORetries(n int) Option {
 // Resolved returns an option list equivalent to opts with every
 // environment-derived default pinned: applying the result any number of
 // times, at any later point, yields exactly the configuration opts
-// resolves to now. Multi-program drivers (the corpus runner, the
-// experiment harness) resolve once up front so a mid-run environment
-// change cannot split one run across two baseline stores.
+// resolves to now. Multi-program drivers (the corpus runner) resolve once
+// up front so a mid-run environment change cannot split one run across two
+// baseline stores.
 func Resolved(opts ...Option) []Option {
 	c := resolve(opts)
 	return []Option{func(o *config) { *o = c }}
 }
-
-// AnalyzerOption is the historical name of Option from when analyzer
-// construction had its own option type.
-//
-// Deprecated: use Option.
-type AnalyzerOption = Option

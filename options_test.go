@@ -6,7 +6,6 @@ package fenceplace_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"fenceplace"
@@ -107,50 +106,5 @@ func TestCertifyCtxInheritsAnalyzerOptions(t *testing.T) {
 	// truncate even though the analyzer's budget is ample.
 	if _, err := fenceplace.CertifyCtx(context.Background(), res, nil, fenceplace.WithMaxStates(16)); err == nil {
 		t.Error("explicit WithMaxStates(16) did not override the analyzer's budget")
-	}
-}
-
-// TestCertOptionsAdapter pins the deprecated struct's equivalence to the
-// option path: the same exploration configuration and the same cache
-// directory resolution. Verdicts and outcome sets are compared at the
-// default worker count; visit counts depend on the schedule above one
-// worker, so they are compared only at one.
-func TestCertOptionsAdapter(t *testing.T) {
-	t.Setenv("FENCEPLACE_CACHE_DIR", "")
-	m := progs.ByName("dekker")
-	pp := m.Defaults
-	pp.Threads = 2
-	pp.Size = 1
-	az := fenceplace.NewAnalyzer(m.Build(pp))
-	res := az.Analyze(fenceplace.Control)
-
-	certify := func(workers int) (old, neu *fenceplace.CertReport) {
-		t.Helper()
-		old, err := fenceplace.CertifyOpt(res, nil, fenceplace.CertOptions{MaxStates: 1 << 20, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		neu, err = fenceplace.CertifyCtx(context.Background(), res, nil,
-			fenceplace.WithMaxStates(1<<20), fenceplace.WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return old, neu
-	}
-	outcomes := func(r *fenceplace.CertReport) string {
-		keys := append([]string(nil), r.Missing...)
-		for _, v := range r.Violations {
-			keys = append(keys, v.Key)
-		}
-		return fmt.Sprintf("%t sc=%d tso=%d %v", r.Equivalent, r.SCOutcomes, r.TSOOutcomes, keys)
-	}
-
-	old, neu := certify(0)
-	if outcomes(old) != outcomes(neu) {
-		t.Errorf("CertOptions adapter and option path disagree: %s vs %s", outcomes(old), outcomes(neu))
-	}
-	old, neu = certify(1)
-	if outcomes(old) != outcomes(neu) || old.VisitedTSO != neu.VisitedTSO || old.VisitedSC != neu.VisitedSC {
-		t.Errorf("CertOptions adapter and option path disagree at one worker: %+v vs %+v", old, neu)
 	}
 }
