@@ -174,6 +174,26 @@ func TestShardMergeIdenticalTables(t *testing.T) {
 	}
 }
 
+// TestPlansVerifyAcrossCorpus re-checks, outside the Runner, that every
+// paper strategy's fence plan covers every kept ordering along all
+// control-flow paths of every program in the evaluation set.
+func TestPlansVerifyAcrossCorpus(t *testing.T) {
+	src := corpus.EvalSource()
+	for i := 0; i < src.Len(); i++ {
+		az := fenceplace.NewAnalyzer(src.Build(i))
+		results, err := az.AnalyzeAllCtx(context.Background(),
+			fenceplace.PensieveOnly, fenceplace.AddressControl, fenceplace.Control)
+		if err != nil {
+			t.Fatalf("%s: %v", src.Name(i), err)
+		}
+		for _, res := range results {
+			if err := res.Verify(); err != nil {
+				t.Errorf("%s/%s: %v", src.Name(i), res.Strategy, err)
+			}
+		}
+	}
+}
+
 // TestInstrumentedProgramsCorrectUnderTSO is the central soundness claim
 // over the evaluation set: Run verifies every variant's fence plan (an
 // uncovered ordering is an error) and runs every instrumented build, the
@@ -360,17 +380,76 @@ func TestMergeRejections(t *testing.T) {
 }
 
 // TestRunnerCertifies runs the full pipeline — analysis, verification,
-// certification against the shared SC baseline — over single-program
-// sources of two Dekker-family kernels at a reduced instantiation and
-// checks the resulting rows' plain data: every variant, the expert Manual
-// build included, must certify SC-equivalent. (The unfenced build's
-// negative control is TestCertifyCorpusKernels in the root package.)
+// certification against the shared SC baseline — over a single-program
+// source and checks the resulting row's plain data.
 func TestRunnerCertifies(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "")
+	m := progs.ByName("dekker")
+	pp := m.Defaults
+	pp.Threads = 2
+	pp.Size = 1
+	pm := pp
+	pm.Manual = true
+
 	runner := corpus.Runner{
 		Certify: true,
 		Workers: 1,
 		Options: []fenceplace.Option{fenceplace.WithMaxStates(1 << 20)},
+	}
+	rep, err := runner.Run(context.Background(), corpus.SingleSource("dekker", m.Build(pp), m.Build(pm)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) != 1 {
+		t.Fatalf("got %d rows, want 1", len(rep.Rows))
+	}
+	row := rep.Rows[0]
+	if len(row.Variants) != 4 {
+		t.Fatalf("got %d variants, want 4 (Manual + 3 strategies)", len(row.Variants))
+	}
+	for _, v := range row.Variants {
+		if v.Cert == nil {
+			t.Fatalf("%s: no certification", v.Name)
+		}
+		if v.Cert.Status != corpus.CertCertified {
+			t.Errorf("%s: %s (%s)", v.Name, v.Cert.Status, v.Cert.Err)
+		}
+		if (v.Name == "Manual") == v.Analyzed {
+			t.Errorf("%s: analyzed flag %v", v.Name, v.Analyzed)
+		}
+	}
+	if s := corpus.CertTable(rep); !bytes.Contains([]byte(s), []byte("certified")) {
+		t.Errorf("cert table missing verdicts:\n%s", s)
+	}
+}
+
+// TestCertificationColumn model-checks the fence placements of two
+// Dekker-family kernels at a reduced instantiation: every variant, the
+// expert Manual build included, must be certified SC-equivalent, and the
+// unfenced legacy build, run through the same column as its Manual
+// variant, must not be.
+func TestCertificationColumn(t *testing.T) {
+	t.Setenv("FENCEPLACE_CACHE_DIR", "") // never read or write the operator's cache
+	runner := corpus.Runner{
+		Certify: true,
+		Workers: 1,
+		Options: []fenceplace.Option{fenceplace.WithMaxStates(1 << 20)},
+	}
+	column := func(name string, prog, manual *fenceplace.Program) corpus.Row {
+		t.Helper()
+		rep, err := runner.Run(context.Background(), corpus.SingleSource(name, prog, manual))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Rows) != 1 || len(rep.Rows[0].Variants) != 4 {
+			t.Fatalf("%s: want 1 row of 4 variants, got %+v", name, rep.Rows)
+		}
+		for _, v := range rep.Rows[0].Variants {
+			if v.Cert == nil {
+				t.Fatalf("%s/%s: no certification", name, v.Name)
+			}
+		}
+		return rep.Rows[0]
 	}
 	for _, name := range []string{"dekker", "peterson"} {
 		m := progs.ByName(name)
@@ -380,30 +459,15 @@ func TestRunnerCertifies(t *testing.T) {
 		pm := pp
 		pm.Manual = true
 
-		rep, err := runner.Run(context.Background(), corpus.SingleSource(name, m.Build(pp), m.Build(pm)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Rows) != 1 {
-			t.Fatalf("%s: got %d rows, want 1", name, len(rep.Rows))
-		}
-		row := rep.Rows[0]
-		if len(row.Variants) != 4 {
-			t.Fatalf("%s: got %d variants, want 4 (Manual + 3 strategies)", name, len(row.Variants))
-		}
-		for _, v := range row.Variants {
-			if v.Cert == nil {
-				t.Fatalf("%s/%s: no certification", name, v.Name)
-			}
+		for _, v := range column(name, m.Build(pp), m.Build(pm)).Variants {
 			if v.Cert.Status != corpus.CertCertified {
 				t.Errorf("%s/%s: %s (%s)", name, v.Name, v.Cert.Status, v.Cert.Err)
 			}
-			if (v.Name == "Manual") == v.Analyzed {
-				t.Errorf("%s/%s: analyzed flag %v", name, v.Name, v.Analyzed)
-			}
 		}
-		if s := corpus.CertTable(rep); !strings.Contains(s, "certified") || !strings.Contains(s, name) {
-			t.Errorf("cert table missing verdicts:\n%s", s)
+		// The legacy build run raw under TSO is the negative control.
+		bare := variant(t, column(name, m.Build(pp), m.Build(pp)), "Manual")
+		if bare.Cert.Status != corpus.CertViolation || bare.Cert.Counterexample == "" {
+			t.Errorf("%s unfenced: expected a violation with a counterexample, got %s", name, bare.Cert.Status)
 		}
 	}
 }
