@@ -434,6 +434,7 @@ func BenchmarkCertifyVsNaive(b *testing.B) {
 	pp.Threads = 2
 	pp.Size = 1
 	res := fenceplace.Analyze(m.Build(pp), fenceplace.Control)
+	ctx := context.Background()
 	for _, mode := range []struct {
 		name  string
 		nopor bool
@@ -442,7 +443,12 @@ func BenchmarkCertifyVsNaive(b *testing.B) {
 			b.ReportAllocs()
 			var states int64
 			for i := 0; i < b.N; i++ {
-				rep, err := mc.Certify(res.Prog, res.Instrumented, nil, mc.Config{NoPOR: mode.nopor})
+				cfg := mc.Config{NoPOR: mode.nopor}
+				base, err := mc.NewBaselineCtx(ctx, res.Prog, nil, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep, err := mc.CertifyAgainstCtx(ctx, base, res.Instrumented, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,11 +6,11 @@ package fenceplace_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"fenceplace"
 
-	"fenceplace/internal/mc"
 	"fenceplace/internal/progs"
 	"fenceplace/internal/telemetry"
 )
@@ -25,8 +25,8 @@ func scExplorations() int64 { return telemetry.Default().Counter("mc.sc_explore_
 // baseline reuse: certifying all three placement strategies of one
 // program through an Analyzer must run exactly one SC exploration plus
 // one TSO exploration per variant — 4 explorations, not 6. The assertion
-// rides on the model checker's process-wide exploration counter, which is
-// safe here because root-package tests do not run in parallel.
+// rides on the model checker's process-wide exploration counters, which
+// is safe here because root-package tests do not run in parallel.
 func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "") // exploration counts assume no disk cache
 	m := progs.ByName("dekker")
@@ -36,7 +36,7 @@ func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 	az := fenceplace.NewAnalyzer(m.Build(pp))
 	results := az.AnalyzeAll()
 
-	before := explorations()
+	before, scBefore := explorations(), scExplorations()
 	for _, res := range results {
 		rep, err := fenceplace.CertifyCtx(context.Background(), res, nil)
 		if err != nil {
@@ -52,6 +52,9 @@ func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 		t.Errorf("certifying %d variants ran %d explorations, want %d (shared baseline)",
 			len(results), delta, want)
 	}
+	if d := scExplorations() - scBefore; d != 1 {
+		t.Errorf("certifying %d variants ran %d SC explorations, want 1", len(results), d)
+	}
 
 	// Further certifications of the same session hit the memoized baseline:
 	// exactly one more exploration (the TSO side) per call.
@@ -64,41 +67,60 @@ func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 	}
 }
 
-// TestAnalyzerBaselineMemoized pins the identity semantics: the analyzer
-// serves one baseline per entry configuration, and its SC state set is
-// what CertifyAgainst compares variants to.
+// TestAnalyzerBaselineMemoized pins the memo semantics: the analyzer
+// serves one SC baseline per entry configuration, whichever entry point
+// certifies against it, and every report carries that baseline's SC side.
 func TestAnalyzerBaselineMemoized(t *testing.T) {
-	t.Setenv("FENCEPLACE_CACHE_DIR", "") // identity assertions assume no disk cache
+	t.Setenv("FENCEPLACE_CACHE_DIR", "") // exploration counts assume no disk cache
 	m := progs.ByName("peterson")
 	pp := m.Defaults
 	pp.Threads = 2
 	pp.Size = 1
 	az := fenceplace.NewAnalyzer(m.Build(pp))
-
-	b1, err := az.BaselineCtx(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := az.BaselineCtx(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b1 != b2 {
-		t.Error("Baseline recomputed for an identical configuration")
-	}
-	if b1.SC == nil || len(b1.SC.Outcomes) == 0 {
-		t.Fatal("baseline carries no SC outcomes")
-	}
-
 	res := az.Analyze(fenceplace.Control)
-	rep, err := mc.CertifyAgainst(b1, res.Instrumented, mc.Config{})
+
+	ctx := context.Background()
+	before := scExplorations()
+	r1, err := fenceplace.CertifyCtx(ctx, res, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Equivalent {
-		t.Fatalf("Control placement not SC-equivalent: %s", rep)
+	r2, err := az.CertifyProgramCtx(ctx, res.Instrumented, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.VisitedSC != b1.SC.Visited {
-		t.Errorf("report's SC visit count %d is not the baseline's %d", rep.VisitedSC, b1.SC.Visited)
+	if d := scExplorations() - before; d != 1 {
+		t.Errorf("two certifications ran %d SC explorations, want 1 (memoized baseline)", d)
+	}
+	if !r1.Equivalent || !r2.Equivalent {
+		t.Fatalf("Control placement not SC-equivalent: %s / %s", r1, r2)
+	}
+	if r1.SCOutcomes == 0 || r1.VisitedSC == 0 {
+		t.Fatalf("report carries no SC side: %s", r1)
+	}
+	if r1.VisitedSC != r2.VisitedSC || r1.SCOutcomes != r2.SCOutcomes {
+		t.Errorf("SC side differs between certifications: %d/%d vs %d/%d states/outcomes",
+			r1.VisitedSC, r1.SCOutcomes, r2.VisitedSC, r2.SCOutcomes)
+	}
+}
+
+// TestCertifyForeignResult pins the one certification path's guard: a
+// Result no Analyzer produced has no session to certify against, so
+// CertifyCtx returns an error instead of panicking.
+func TestCertifyForeignResult(t *testing.T) {
+	p := progs.ByName("peterson").Default()
+	for name, res := range map[string]*fenceplace.Result{
+		"hand-built": {Prog: p, Instrumented: p},
+		"zero":       {},
+		"nil":        nil,
+	} {
+		rep, err := fenceplace.CertifyCtx(context.Background(), res, nil)
+		if err == nil || rep != nil {
+			t.Errorf("%s Result: CertifyCtx = %v, %v; want an error", name, rep, err)
+		}
+		var ie *fenceplace.InternalError
+		if errors.As(err, &ie) {
+			t.Errorf("%s Result: CertifyCtx panicked: %v", name, ie.Panic)
+		}
 	}
 }

@@ -122,20 +122,9 @@ func main() {
 		exit(exitError)
 	}
 
-	var strategies []fenceplace.Strategy
-	switch strings.ToLower(*strategy) {
-	case "pensieve":
-		strategies = []fenceplace.Strategy{fenceplace.PensieveOnly}
-	case "control":
-		strategies = []fenceplace.Strategy{fenceplace.Control}
-	case "addresscontrol", "address+control", "ac":
-		strategies = []fenceplace.Strategy{fenceplace.AddressControl}
-	case "all":
-		strategies = []fenceplace.Strategy{
-			fenceplace.PensieveOnly, fenceplace.AddressControl, fenceplace.Control,
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q (valid choices: pensieve, control, addresscontrol, all)\n", *strategy)
+	strategies, err := fenceplace.ParseStrategies(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		exit(exitError)
 	}
 
@@ -268,14 +257,7 @@ func loadProgram(progName, file string, threads int, size int64) (string, *fence
 		if m == nil {
 			return "", nil, fmt.Errorf("unknown program %q (see fenceplace -list)", progName)
 		}
-		pp := m.Defaults
-		pp.Threads = threads
-		if size > 0 {
-			pp.Size = size
-		} else if pp.Size > 2 {
-			pp.Size = 2 // exhaustive exploration needs small instantiations
-		}
-		return progName, m.Build(pp), nil
+		return progName, m.Build(m.CertParams(threads, size)), nil
 	case file != "":
 		src, err := os.ReadFile(file)
 		if err != nil {

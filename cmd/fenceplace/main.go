@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"fenceplace"
 	"fenceplace/internal/annotate"
@@ -83,20 +82,9 @@ func main() {
 		return
 	}
 
-	var strategies []fenceplace.Strategy
-	switch strings.ToLower(*strategy) {
-	case "pensieve":
-		strategies = []fenceplace.Strategy{fenceplace.PensieveOnly}
-	case "control":
-		strategies = []fenceplace.Strategy{fenceplace.Control}
-	case "addresscontrol", "address+control", "ac":
-		strategies = []fenceplace.Strategy{fenceplace.AddressControl}
-	case "all":
-		strategies = []fenceplace.Strategy{
-			fenceplace.PensieveOnly, fenceplace.AddressControl, fenceplace.Control,
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
+	strategies, err := fenceplace.ParseStrategies(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -83,16 +83,9 @@ func EvalSource() Source {
 // exhaustive exploration closes the state space.
 func CertSource() Source {
 	return &progsSource{
-		label: "cert-kernels",
-		metas: progs.ByKind(progs.SyncKernel),
-		params: func(m *progs.Meta) progs.Params {
-			p := m.Defaults
-			p.Threads = 2
-			if p.Size > 2 {
-				p.Size = 2
-			}
-			return p
-		},
+		label:  "cert-kernels",
+		metas:  progs.ByKind(progs.SyncKernel),
+		params: func(m *progs.Meta) progs.Params { return m.CertParams(0, 0) },
 	}
 }
 

@@ -20,6 +20,7 @@ package fenceplace
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -74,6 +75,24 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
+// ParseStrategies reads a strategy word the way the command-line tools
+// and the service accept it, ignoring case and surrounding space:
+// pensieve, control, addresscontrol (or address+control, ac), or all,
+// which selects the three strategies in reporting order.
+func ParseStrategies(word string) ([]Strategy, error) {
+	switch strings.ToLower(strings.TrimSpace(word)) {
+	case "pensieve":
+		return []Strategy{PensieveOnly}, nil
+	case "control":
+		return []Strategy{Control}, nil
+	case "addresscontrol", "address+control", "ac":
+		return []Strategy{AddressControl}, nil
+	case "all":
+		return []Strategy{PensieveOnly, AddressControl, Control}, nil
+	}
+	return nil, fmt.Errorf("unknown strategy %q (valid choices: pensieve, control, addresscontrol, all)", word)
+}
+
 // Result carries everything the pipeline produced for one program.
 type Result struct {
 	Strategy Strategy
@@ -109,16 +128,11 @@ type Result struct {
 	imap    map[*Instr]*Instr
 	applied *fence.Plan
 
-	// sess is the producing pass session; certification reuses its
-	// memoized SC baseline so N variants of one program cost one SC
-	// exploration. Nil only for hand-built Results.
-	sess *passes.Session
-
-	// cfg carries the producing analyzer's resolved options (cfgOK true),
-	// so option-less CertifyCtx calls inherit them — one option list
-	// configures the whole pipeline. Hand-built Results have neither.
-	cfg   config
-	cfgOK bool
+	// az is the producing Analyzer: certification reuses its session's
+	// memoized SC baseline, so N variants of one program cost one SC
+	// exploration, and inherits its options. Nil for a Result no
+	// Analyzer produced, which cannot be certified.
+	az *Analyzer
 }
 
 // PassTiming is one pipeline pass and its own wall time (excluding the
@@ -141,8 +155,8 @@ type Analyzer struct {
 // NewAnalyzer finalizes the program and prepares a shared analysis
 // session. Passes run lazily on first demand and are computed once across
 // all strategies. The analyzer's resolved options also serve as the
-// defaults for its certification-side methods (BaselineCtx,
-// CertifyProgramCtx), so one option list can configure the whole pipeline.
+// defaults for certifying its Results (CertifyCtx, CertifyProgramCtx), so
+// one option list can configure the whole pipeline.
 func NewAnalyzer(p *Program, opts ...Option) *Analyzer {
 	a := &Analyzer{cfg: resolve(opts)}
 	a.sess = passes.NewSession(p, passes.Workers(a.cfg.workers))
@@ -213,8 +227,7 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, s Strategy) (res *Result, err
 	}
 	res.Instrumented, res.imap = sess.Applied(st)
 	res.applied = plan
-	res.sess = sess
-	res.cfg, res.cfgOK = a.cfg, true
+	res.az = a
 	if a.cfg.timing {
 		res.Timings = a.passTimings(s, st)
 	}
@@ -377,11 +390,6 @@ func RunSC(p *Program, seed int64) *RunOutcome {
 // not (see internal/mc).
 type CertReport = mc.Report
 
-// CertBaseline is a reusable SC exploration of one program — the half of
-// a certification every fence-placement variant shares (see
-// Analyzer.BaselineCtx and internal/mc).
-type CertBaseline = mc.Baseline
-
 // ErrTruncated reports a certification whose state budget ran out; the
 // verdict is then unknown, never "equivalent".
 var ErrTruncated = mc.ErrTruncated
@@ -401,95 +409,50 @@ type InternalError = mc.InternalError
 // whether the reachable final-state sets coincide — the paper's guarantee,
 // decided exhaustively. Nil threads explores from the program's main
 // function; litmus-style programs without one pass their flat thread
-// functions, which run concurrently from the initial state. With no
-// options given, a Result produced by an Analyzer
-// inherits the analyzer's construction-time options — one option list
-// configures analysis and certification alike; passing any option
-// replaces the configuration wholesale. Results produced by an Analyzer
-// certify against the SC baseline memoized in the producing session, so
-// certifying all strategies of one program performs at most one SC
-// exploration; hand-built Results build (or load) a baseline per call.
-// With a cache directory in play (WithCacheDir or $FENCEPLACE_CACHE_DIR)
-// both paths consult the persistent exploration store first, for the SC
-// baseline and for the variant's TSO outcome set, and write fresh
-// explorations back, so a warm store eliminates both explorations across
-// processes. A stored exploration is complete, so it answers any state
-// budget.
+// functions, which run concurrently from the initial state.
+//
+// It is CertifyProgramCtx on the producing Analyzer with the Result's
+// instrumented build: with no options given the analyzer's
+// construction-time options apply, and every strategy of one program
+// certifies against the SC baseline memoized in the analyzer's session,
+// so certifying all of them performs at most one SC exploration. A
+// Result that no Analyzer produced returns an error.
+func CertifyCtx(ctx context.Context, res *Result, threads []string, opts ...Option) (*CertReport, error) {
+	if res == nil || res.az == nil {
+		return nil, errors.New("fenceplace: certify: the Result was not produced by an Analyzer")
+	}
+	return res.az.CertifyProgramCtx(ctx, res.Instrumented, threads, opts...)
+}
+
+// CertifyProgramCtx certifies an instrumented build of the analyzer's
+// program — a Result's, or an expert manual placement that no Result
+// carries — against the session's shared SC baseline, and is the one
+// certification path of the module. With no options given, the
+// analyzer's construction-time options apply; passing any option replaces
+// the configuration wholesale. With a cache directory in play
+// (WithCacheDir or $FENCEPLACE_CACHE_DIR) both explorations consult the
+// persistent exploration store first, for the SC baseline and for the
+// build's TSO outcome set, and write fresh explorations back, so a warm
+// store eliminates both explorations across processes. A stored
+// exploration is complete, so it answers any state budget.
 //
 // Cancelling ctx abandons whichever exploration is in flight promptly and
 // returns ctx's error: exploration workers drain their frontiers instead
-// of finishing, no baseline is written back to the store, and the
-// session's in-memory memo drops the cancelled attempt so a later call
-// with a live context retries.
-func CertifyCtx(ctx context.Context, res *Result, threads []string, opts ...Option) (rep *CertReport, err error) {
+// of finishing, nothing is written back to the store, and the session's
+// in-memory memo drops the cancelled attempt so a later call with a live
+// context retries.
+func (a *Analyzer) CertifyProgramCtx(ctx context.Context, inst *Program, threads []string, opts ...Option) (rep *CertReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep, err = nil, mc.AsInternalError("fenceplace: certify", r)
 		}
 	}()
-	var c config
-	if len(opts) == 0 && res.cfgOK {
-		c = res.cfg
-	} else {
+	c := a.cfg
+	if len(opts) > 0 {
 		c = resolve(opts)
 	}
 	cfg := c.mcConfig()
 	ctx = c.exploreCtx(ctx) // WithProgress streams every exploration below
-	if res.sess != nil {
-		base, err := res.sess.CertBaselineAtCtx(ctx, threads, cfg, c.cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		return passes.CertifyAgainstCtx(ctx, base, res.Instrumented, cfg, c.cacheDir)
-	}
-	base, _, err := passes.LoadOrExploreBaselineCtx(ctx, res.Prog, threads, cfg, c.cacheDir)
-	if err != nil {
-		return nil, err
-	}
-	return passes.CertifyAgainstCtx(ctx, base, res.Instrumented, cfg, c.cacheDir)
-}
-
-// BaselineCtx returns the analyzer's memoized SC exploration for the given
-// entry configuration (nil threads explores from main), computing it on
-// first use — or loading it from the persistent baseline store when the
-// options (or $FENCEPLACE_CACHE_DIR) name one. With no options given, the
-// analyzer's own construction-time options apply, so one option list can
-// configure analysis and certification alike. Callers fanning
-// certification out over variants — or over expert builds of the same
-// program that no Result carries — pair it with mc.CertifyAgainst via
-// CertifyCtx's session reuse or internal tooling.
-func (a *Analyzer) BaselineCtx(ctx context.Context, threads []string, opts ...Option) (base *CertBaseline, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			base, err = nil, mc.AsInternalError("fenceplace: baseline", r)
-		}
-	}()
-	c := a.cfg
-	if len(opts) > 0 {
-		c = resolve(opts)
-	}
-	return a.sess.CertBaselineAtCtx(c.exploreCtx(ctx), threads, c.mcConfig(), c.cacheDir)
-}
-
-// CertifyProgramCtx certifies an arbitrary instrumented build of the
-// analyzer's program — typically an expert manual placement that no
-// Result carries — against the session's shared SC baseline: one TSO
-// exploration, with the SC side served from the memo (or the persistent
-// store) like every other certification of this analyzer, and the TSO
-// side from the store when it holds this build's outcome set. With no
-// options given, the analyzer's construction-time options apply.
-func (a *Analyzer) CertifyProgramCtx(ctx context.Context, inst *Program, threads []string, opts ...Option) (rep *CertReport, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rep, err = nil, mc.AsInternalError("fenceplace: certify program", r)
-		}
-	}()
-	c := a.cfg
-	if len(opts) > 0 {
-		c = resolve(opts)
-	}
-	cfg := c.mcConfig()
-	ctx = c.exploreCtx(ctx)
 	base, err := a.sess.CertBaselineAtCtx(ctx, threads, cfg, c.cacheDir)
 	if err != nil {
 		return nil, err

@@ -344,3 +344,33 @@ func TestStrategyNames(t *testing.T) {
 		t.Error("strategy names drifted; CLI output depends on them")
 	}
 }
+
+// TestParseStrategies pins the one strategy-word parser the CLIs and the
+// service share: every accepted spelling, the "all" order, and an error
+// naming the valid choices for anything else.
+func TestParseStrategies(t *testing.T) {
+	for word, want := range map[string][]Strategy{
+		"pensieve":        {PensieveOnly},
+		"Control":         {Control},
+		" ac ":            {AddressControl},
+		"address+control": {AddressControl},
+		"addresscontrol":  {AddressControl},
+		"ALL":             {PensieveOnly, AddressControl, Control},
+	} {
+		got, err := ParseStrategies(word)
+		if err != nil || len(got) != len(want) {
+			t.Errorf("ParseStrategies(%q) = %v, %v; want %v", word, got, err, want)
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("ParseStrategies(%q) = %v, want %v", word, got, want)
+			}
+		}
+	}
+	for _, word := range []string{"", "bogus"} {
+		if _, err := ParseStrategies(word); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+			t.Errorf("ParseStrategies(%q) error = %v, want an unknown-strategy error", word, err)
+		}
+	}
+}

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"fenceplace"
+	"fenceplace/internal/mc"
 	"fenceplace/internal/progs"
+	"fenceplace/internal/tso"
 )
 
 // twinPairs maps each testdata/gosource twin onto the hand-built
@@ -49,12 +51,12 @@ func profile(t *testing.T, prog *fenceplace.Program) certProfile {
 	ctx := context.Background()
 	az := fenceplace.NewAnalyzer(prog)
 
-	base, err := az.BaselineCtx(ctx, nil)
+	sc, err := mc.ExploreCompleteCtx(ctx, prog, nil, mc.Config{Mode: tso.SC})
 	if err != nil {
-		t.Fatalf("%s: SC baseline: %v", prog.Name, err)
+		t.Fatalf("%s: SC exploration: %v", prog.Name, err)
 	}
 	p := certProfile{verdicts: make(map[fenceplace.Strategy][3]int64)}
-	for k := range base.SC.Outcomes {
+	for k := range sc.Outcomes {
 		p.scKeys = append(p.scKeys, k)
 	}
 	sort.Strings(p.scKeys)

@@ -73,62 +73,62 @@ func TestDiagnostics(t *testing.T) {
 	cases := []diagCase{
 		{
 			name: "channel send",
-			src: "package p\n\nvar ch chan int64\n\nfunc main() {\n\tch <- 1\n}\n",
+			src:  "package p\n\nvar ch chan int64\n\nfunc main() {\n\tch <- 1\n}\n",
 			code: CodeChan, line: 6, col: 2,
 		},
 		{
 			name: "map access",
-			src: "package p\n\nvar m map[int64]int64\n\nfunc main() {\n\tm[0] = 1\n}\n",
+			src:  "package p\n\nvar m map[int64]int64\n\nfunc main() {\n\tm[0] = 1\n}\n",
 			code: CodeMap, line: 6, col: 2,
 		},
 		{
 			name: "closure capture",
-			src: "package p\n\nvar x int64\n\nfunc main() {\n\tf := func() { x = 1 }\n\tf()\n}\n",
+			src:  "package p\n\nvar x int64\n\nfunc main() {\n\tf := func() { x = 1 }\n\tf()\n}\n",
 			code: CodeClosure, line: 6, col: 7,
 		},
 		{
 			name: "interface call",
-			src: "package p\n\nvar e interface{ M() }\n\nfunc main() {\n\te.M()\n}\n",
+			src:  "package p\n\nvar e interface{ M() }\n\nfunc main() {\n\te.M()\n}\n",
 			code: CodeInterface, line: 6, col: 2,
 		},
 		{
 			name: "slice global",
-			src: "package p\n\nvar s []int64\n\nfunc main() {}\n",
+			src:  "package p\n\nvar s []int64\n\nfunc main() {}\n",
 			code: CodeSlice, line: 3, col: 5,
 		},
 		{
 			name: "defer",
-			src: "package p\n\nfunc g() {}\n\nfunc main() {\n\tdefer g()\n}\n",
+			src:  "package p\n\nfunc g() {}\n\nfunc main() {\n\tdefer g()\n}\n",
 			code: CodeDefer, line: 6, col: 2,
 		},
 		{
 			name: "select",
-			src: "package p\n\nfunc main() {\n\tselect {}\n}\n",
+			src:  "package p\n\nfunc main() {\n\tselect {}\n}\n",
 			code: CodeChan, line: 4, col: 2,
 		},
 		{
 			name: "range loop",
-			src: "package p\n\nvar a [4]int64\n\nfunc main() {\n\tfor range a {\n\t}\n}\n",
+			src:  "package p\n\nvar a [4]int64\n\nfunc main() {\n\tfor range a {\n\t}\n}\n",
 			code: CodeStmt, line: 6, col: 2,
 		},
 		{
 			name: "go closure",
-			src: "package p\n\nfunc main() {\n\tgo func() {}()\n}\n",
+			src:  "package p\n\nfunc main() {\n\tgo func() {}()\n}\n",
 			code: CodeClosure, line: 4, col: 5,
 		},
 		{
 			name: "bad atomic address",
-			src: "package p\n\nimport \"sync/atomic\"\n\nfunc main() {\n\tvar x int64\n\tatomic.StoreInt64(&x, 1)\n}\n",
+			src:  "package p\n\nimport \"sync/atomic\"\n\nfunc main() {\n\tvar x int64\n\tatomic.StoreInt64(&x, 1)\n}\n",
 			code: CodeAtomic, line: 7, col: 20,
 		},
 		{
 			name: "disallowed import",
-			src: "package p\n\nimport \"fmt\"\n\nfunc main() {\n\tfmt.Println(1)\n}\n",
+			src:  "package p\n\nimport \"fmt\"\n\nfunc main() {\n\tfmt.Println(1)\n}\n",
 			code: CodeImport, line: 3, col: 8,
 		},
 		{
 			name: "parse error",
-			src: "package p\n\nfunc main() {\n",
+			src:  "package p\n\nfunc main() {\n",
 			code: CodeParse, line: 3, col: 15,
 		},
 	}

@@ -7,6 +7,7 @@ package litmus
 // store (internal/store) rests on.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestBaselineCodecRoundTripCorpus(t *testing.T) {
 		lt := lt
 		t.Run(lt.Name, func(t *testing.T) {
 			t.Parallel()
-			base, err := mc.NewBaseline(lt.Prog, lt.Threads, mc.Config{})
+			base, err := mc.NewBaselineCtx(context.Background(), lt.Prog, lt.Threads, mc.Config{})
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}

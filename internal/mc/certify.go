@@ -86,10 +86,11 @@ func (r *Report) Counterexample() string {
 // the reachable final-state set of the original (uninstrumented) program
 // under sequential consistency. Every fence-placement variant of one
 // program certifies against the same SC state space, so exploring it once
-// per program — instead of once per variant, as the plain Certify
-// entry point must — removes the dominant redundant work of corpus
-// certification. Baselines are immutable after construction and safe for
-// concurrent use by any number of CertifyAgainst calls.
+// per program — instead of once per variant — removes the dominant
+// redundant work of corpus certification. The pass session memoizes one
+// per entry configuration (passes.Session.CertBaselineAtCtx). Baselines
+// are immutable after construction and safe for concurrent use by any
+// number of Compare calls.
 type Baseline struct {
 	Prog      *ir.Program // the original program the SC set belongs to
 	ThreadFns []string    // entry configuration the set was explored under
@@ -97,15 +98,14 @@ type Baseline struct {
 	SC        *StateSet   // the reachable SC final states
 }
 
-// NewBaseline explores the original program under sequential consistency
-// and packages the result for reuse. A truncated exploration is an error
-// wrapping ErrTruncated: an incomplete baseline could certify nothing.
-func NewBaseline(orig *ir.Program, threadFns []string, cfg Config) (*Baseline, error) {
-	return NewBaselineCtx(context.Background(), orig, threadFns, cfg)
-}
-
-// NewBaselineCtx is NewBaseline bounded by a context; a cancelled SC
-// exploration returns ctx's error instead of a baseline.
+// NewBaselineCtx explores the original program under sequential
+// consistency and packages the result; a truncated exploration is an
+// error wrapping ErrTruncated, a cancelled one returns ctx's error. The
+// pipeline builds its baselines in passes.Session.CertBaselineAtCtx
+// instead, which adds the session memo and the exploration store. This
+// store-less twin stays for the benchmark module's traced driver
+// (bench/direct.go, bench/measure.go), which calls it directly, and for
+// tests; the ROADMAP's benchmark item moves that driver onto passes.
 func NewBaselineCtx(ctx context.Context, orig *ir.Program, threadFns []string, cfg Config) (*Baseline, error) {
 	scCfg := cfg.withDefaults()
 	scCfg.Mode = tso.SC
@@ -135,45 +135,14 @@ func truncatedErr(p *ir.Program, mode tso.Mode, visited int64) error {
 	return fmt.Errorf("mc: certify %s: %s exploration after %d states: %w", p.Name, mode, visited, ErrTruncated)
 }
 
-// Certify decides whether the instrumented program running under x86-TSO
-// reaches exactly the final states the original program reaches under
-// sequential consistency — the paper's guarantee, stated over a concrete
-// state space. threadFns selects litmus-style entry (nil explores from
-// main). Both explorations must complete within cfg.MaxStates; a truncated
-// exploration returns an error wrapping ErrTruncated rather than an
-// unsound verdict.
-//
-// Certify explores the original's SC state space anew on every call.
-// Callers certifying several fence-placement variants of one program
-// should build the SC side once with NewBaseline and fan the variants out
-// over CertifyAgainst.
-func Certify(orig, inst *ir.Program, threadFns []string, cfg Config) (*Report, error) {
-	return CertifyCtx(context.Background(), orig, inst, threadFns, cfg)
-}
-
-// CertifyCtx is Certify bounded by a context: cancellation abandons
-// whichever exploration (SC baseline or TSO variant) is in flight and
-// returns ctx's error.
-func CertifyCtx(ctx context.Context, orig, inst *ir.Program, threadFns []string, cfg Config) (*Report, error) {
-	base, err := NewBaselineCtx(ctx, orig, threadFns, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return CertifyAgainstCtx(ctx, base, inst, cfg)
-}
-
-// CertifyAgainst certifies one instrumented variant against a prebuilt SC
-// baseline: it explores only the instrumented program under x86-TSO and
-// compares the reachable final states with the baseline's. cfg governs the
-// TSO exploration (and witness reconstruction); the entry configuration is
-// the baseline's.
-func CertifyAgainst(base *Baseline, inst *ir.Program, cfg Config) (*Report, error) {
-	return CertifyAgainstCtx(context.Background(), base, inst, cfg)
-}
-
-// CertifyAgainstCtx is CertifyAgainst bounded by a context; the TSO
-// exploration and any counterexample reconstruction abandon promptly when
-// ctx is cancelled.
+// CertifyAgainstCtx certifies one instrumented variant against a prebuilt
+// SC baseline: it explores inst under x86-TSO with the baseline's entry
+// configuration and hands the outcome set to Compare. The pipeline
+// certifies through passes.CertifyAgainstCtx instead, which serves the TSO
+// side from the exploration store when it can. Like NewBaselineCtx, this
+// store-less twin stays for the benchmark module's traced driver
+// (bench/direct.go, bench/measure.go) and for tests, until the ROADMAP's
+// benchmark item moves that driver onto passes.
 func CertifyAgainstCtx(ctx context.Context, base *Baseline, inst *ir.Program, cfg Config) (*Report, error) {
 	tsoCfg := cfg.withDefaults()
 	tsoCfg.Mode = tso.TSO
@@ -184,7 +153,7 @@ func CertifyAgainstCtx(ctx context.Context, base *Baseline, inst *ir.Program, cf
 	return Compare(ctx, base, inst, ts, cfg)
 }
 
-// Compare is the second half of CertifyAgainstCtx: it decides the
+// Compare is the verdict half of every certification: it decides the
 // certification of inst from ts, the complete TSO exploration of inst
 // under the baseline's entry configuration, whether just explored or
 // loaded from the store. It diffs the outcome sets and, for every TSO-only

@@ -156,7 +156,7 @@ func TestBaselineCodecRoundTrip(t *testing.T) {
 		{sbProgram(), []string{"t0", "t1"}},
 		{spawnProgram(), nil},
 	} {
-		b, err := NewBaseline(tc.prog, tc.threads, Config{})
+		b, err := NewBaselineCtx(context.Background(), tc.prog, tc.threads, Config{})
 		if err != nil {
 			t.Fatalf("baseline %s: %v", tc.prog.Name, err)
 		}
@@ -179,7 +179,7 @@ func TestBaselineCodecRoundTrip(t *testing.T) {
 // flips must either fail decoding or decode without panicking (the store's
 // checksum layer is what rejects them — this guards the codec itself).
 func TestBaselineCodecCorruption(t *testing.T) {
-	b, err := NewBaseline(sbProgram(), []string{"t0", "t1"}, Config{})
+	b, err := NewBaselineCtx(context.Background(), sbProgram(), []string{"t0", "t1"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestExplorationRecordKinds(t *testing.T) {
 		t.Error("a TSO record decoded through UnmarshalBaseline")
 	}
 
-	b, err := NewBaseline(sbProgram(), []string{"t0", "t1"}, Config{})
+	b, err := NewBaselineCtx(context.Background(), sbProgram(), []string{"t0", "t1"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

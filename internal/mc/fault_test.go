@@ -7,6 +7,7 @@ package mc
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"fenceplace/internal/fsx"
@@ -14,12 +15,38 @@ import (
 	"fenceplace/internal/tso"
 )
 
+// checkSpillCost asserts what a faulty spill disk may cost an
+// exploration: never an outcome, and re-exploration only of what a
+// quarantined run held. With no run quarantined (quarantined is the
+// mc.spill_quarantines delta) the visit count is the exact run's. A
+// quarantine turns a spilled run's states into misses, so each may be
+// explored again; at SeenBudget 1 every run holds one state, hence at
+// most one extra visit per quarantined run. A quarantine can also cost
+// nothing — when no later probe needs the lost state — so exact is a
+// lower bound, not a strict one.
+func checkSpillCost(t *testing.T, what string, got, exact *StateSet, quarantined int64) {
+	t.Helper()
+	t.Logf("%s: visited %d (exact %d), %d run(s) quarantined", what, got.Visited, exact.Visited, quarantined)
+	if got.Truncated {
+		t.Fatalf("%s: truncated", what)
+	}
+	sameKeys(t, what+": outcomes vs exact", keySet(got.Outcomes), keySet(exact.Outcomes))
+	if quarantined == 0 && got.Visited != exact.Visited {
+		t.Fatalf("%s: visited %d vs exact %d with no run quarantined", what, got.Visited, exact.Visited)
+	}
+	if got.Visited < exact.Visited || got.Visited > exact.Visited+quarantined {
+		t.Fatalf("%s: visited %d, want within [%d, %d] after %d quarantined run(s)",
+			what, got.Visited, exact.Visited, exact.Visited+quarantined, quarantined)
+	}
+}
+
 // TestExploreExactUnderSpillFaults is the exactness-under-faults oracle
 // check: forced spilling through a seeded flaky filesystem — transient
 // EIO, ENOSPC, short writes, rename failures — must reproduce exactly
-// the outcome set and visit count of the fault-free exact exploration.
-// Disk trouble may cost re-exploration of spilled runs; it may never
-// drop or invent an outcome.
+// the outcome set of the fault-free exact exploration, at the visit cost
+// checkSpillCost allows. Disk trouble may cost re-exploration of spilled
+// runs; it may never drop or invent an outcome. Seed 1 fails the spill
+// session's setup (it covers that rung only); the others spill.
 func TestExploreExactUnderSpillFaults(t *testing.T) {
 	prog := sb(false)
 	threads := []string{"t0", "t1"}
@@ -27,11 +54,13 @@ func TestExploreExactUnderSpillFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spilled := false
 	for _, seed := range []int64{1, 7, 42} {
 		store.ResetDegraded()
 		ff := fsx.NewFaultFS(nil, fsx.FaultConfig{
 			Seed: seed, EIO: 0.2, ENOSPC: 0.05, ShortWrite: 0.1, RenameFail: 0.1,
 		})
+		runs, quar := mSpillRuns.Value(), mSpillQuarantines.Value()
 		got, err := Explore(prog, threads, Config{
 			Mode: tso.TSO, Workers: 1,
 			SeenBudget: 1, SpillDir: t.TempDir(), // seal on every insert
@@ -40,20 +69,20 @@ func TestExploreExactUnderSpillFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: exploration failed under spill faults: %v", seed, err)
 		}
-		if got.Truncated {
-			t.Fatalf("seed %d: truncated under spill faults", seed)
-		}
-		sameKeys(t, "faulty-spill vs exact outcomes", keySet(got.Outcomes), keySet(exact.Outcomes))
-		if got.Visited != exact.Visited {
-			t.Fatalf("seed %d: visited %d vs exact %d", seed, got.Visited, exact.Visited)
-		}
+		checkSpillCost(t, fmt.Sprintf("seed %d", seed), got, exact, mSpillQuarantines.Value()-quar)
+		spilled = spilled || mSpillRuns.Value() > runs
+	}
+	if !spilled {
+		t.Fatal("no seed spilled a run: the faults never reached the spill read path")
 	}
 	store.ResetDegraded()
 }
 
 // TestExploreSurvivesCrashedSpillDisk pins the seal-in-RAM rung: a spill
 // disk that dies entirely mid-run degrades to in-RAM sealed runs, notes
-// the rung on the ladder, and still produces the exact outcome set.
+// the rung on the ladder, and still produces the exact outcome set at the
+// visit cost checkSpillCost allows (runs spilled before the crash cannot
+// be read back).
 func TestExploreSurvivesCrashedSpillDisk(t *testing.T) {
 	store.ResetDegraded()
 	defer store.ResetDegraded()
@@ -64,6 +93,7 @@ func TestExploreSurvivesCrashedSpillDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := fsx.NewFaultFS(nil, fsx.FaultConfig{CrashAfter: 4})
+	runs, quar := mSpillRuns.Value(), mSpillQuarantines.Value()
 	got, err := Explore(prog, threads, Config{
 		Mode: tso.TSO, Workers: 1,
 		SeenBudget: 1, SpillDir: t.TempDir(),
@@ -72,9 +102,9 @@ func TestExploreSurvivesCrashedSpillDisk(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exploration failed after spill-disk crash: %v", err)
 	}
-	sameKeys(t, "crashed-spill vs exact outcomes", keySet(got.Outcomes), keySet(exact.Outcomes))
-	if got.Visited != exact.Visited {
-		t.Fatalf("visited %d vs exact %d", got.Visited, exact.Visited)
+	checkSpillCost(t, "crashed spill disk", got, exact, mSpillQuarantines.Value()-quar)
+	if mSpillRuns.Value() == runs {
+		t.Fatal("no run spilled before the crash")
 	}
 	if rung := store.DegradedMode(); rung < store.DegradeSealInRAM {
 		t.Fatalf("degraded rung = %d, want at least DegradeSealInRAM", rung)
@@ -132,12 +162,12 @@ func TestWorkerPanicBecomesInternalError(t *testing.T) {
 func TestCertifyUnderStoreFaultsStaysExact(t *testing.T) {
 	orig, inst := sb(false), sb(true)
 	threads := []string{"t0", "t1"}
-	clean, err := Certify(orig, inst, threads, Config{Workers: 1})
+	clean, err := certify(orig, inst, threads, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ff := fsx.NewFaultFS(nil, fsx.FaultConfig{Seed: 13, EIO: 0.3, ShortWrite: 0.1})
-	faulty, err := Certify(orig, inst, threads, Config{
+	faulty, err := certify(orig, inst, threads, Config{
 		Workers: 1, SeenBudget: 1, SpillDir: t.TempDir(), FS: ff, IORetries: 2,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -35,6 +36,16 @@ func sb(fenced bool) *ir.Program {
 	t1.Store(o1, t1.Load(x))
 	t1.RetVoid()
 	return pb.MustBuild()
+}
+
+// certify decides orig vs inst the way the pipeline does: one SC
+// baseline, then the TSO exploration of inst compared against it.
+func certify(orig, inst *ir.Program, threadFns []string, cfg Config) (*Report, error) {
+	base, err := NewBaselineCtx(context.Background(), orig, threadFns, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return CertifyAgainstCtx(context.Background(), base, inst, cfg)
 }
 
 func keySet(outcomes map[string][]int64) []string {
@@ -309,7 +320,7 @@ func TestWholeProgramSpawnJoin(t *testing.T) {
 // fail and reconstruct a counterexample schedule.
 func TestCertifySB(t *testing.T) {
 	orig := sb(false)
-	rep, err := Certify(orig, sb(true), []string{"t0", "t1"}, Config{})
+	rep, err := certify(orig, sb(true), []string{"t0", "t1"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +333,7 @@ func TestCertifySB(t *testing.T) {
 
 	// Fence removed: the store-buffering outcome must be found and carry a
 	// schedule ending in the non-SC final state.
-	rep, err = Certify(orig, sb(false), []string{"t0", "t1"}, Config{})
+	rep, err = certify(orig, sb(false), []string{"t0", "t1"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,14 +384,14 @@ func TestCertifyWholeProgram(t *testing.T) {
 		p.SetMain("main")
 		return p.MustBuild()
 	}
-	rep, err := Certify(pb(false), pb(true), nil, Config{})
+	rep, err := certify(pb(false), pb(true), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Equivalent {
 		t.Fatalf("fenced whole-program SB not certified: %s", rep)
 	}
-	rep, err = Certify(pb(false), pb(false), nil, Config{})
+	rep, err = certify(pb(false), pb(false), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +409,7 @@ func TestTruncationIsAnExplicitError(t *testing.T) {
 	if !res.Truncated {
 		t.Fatal("tiny MaxStates did not truncate")
 	}
-	_, err = Certify(p, sb(true), []string{"t0", "t1"}, Config{MaxStates: 3})
+	_, err = certify(p, sb(true), []string{"t0", "t1"}, Config{MaxStates: 3})
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("certify on a truncated exploration returned %v, want ErrTruncated", err)
 	}

@@ -434,8 +434,8 @@ func (c *cuckoo) tryInsert(h h128, id uint16, seed *uint64) bool {
 
 // filterRebuild regenerates the filter at the given slot count from the
 // shard's runs — the cold tier's ground truth. Runs that fail integrity
-// are skipped (their entries degrade to all-miss, consistent with every
-// other read of a quarantined run).
+// are marked bad and skipped (their entries degrade to all-miss and count
+// as quarantined, consistent with every other read of a bad run).
 func (sh *seenShard) filterRebuild(slots int) {
 	for {
 		sh.filter = cuckoo{slots: make([]uint32, slots)}
@@ -444,6 +444,10 @@ func (sh *seenShard) filterRebuild(slots int) {
 		for id, r := range sh.runs {
 			ents, err := sh.runEntries(r)
 			if err != nil {
+				if !r.bad {
+					r.bad = true
+					sh.stQuarantines++
+				}
 				continue
 			}
 			for _, en := range ents {

@@ -86,7 +86,9 @@ func buildRun(entries []fpEntry) *run {
 }
 
 // blockBytes returns the encoded bytes of block b, reading them from the
-// spill file when the run's blob has been dropped. Must be called with
+// spill file when the run's blob has been dropped; transient read errors
+// are retried like every other spill operation (cfg.IORetries), and one
+// that outlasts the retries quarantines the run. Must be called with
 // the owning shard's mutex held (it may open the file and uses the
 // shard's scratch buffer).
 func (sh *seenShard) blockBytes(e *engine, si int, r *run, b int) ([]byte, bool) {
@@ -104,7 +106,7 @@ func (sh *seenShard) blockBytes(e *engine, si int, r *run, b int) ([]byte, bool)
 		sh.blockBuf = make([]byte, n, max(n, 4096))
 	}
 	buf := sh.blockBuf[:n]
-	if _, err := r.f.ReadAt(buf, int64(store.HeaderSize)+int64(r.offs[b])); err != nil {
+	if err := e.spill.ReadAt(r.f, buf, int64(r.offs[b])); err != nil {
 		sh.quarantineRun(e, si, r)
 		return nil, false
 	}
@@ -401,20 +403,4 @@ func (e *engine) finishSeen() {
 		e.spill.Remove()
 		e.spill = nil
 	}
-}
-
-// spillStats sums the per-shard spill counters — the bench harness reads
-// these to report hot/cold hit ratios and spill volume.
-func (e *engine) spillStats() (hotHits, coldHits, seals, spillRuns, spillBytes int64) {
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		hotHits += sh.stHotHits
-		coldHits += sh.stColdHits
-		seals += sh.stSeals
-		spillRuns += sh.stSpillRuns
-		spillBytes += sh.stSpillBytes
-		sh.mu.Unlock()
-	}
-	return
 }

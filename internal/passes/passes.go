@@ -406,35 +406,26 @@ func (s *Session) Instrumented(st Strategy) *ir.Program {
 	return inst
 }
 
-// CertBaseline returns the memoized certification baseline of the
+// CertBaselineAtCtx returns the memoized certification baseline of the
 // session's program: its reachable final-state set under sequential
 // consistency, explored once per (entry configuration, normalized
 // exploration config) no matter how many placement strategies are
 // certified against it. Concurrent callers with the same key block on one
-// exploration; errors (including truncation) are memoized, since retrying
-// with an identical budget cannot succeed.
-func (s *Session) CertBaseline(threadFns []string, cfg mc.Config) (*mc.Baseline, error) {
-	return s.CertBaselineAt(threadFns, cfg, "")
-}
-
-// CertBaselineAt is CertBaseline backed by the persistent baseline store
-// at cacheDir (empty: in-memory memoization only). On an in-session miss
-// the store is consulted before exploring — a warm entry skips the SC
-// exploration entirely — and a freshly explored baseline is written back
-// for future processes. The in-memory key is unchanged, so mixed callers
-// share one entry per configuration; the first caller's cache directory
-// decides whether the disk is involved.
-func (s *Session) CertBaselineAt(threadFns []string, cfg mc.Config, cacheDir string) (*mc.Baseline, error) {
-	return s.CertBaselineAtCtx(context.Background(), threadFns, cfg, cacheDir)
-}
-
-// CertBaselineAtCtx is CertBaselineAt bounded by a context. Genuine
-// exploration failures (truncation, bad programs) are memoized like
-// always — retrying cannot help — but a cancellation is the caller's
-// doing, not the key's: the cancelled entry is dropped from the session
-// so a later call with a live context explores afresh. Concurrent callers
-// that were blocked on the cancelled exploration observe the same ctx
-// error for that attempt.
+// exploration.
+//
+// The persistent store at cacheDir (empty: in-memory memoization only) is
+// consulted on an in-session miss before exploring — a warm entry skips
+// the SC exploration entirely — and a freshly explored baseline is written
+// back for future processes (see LoadOrExploreCtx). The in-memory key
+// ignores cacheDir, so the first caller's cache directory decides whether
+// the disk is involved.
+//
+// Genuine exploration failures (truncation, bad programs) are memoized,
+// since retrying with an identical budget cannot succeed, but a
+// cancellation is the caller's doing, not the key's: the cancelled entry
+// is dropped from the session so a later call with a live context
+// explores afresh. Concurrent callers that were blocked on the cancelled
+// exploration observe the same ctx error for that attempt.
 func (s *Session) CertBaselineAtCtx(ctx context.Context, threadFns []string, cfg mc.Config, cacheDir string) (*mc.Baseline, error) {
 	ncfg := cfg.Normalize()
 	ncfg.Mode = tso.SC // the baseline side is always the SC exploration
@@ -453,13 +444,16 @@ func (s *Session) CertBaselineAtCtx(ctx context.Context, threadFns []string, cfg
 
 	en.once.Do(func() {
 		start := time.Now()
-		b, warm, err := LoadOrExploreBaselineCtx(ctx, s.prog, threadFns, ncfg, cacheDir)
+		sc, warm, err := LoadOrExploreCtx(ctx, s.prog, threadFns, ncfg, cacheDir)
 		pass := "mc-baseline"
 		if warm {
 			pass = "mc-baseline/warm"
 		}
 		s.record(pass, start)
-		en.b, en.err = b, err
+		if err == nil {
+			en.b = &mc.Baseline{Prog: s.prog, ThreadFns: threadFns, Cfg: ncfg, SC: sc}
+		}
+		en.err = err
 	})
 	if en.err != nil && (errors.Is(en.err, context.Canceled) || errors.Is(en.err, context.DeadlineExceeded)) {
 		s.bmu.Lock()
@@ -469,25 +463,6 @@ func (s *Session) CertBaselineAtCtx(ctx context.Context, threadFns []string, cfg
 		s.bmu.Unlock()
 	}
 	return en.b, en.err
-}
-
-// LoadOrExploreBaseline produces the SC certification baseline of (p,
-// threadFns, cfg), consulting the persistent store at cacheDir first (see
-// LoadOrExploreCtx).
-func LoadOrExploreBaseline(p *ir.Program, threadFns []string, cfg mc.Config, cacheDir string) (b *mc.Baseline, warm bool, err error) {
-	return LoadOrExploreBaselineCtx(context.Background(), p, threadFns, cfg, cacheDir)
-}
-
-// LoadOrExploreBaselineCtx is LoadOrExploreBaseline bounded by a context:
-// the SC case of LoadOrExploreCtx, packaged as a baseline.
-func LoadOrExploreBaselineCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg mc.Config, cacheDir string) (b *mc.Baseline, warm bool, err error) {
-	ncfg := cfg.Normalize()
-	ncfg.Mode = tso.SC
-	sc, warm, err := LoadOrExploreCtx(ctx, p, threadFns, ncfg, cacheDir)
-	if err != nil {
-		return nil, false, err
-	}
-	return &mc.Baseline{Prog: p, ThreadFns: threadFns, Cfg: ncfg, SC: sc}, warm, nil
 }
 
 // LoadOrExploreCtx produces the complete exploration of (p, threadFns)
@@ -552,11 +527,10 @@ func LoadOrExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cf
 	return ss, false, nil
 }
 
-// CertifyAgainstCtx certifies inst against base like mc.CertifyAgainstCtx,
-// with the TSO exploration served by LoadOrExploreCtx: with a warm store
-// at cacheDir a repeated certification costs a store read and an
-// outcome-set comparison, no exploration. Without a cache directory it is
-// exactly mc.CertifyAgainstCtx.
+// CertifyAgainstCtx certifies inst against base: the complete TSO
+// exploration of inst comes from LoadOrExploreCtx and mc.Compare decides
+// the verdict. With a warm store at cacheDir a repeated certification
+// costs a store read and an outcome-set comparison, no exploration.
 func CertifyAgainstCtx(ctx context.Context, base *mc.Baseline, inst *ir.Program, cfg mc.Config, cacheDir string) (*mc.Report, error) {
 	tcfg := cfg.Normalize()
 	tcfg.Mode = tso.TSO

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -223,7 +224,7 @@ func TestCertBaselineMemoized(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			b, err := s.CertBaseline(nil, mc.Config{})
+			b, err := s.CertBaselineAtCtx(context.Background(), nil, mc.Config{}, "")
 			if err != nil {
 				t.Errorf("caller %d: %v", g, err)
 				return
@@ -238,7 +239,7 @@ func TestCertBaselineMemoized(t *testing.T) {
 		}
 	}
 	// Zero config and explicitly-defaulted config normalize to one key.
-	b, err := s.CertBaseline(nil, mc.Config{}.Normalize())
+	b, err := s.CertBaselineAtCtx(context.Background(), nil, mc.Config{}.Normalize(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestCertBaselineMemoized(t *testing.T) {
 		t.Error("normalized config missed the memoized baseline")
 	}
 	// A different budget is a different baseline key.
-	b2, err := s.CertBaseline(nil, mc.Config{MaxStates: 1 << 20})
+	b2, err := s.CertBaselineAtCtx(context.Background(), nil, mc.Config{MaxStates: 1 << 20}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

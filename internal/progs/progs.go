@@ -101,6 +101,24 @@ type Table2Row struct {
 // Default instantiates the program at its default parameters.
 func (m *Meta) Default() *ir.Program { return m.Build(m.Defaults) }
 
+// CertParams returns the reduced instantiation exhaustive certification
+// uses, so the model checker closes the state space: threads workers
+// (2 when threads <= 0) and the given problem size, or the default size
+// capped at 2 when size <= 0.
+func (m *Meta) CertParams(threads int, size int64) Params {
+	p := m.Defaults
+	p.Threads = 2
+	if threads > 0 {
+		p.Threads = threads
+	}
+	if size > 0 {
+		p.Size = size
+	} else if p.Size > 2 {
+		p.Size = 2
+	}
+	return p
+}
+
 var registry = map[string]*Meta{}
 var order []string
 

@@ -186,3 +186,26 @@ func TestTable2Classification(t *testing.T) {
 		})
 	}
 }
+
+// TestCertParams pins the reduced instantiation exhaustive certification
+// uses: 2 threads and the default size capped at 2 unless given.
+func TestCertParams(t *testing.T) {
+	m := ByName("szymanski")
+	if m.Defaults.Size <= 2 {
+		t.Fatalf("szymanski default size %d no longer exercises the cap", m.Defaults.Size)
+	}
+	for _, tc := range []struct {
+		threads, wantThreads int
+		size, wantSize       int64
+	}{
+		{0, 2, 0, 2},
+		{3, 3, 0, 2},
+		{-1, 2, 5, 5},
+	} {
+		p := m.CertParams(tc.threads, tc.size)
+		if p.Threads != tc.wantThreads || p.Size != tc.wantSize {
+			t.Errorf("CertParams(%d, %d) = threads %d size %d; want %d, %d",
+				tc.threads, tc.size, p.Threads, p.Size, tc.wantThreads, tc.wantSize)
+		}
+	}
+}

@@ -3,8 +3,8 @@ package progs
 import "fenceplace/internal/ir"
 
 // This file provides the synchronization idioms the corpus inlines into its
-// worker functions: test-and-set spin locks, ticket locks, sense-reversing
-// barriers and ad-hoc flag synchronization. They are emitted inline (not as
+// worker functions: test-and-set spin locks, sense-reversing barriers and
+// ad-hoc flag synchronization. They are emitted inline (not as
 // separate ir functions) because that is how the paper's subjects look
 // after -O2 — PARMACS macros and small lock routines are expanded into
 // their callers — and because the detection algorithms are intraprocedural.
@@ -25,20 +25,6 @@ func lockAcquire(b *ir.FB, lock *ir.Global) {
 // lockRelease stores 0 — a release write; on TSO the next CAS drains it.
 func lockRelease(b *ir.FB, lock *ir.Global) {
 	b.Store(lock, b.Const(0))
-}
-
-// ticketAcquire takes a ticket with fetch-add and spins until served. The
-// now-serving read feeds the spin branch: a control acquire.
-func ticketAcquire(b *ir.FB, next, serving *ir.Global) {
-	pn := b.AddrOf(next)
-	my := b.FetchAdd(pn, b.Const(1))
-	b.SpinWhileNe(serving, ir.NoReg, my)
-}
-
-// ticketRelease passes the lock to the next ticket.
-func ticketRelease(b *ir.FB, serving *ir.Global) {
-	v := b.Load(serving)
-	b.Store(serving, b.Add(v, b.Const(1)))
 }
 
 // barrierState groups the globals of one sense-reversing barrier.

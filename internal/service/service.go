@@ -142,8 +142,8 @@ type Request struct {
 	Program  string `json:"program,omitempty"`   // textual IR
 	GoSource string `json:"go_source,omitempty"` // restricted real-Go source
 	Corpus   string `json:"corpus,omitempty"`    // named corpus program
-	Threads int    `json:"threads,omitempty"` // corpus instantiation (default 2)
-	Size    int64  `json:"size,omitempty"`    // corpus instantiation (0 = reduced default)
+	Threads  int    `json:"threads,omitempty"`   // corpus instantiation (default 2)
+	Size     int64  `json:"size,omitempty"`      // corpus instantiation (0 = reduced default)
 
 	Strategy string   `json:"strategy,omitempty"` // pensieve | control | addresscontrol | all (default control)
 	Entry    []string `json:"entry,omitempty"`    // litmus-style flat thread functions (default: main)
@@ -337,23 +337,6 @@ func NewManager(cfg Config) *Manager {
 // Config returns the manager's resolved configuration (for /statusz).
 func (m *Manager) Config() Config { return m.cfg }
 
-// resolveStrategies parses the request's strategy word.
-func resolveStrategies(s string) ([]fenceplace.Strategy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "control":
-		return []fenceplace.Strategy{fenceplace.Control}, nil
-	case "pensieve":
-		return []fenceplace.Strategy{fenceplace.PensieveOnly}, nil
-	case "addresscontrol", "address+control", "ac":
-		return []fenceplace.Strategy{fenceplace.AddressControl}, nil
-	case "all":
-		return []fenceplace.Strategy{
-			fenceplace.PensieveOnly, fenceplace.AddressControl, fenceplace.Control,
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown strategy %q (valid: pensieve, control, addresscontrol, all)", s)
-}
-
 // buildSpec validates a request and resolves it into a runnable spec: the
 // program is built, the strategy set parsed, and every budget clamped to
 // the server ceilings.
@@ -377,21 +360,8 @@ func (m *Manager) buildSpec(req *Request) (*jobSpec, error) {
 			sort.Strings(names)
 			return nil, fmt.Errorf("unknown corpus program %q (valid: %s)", req.Corpus, strings.Join(names, ", "))
 		}
-		pp := meta.Defaults
-		if req.Threads > 0 {
-			pp.Threads = req.Threads
-		} else {
-			pp.Threads = 2
-		}
-		if req.Size > 0 {
-			pp.Size = req.Size
-		} else if pp.Size > 2 {
-			// Exhaustive certification needs small instantiations, like
-			// fencecheck's default reduction.
-			pp.Size = 2
-		}
 		spec.name = req.Corpus
-		spec.prog = meta.Build(pp)
+		spec.prog = meta.Build(meta.CertParams(req.Threads, req.Size))
 	case req.GoSource != "":
 		// Lowering is canonical, so byte-different Go sources of the same
 		// program coalesce for free: coalesceKey hashes the lowered IR.
@@ -416,8 +386,12 @@ func (m *Manager) buildSpec(req *Request) (*jobSpec, error) {
 		spec.prog = p
 	}
 
+	word := req.Strategy
+	if strings.TrimSpace(word) == "" {
+		word = "control"
+	}
 	var err error
-	if spec.strategies, err = resolveStrategies(req.Strategy); err != nil {
+	if spec.strategies, err = fenceplace.ParseStrategies(word); err != nil {
 		return nil, err
 	}
 

@@ -146,6 +146,16 @@ func (sp *Spill) OpenRun(path string) (fsx.File, int64, error) {
 	return f, int64(len(payload)), nil
 }
 
+// ReadAt fills buf from an opened run (see OpenRun) starting at payload
+// offset off, retrying transient failures under the session's policy. A
+// failure that outlasts the retries is the caller's to quarantine.
+func (sp *Spill) ReadAt(f fsx.File, buf []byte, off int64) error {
+	return sp.do(func() error {
+		_, err := f.ReadAt(buf, HeaderSize+off)
+		return err
+	})
+}
+
 // ReadRunPayload reads and verifies a spilled run in one shot, returning
 // its payload (without opening it for random access). Integrity failures
 // quarantine the file, exactly as in OpenRun; the model checker's filter

@@ -10,7 +10,7 @@ import (
 
 // Option is the one configuration vocabulary of the public API: the same
 // option set parameterizes analyzer construction (NewAnalyzer) and
-// certification (CertifyCtx, BaselineCtx). Options irrelevant to a call
+// certification (CertifyCtx, CertifyProgramCtx). Options irrelevant to a call
 // are simply ignored by it — WithTiming has no effect on a certification,
 // WithMaxStates none on static analysis — so one resolved option list can
 // drive a whole pipeline.

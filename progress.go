@@ -45,7 +45,7 @@ type ProgressEvent struct {
 
 // WithProgress streams ProgressEvents to fn: exploration heartbeats from
 // every model-checker run the configuration drives (CertifyCtx,
-// BaselineCtx, CertifyProgramCtx), and row completions when the options
+// CertifyProgramCtx), and row completions when the options
 // configure a corpus.Runner. fn must be safe for concurrent calls —
 // parallel explorations and corpus workers report concurrently. The
 // default sampling interval is 250ms; tune it with WithProgressInterval.
