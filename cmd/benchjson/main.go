@@ -153,10 +153,7 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	commit := flag.String("commit", "", "commit to stamp the record with (default $GITHUB_SHA, $GIT_COMMIT, then git rev-parse HEAD)")
 	metrics := flag.String("metrics", "", "telemetry snapshot JSON file to embed in the record")
-	version := flag.Bool("version", false, "print the build identity and exit")
-	flag.Parse()
-	if *version {
-		cli.Version()
+	if !cli.Register(flag.CommandLine, 0).Parse(flag.CommandLine, os.Args[1:]) {
 		return
 	}
 

@@ -1,6 +1,6 @@
 // Command fencecache inspects and maintains the persistent exploration
-// store — SC baselines and TSO outcome sets — that fencecheck, paperbench
-// and fenced warm-start from (see internal/store):
+// store — SC baselines and TSO outcome sets — that fenceplace certify,
+// paperbench and fenced warm-start from (see internal/store):
 //
 //	fencecache -dir /var/cache/fenceplace stats            # entry count, bytes, quarantine
 //	fencecache -dir /var/cache/fenceplace stats -json      # machine-readable, telemetry counters included
@@ -41,18 +41,13 @@ func usage() {
 
 func main() {
 	dir := flag.String("dir", "", "exploration store directory (default $FENCEPLACE_CACHE_DIR)")
-	version := flag.Bool("version", false, "print the build identity and exit")
+	fl := cli.Register(flag.CommandLine, 0)
 	flag.Usage = usage
-	flag.Parse()
-	if *version {
-		cli.Version()
+	if !fl.Parse(flag.CommandLine, os.Args[1:]) {
 		return
 	}
 
-	d := *dir
-	if d == "" {
-		d = os.Getenv("FENCEPLACE_CACHE_DIR")
-	}
+	d := cli.CacheDir(*dir)
 	if d == "" || flag.NArg() < 1 {
 		usage()
 		os.Exit(2)

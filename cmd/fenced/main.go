@@ -37,7 +37,6 @@ import (
 	"os"
 	"time"
 
-	"fenceplace"
 	"fenceplace/internal/buildinfo"
 	"fenceplace/internal/cli"
 	"fenceplace/internal/service"
@@ -56,28 +55,18 @@ func main() {
 		maxDeadline  = flag.Duration("max-deadline", 2*time.Minute, "ceiling for per-job deadlines")
 		defDeadline  = flag.Duration("default-deadline", 30*time.Second, "deadline applied when a job names none")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "how long SIGTERM lets in-flight jobs finish before cancelling them")
-		cacheDir     = flag.String("cache-dir", "", "persistent exploration store for SC baselines and TSO outcome sets (default $FENCEPLACE_CACHE_DIR; empty = no persistence)")
-		spillDir     = flag.String("spill-dir", "", "scratch area for seen-set spill (default $FENCEPLACE_SPILL_DIR; empty = keep sealed runs in RAM)")
-		version      = flag.Bool("version", false, "print the build identity and exit")
 	)
-	flag.Parse()
-	if *version {
-		cli.Version()
+	fl := cli.Register(flag.CommandLine, cli.Store)
+	if !fl.Parse(flag.CommandLine, os.Args[1:]) {
 		return
 	}
 
-	ctx, stop := cli.SignalContext()
-	defer stop()
-
-	var opts []fenceplace.Option
-	if *cacheDir != "" {
-		opts = append(opts, fenceplace.WithCacheDir(*cacheDir))
+	ctx, finish, err := fl.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if *spillDir != "" {
-		opts = append(opts, fenceplace.WithSpillDir(*spillDir))
-	}
-	// Pin environment-derived defaults once, before any job runs.
-	opts = fenceplace.Resolved(opts...)
+	defer finish()
 
 	mgr := service.NewManager(service.Config{
 		Workers:         *workers,
@@ -87,15 +76,11 @@ func main() {
 		MemoryCapCeil:   *memCapCeil,
 		MaxDeadline:     *maxDeadline,
 		DefaultDeadline: *defDeadline,
-		Options:         opts,
+		Options:         fl.StoreOptions(),
 	})
 	srv := service.NewServer(mgr)
-	// /statusz reports the store the jobs actually use: the flag, else the
-	// environment (resolved the same way the options were).
-	dir := *cacheDir
-	if dir == "" {
-		dir = os.Getenv("FENCEPLACE_CACHE_DIR")
-	}
+	// /statusz reports the store the jobs actually use.
+	dir := fl.CacheDir()
 	srv.CacheDir = dir
 
 	if *admin != "" {

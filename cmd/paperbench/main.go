@@ -24,13 +24,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"sync"
 
 	"fenceplace"
 	"fenceplace/corpus"
@@ -43,106 +41,63 @@ import (
 	"fenceplace/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command; it returns the exit status so the deferred
+// telemetry cleanup runs before main exits.
+func run(args []string) int {
+	fs := flag.NewFlagSet("paperbench", flag.ExitOnError)
 	var (
-		table2   = flag.Bool("table2", false, "Table II: acquire signatures in sync kernels")
-		fig2     = flag.Bool("fig2", false, "worked example (§2.4): delay set and fence counts")
-		fig7     = flag.Bool("fig7", false, "Figure 7: acquires as % of escaping reads")
-		fig8     = flag.Bool("fig8", false, "Figure 8: ordering counts by type")
-		fig9     = flag.Bool("fig9", false, "Figure 9: full fences remaining on x86-TSO")
-		fig10    = flag.Bool("fig10", false, "Figure 10: simulated execution time vs manual")
-		manual   = flag.Bool("manual", false, "manual fence counts (§5.3)")
-		seeds    = flag.Int("seeds", 1, "simulator seeds averaged in Figure 10")
-		cert     = flag.Bool("cert", false, "certification column: model-check SC-equivalence of every placement")
-		budget   = flag.Int64("certbudget", 1<<21, "model-checker state budget per exploration")
-		deadline = flag.Duration("deadline", 0, "wall-clock budget for the whole run; exceeding it aborts with the inconclusive exit code 2 (0 = none)")
-		jobs     = flag.Int("j", 0, "corpus analysis workers (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cache-dir", "", "persistent exploration store for SC baselines and TSO outcome sets (default $FENCEPLACE_CACHE_DIR; empty = no persistence)")
-		spillDir = flag.String("spill-dir", "", "scratch area for seen-set spill (default $FENCEPLACE_SPILL_DIR; empty = keep sealed runs in RAM)")
-		shard    = flag.String("shard", "", "run only shard i/n of the corpus (e.g. 2/4); rows keep their unsharded index")
-		jsonOut  = flag.String("json", "", "write the run's corpus Report JSON to this file")
-		mergeIn  = flag.String("merge", "", "comma-separated report JSON files: skip analysis, merge them and render the requested tables")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event file (Perfetto-openable) of the run")
-		metrics  = flag.Bool("metrics", false, "dump the final telemetry snapshot (JSON) to stderr on exit")
-		pprof    = flag.String("pprof", "", "serve net/http/pprof and expvar on this address for the run's duration")
-		version  = flag.Bool("version", false, "print the build identity and exit")
+		table2  = fs.Bool("table2", false, "Table II: acquire signatures in sync kernels")
+		fig2    = fs.Bool("fig2", false, "worked example (§2.4): delay set and fence counts")
+		fig7    = fs.Bool("fig7", false, "Figure 7: acquires as % of escaping reads")
+		fig8    = fs.Bool("fig8", false, "Figure 8: ordering counts by type")
+		fig9    = fs.Bool("fig9", false, "Figure 9: full fences remaining on x86-TSO")
+		fig10   = fs.Bool("fig10", false, "Figure 10: simulated execution time vs manual")
+		manual  = fs.Bool("manual", false, "manual fence counts (§5.3)")
+		seeds   = fs.Int("seeds", 1, "simulator seeds averaged in Figure 10")
+		cert    = fs.Bool("cert", false, "certification column: model-check SC-equivalence of every placement")
+		budget  = fs.Int64("certbudget", 1<<21, "model-checker state budget per exploration")
+		jobs    = fs.Int("j", 0, "corpus analysis workers (0 = GOMAXPROCS)")
+		shard   = fs.String("shard", "", "run only shard i/n of the corpus (e.g. 2/4); rows keep their unsharded index")
+		jsonOut = fs.String("json", "", "write the run's corpus Report JSON to this file")
+		mergeIn = fs.String("merge", "", "comma-separated report JSON files: skip analysis, merge them and render the requested tables")
 	)
-	flag.Parse()
-	if *version {
-		cli.Version()
-		return
+	fl := cli.Register(fs, cli.Store|cli.Run)
+	if !fl.Parse(fs, args) {
+		return 0
 	}
-
-	ctx, stop := cli.SignalContext()
-	defer stop()
-	if *deadline > 0 {
-		// The deadline bounds wall-clock, not states: a stuck disk or an
-		// oversized corpus run ends in the inconclusive exit code instead
-		// of a hang. Cancellation wins against I/O retries within ~100ms.
-		var cancelDeadline context.CancelFunc
-		ctx, cancelDeadline = context.WithTimeout(ctx, *deadline)
-		defer cancelDeadline()
-	}
-
-	// Observability surfaces. exit (below) runs the cleanup — trace-file
-	// finalization, metrics dump — before os.Exit, which would skip defers;
-	// the deferred call covers the fall-through return.
-	var metricsW io.Writer
-	if *metrics {
-		metricsW = os.Stderr
-	}
-	cleanup, err := telemetry.Mount(telemetry.MountConfig{
-		TracePath: *traceOut, PprofAddr: *pprof, Metrics: metricsW,
-	})
+	ctx, finish, err := fl.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	var cleanupOnce sync.Once
-	finish := func() {
-		cleanupOnce.Do(func() {
-			if err := cleanup(); err != nil {
-				fmt.Fprintln(os.Stderr, "telemetry:", err)
-			}
-		})
+		return 2
 	}
 	defer finish()
-	exit := func(code int) {
-		finish()
-		os.Exit(code)
-	}
 
 	all := !*table2 && !*fig2 && !*fig7 && !*fig8 && !*fig9 && !*fig10 && !*manual && !*cert
 
 	if *mergeIn != "" {
 		if err := renderMerged(*mergeIn, all, *fig7, *fig8, *fig9, *fig10, *manual, *cert); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	shardI, shardN, err := parseShard(*shard)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		exit(2)
+		return 2
 	}
 
 	if all || *table2 {
 		fmt.Println(renderTable2())
 	}
 
-	// Resolve the baseline store directory exactly once, up front: the
-	// flag, else the environment. Every consumer below (runner options and
-	// the footer's store handle) sees this one value.
-	dir := *cacheDir
-	if dir == "" {
-		dir = os.Getenv("FENCEPLACE_CACHE_DIR")
-	}
-	opts := []fenceplace.Option{fenceplace.WithMaxStates(*budget), fenceplace.WithCacheDir(dir)}
-	if *spillDir != "" {
-		opts = append(opts, fenceplace.WithSpillDir(*spillDir))
-	}
+	// The runner options and the -cert footer's store handle see the one
+	// resolved store directory.
+	dir := fl.CacheDir()
+	opts := append([]fenceplace.Option{fenceplace.WithMaxStates(*budget)}, fl.StoreOptions()...)
 
 	var out *corpus.Report
 	var certRan bool
@@ -155,8 +110,7 @@ func main() {
 		// are served from the persistent store without exploring.
 		rep, err := runCert(ctx, os.Stdout, shardI, shardN, *jobs, opts, dir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(failCode(err))
+			return cli.FailCode(err, 1)
 		}
 		out = rep
 		certRan = true
@@ -169,17 +123,19 @@ func main() {
 		if shardN > 0 {
 			if src, err = corpus.Shard(src, shardI, shardN); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				exit(2)
+				return 2
 			}
 		}
 		runner := corpus.Runner{Seeds: *seeds, Workers: *jobs, Options: opts}
 		rep, err := runner.Run(ctx, src)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(failCode(err))
+			return cli.FailCode(err, 1)
 		}
 		out = rep
-		renderFigures(rep, all, *fig7, *fig8, *fig9, *fig10, *manual)
+		if err := renderFigures(rep, all, *fig7, *fig8, *fig9, *fig10, *manual); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
 		if certRan && *jsonOut != "" {
 			// The cert and eval reports come from different sources and
 			// cannot merge into one file; the eval report wins, loudly.
@@ -197,20 +153,10 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "writing report: %v\n", err)
-			exit(1)
+			return 1
 		}
 	}
-}
-
-// failCode maps a run-ending error to an exit status: a blown -deadline
-// is the inconclusive/truncated code 2 (no verdict, like an exhausted
-// state budget), anything else is the plain failure code 1.
-func failCode(err error) int {
-	if errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "inconclusive: -deadline exceeded before the run finished")
-		return 2
-	}
-	return 1
+	return 0
 }
 
 // parseShard parses "i/n" (empty: unsharded, n = 0).
@@ -267,7 +213,7 @@ func runCert(ctx context.Context, w io.Writer, shardI, shardN, jobs int, opts []
 }
 
 // renderFigures prints the selected report-backed tables.
-func renderFigures(rep *corpus.Report, all, fig7, fig8, fig9, fig10, manual bool) {
+func renderFigures(rep *corpus.Report, all, fig7, fig8, fig9, fig10, manual bool) error {
 	if all || fig7 {
 		fmt.Println(corpus.Fig7(rep))
 	}
@@ -283,11 +229,11 @@ func renderFigures(rep *corpus.Report, all, fig7, fig8, fig9, fig10, manual bool
 	if all || fig10 {
 		s, err := corpus.Fig10(rep)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figure 10 failed: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("figure 10 failed: %w", err)
 		}
 		fmt.Println(s)
 	}
+	return nil
 }
 
 // renderMerged loads shard reports, merges them and renders the requested
@@ -323,8 +269,7 @@ func renderMerged(files string, all, fig7, fig8, fig9, fig10, manual, cert bool)
 	if cert {
 		fmt.Println(corpus.CertTable(merged))
 	}
-	renderFigures(merged, all, fig7, fig8, fig9, fig10, manual)
-	return nil
+	return renderFigures(merged, all, fig7, fig8, fig9, fig10, manual)
 }
 
 // renderTable2 regenerates the paper's Table II: the signature breakdown

@@ -2,10 +2,17 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"fenceplace"
+	"fenceplace/corpus"
+	"fenceplace/internal/progs"
 )
 
 func TestTable2AndFig2Render(t *testing.T) {
@@ -38,5 +45,51 @@ func TestCertTableRenders(t *testing.T) {
 		if !strings.Contains(s, footer) {
 			t.Errorf("certification table missing the %q footer:\n%s", footer, s)
 		}
+	}
+}
+
+// TestFailedRunLeavesValidTrace renders Figure 10 from a certification
+// report, which has no dynamic runs, so the run fails with exit 1. The
+// -trace file must still be finalized into valid JSON on that path.
+func TestFailedRunLeavesValidTrace(t *testing.T) {
+	if args := os.Getenv("PAPERBENCH_ARGS"); args != "" {
+		os.Exit(run(strings.Split(args, "\n")))
+	}
+	dir := t.TempDir()
+	m := progs.ByName("dekker")
+	runner := corpus.Runner{Certify: true, Options: []fenceplace.Option{fenceplace.WithCacheDir("")}}
+	rep, err := runner.Run(context.Background(), corpus.SingleSource("dekker", m.Build(m.CertParams(0, 0)), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	certJSON, trace := filepath.Join(dir, "c.json"), filepath.Join(dir, "t.json")
+	f, err := os.Create(certJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.EncodeJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFailedRunLeavesValidTrace$")
+	cmd.Env = append(os.Environ(), "PAPERBENCH_ARGS="+strings.Join([]string{"-merge", certJSON, "-fig10", "-trace", trace}, "\n"))
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("want exit code 1, got %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "figure 10 failed") {
+		t.Errorf("stderr does not report the figure 10 failure:\n%s", out)
+	}
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []any
+	if err := json.Unmarshal(raw, &events); err != nil {
+		t.Fatalf("trace file is not valid JSON after exit 1: %v\n%q", err, raw)
 	}
 }

@@ -50,7 +50,7 @@
 //     fingerprints: the fingerprint and two-level seen-set differentials
 //     (seen_test.go, seen_spill_test.go) and the spill-fault tests
 //     (fault_test.go, spill_crash_test.go) compare visit counts and
-//     outcomes against it, and `fencecheck -exact` exposes it;
+//     outcomes against it, and `fenceplace certify -exact` exposes it;
 //
 //   - Config.NoPOR, the exploration without partial-order reduction: the
 //     POR differentials (crossCheck in mc_test.go,

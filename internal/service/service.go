@@ -137,7 +137,7 @@ type Budget struct {
 // Request is one certification submission, as decoded off the wire.
 // Exactly one of Program (inline textual IR), GoSource (restricted real-Go
 // source, lowered by the frontend) and Corpus (a named corpus program,
-// instantiated at Threads/Size like fencecheck -prog) must be set.
+// instantiated at Threads/Size like fenceplace certify -prog) must be set.
 type Request struct {
 	Program  string `json:"program,omitempty"`   // textual IR
 	GoSource string `json:"go_source,omitempty"` // restricted real-Go source
