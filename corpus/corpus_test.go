@@ -549,3 +549,35 @@ func TestCertKernelsMatchGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalTablesMatchGolden pins the rendered evaluation — Figures 7-10
+// and the Manual table, joined as the benchmark renders them — byte for
+// byte against the benchmark's oracle (read, never written, here). Figure
+// 10's simulated cycle counts come from tso.Run, so this is the tier-1
+// check that a simulator change leaves the paper's numbers alone.
+func TestEvalTablesMatchGolden(t *testing.T) {
+	t.Setenv("FENCEPLACE_CACHE_DIR", "")
+	want, err := os.ReadFile("../bench/testdata/eval_tables.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := corpus.Runner{
+		Seeds:   1,
+		Workers: 1,
+		Options: []fenceplace.Option{fenceplace.WithCacheDir(""), fenceplace.WithSpillDir("")},
+	}
+	rep, err := runner.Run(context.Background(), corpus.EvalSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig10, err := corpus.Fig10(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join([]string{
+		corpus.Fig7(rep), corpus.Fig8(rep), corpus.Fig9(rep), fig10, corpus.ManualTable(rep),
+	}, "\n")
+	if got != string(want) {
+		t.Errorf("rendered evaluation tables differ from bench/testdata/eval_tables.txt\ngot:\n%s", got)
+	}
+}

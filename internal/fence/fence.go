@@ -246,6 +246,7 @@ func Verify(set *orders.Set, opts Options, instr *ir.Program, imap map[*ir.Instr
 	if opts.NeedFull == nil {
 		opts.NeedFull = orders.NeedsFullFenceTSO
 	}
+	var search pathSearch
 	for _, f := range set.Prog.Funcs {
 		for _, o := range set.ByFn[f] {
 			u, v := imap[o.From], imap[o.To]
@@ -253,7 +254,7 @@ func Verify(set *orders.Set, opts Options, instr *ir.Program, imap map[*ir.Instr
 				return fmt.Errorf("fence: ordering endpoints not mapped into instrumented program")
 			}
 			needFull := opts.NeedFull(o)
-			if unfencedPathExists(u, v, needFull) {
+			if search.unfencedPathExists(u, v, needFull) {
 				nf := instr.Fn(f.Name)
 				var fences []*ir.Instr
 				if nf != nil {
@@ -273,54 +274,87 @@ func Verify(set *orders.Set, opts Options, instr *ir.Program, imap map[*ir.Instr
 	return nil
 }
 
-// unfencedPathExists searches for a path from just-after u to just-before v
-// that crosses no fence of sufficient strength. needFull=true requires a
-// full fence to block the path; otherwise any fence (full or compiler)
+// pathSearch is unfencedPathExists's scratch state, reused across the
+// orderings of one Verify call so the search allocates only when a
+// function has more blocks than any before it.
+type pathSearch struct {
+	entered []bool      // by Block.ID(): blocks already scanned from index 0
+	stack   []*ir.Block // blocks entered but not yet scanned
+}
+
+// unfencedPathExists reports whether a path from just after u to just
+// before v crosses no fence of sufficient strength. needFull=true requires
+// a full fence to block the path; otherwise any fence (full or compiler)
 // blocks it.
-func unfencedPathExists(u, v *ir.Instr, needFull bool) bool {
-	type state struct {
-		b   *ir.Block
-		idx int
+//
+// A path is a straight run of instructions inside a block, so the search
+// scans whole blocks: u's block from u.Pos()+1, then each successor block
+// from index 0, at most once each. u's block is not marked entered by the
+// first, partial scan: a loop back into it starts at index 0 and can reach
+// a v at or before u (loop-carried orderings, including u == v).
+func (s *pathSearch) unfencedPathExists(u, v *ir.Instr, needFull bool) bool {
+	n := len(u.Block().Fn().Blocks)
+	if cap(s.entered) < n {
+		s.entered = make([]bool, n)
 	}
-	blocks := func(in *ir.Instr) bool {
-		if in.Kind != ir.Fence {
+	s.entered = s.entered[:n]
+	clear(s.entered)
+	s.stack = s.stack[:0]
+
+	b, from := u.Block(), u.Pos()+1
+	for {
+		switch scanBlock(b, from, v, needFull) {
+		case reachedV:
+			return true
+		case reachedEnd:
+			if t := b.Terminator(); t.Kind == ir.Br || t.Kind == ir.Jmp {
+				s.enter(t.Then)
+				if t.Kind == ir.Br {
+					s.enter(t.Else)
+				}
+			}
+		}
+		if len(s.stack) == 0 {
 			return false
 		}
-		if needFull {
-			return ir.FenceKind(in.Imm) == ir.FenceFull
-		}
-		return true
+		b, from = s.stack[len(s.stack)-1], 0
+		s.stack = s.stack[:len(s.stack)-1]
 	}
-	start := state{u.Block(), u.Pos() + 1}
-	goal := state{v.Block(), v.Pos()}
-	seen := map[state]bool{}
-	stack := []state{start}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[s] {
-			continue
+}
+
+// enter queues b for a scan from index 0 unless it already had one.
+func (s *pathSearch) enter(b *ir.Block) {
+	if !s.entered[b.ID()] {
+		s.entered[b.ID()] = true
+		s.stack = append(s.stack, b)
+	}
+}
+
+// scanResult is how a scan of one block ends.
+type scanResult int
+
+const (
+	blocked    scanResult = iota // a fence of sufficient strength (or an unterminated block)
+	reachedV                     // v is reached before any blocking fence
+	reachedEnd                   // the terminator is reached: the path continues in the successors
+)
+
+// scanBlock walks b from index from, stopping at v, at a blocking fence
+// or at the terminator. v is reached when the walk arrives at it, before
+// v itself is examined.
+func scanBlock(b *ir.Block, from int, v *ir.Instr, needFull bool) scanResult {
+	for _, in := range b.Instrs[from:] {
+		if in == v {
+			return reachedV
 		}
-		seen[s] = true
-		if s == goal {
-			return true
-		}
-		if s.idx >= len(s.b.Instrs) {
-			continue // fell off an unterminated block (cannot happen on valid IR)
-		}
-		in := s.b.Instrs[s.idx]
-		if blocks(in) {
-			continue // path blocked by a fence
+		if in.Kind == ir.Fence && (!needFull || ir.FenceKind(in.Imm) == ir.FenceFull) {
+			return blocked
 		}
 		if in.IsTerminator() {
-			for _, succ := range s.b.Succs() {
-				stack = append(stack, state{succ, 0})
-			}
-			continue
+			return reachedEnd
 		}
-		stack = append(stack, state{s.b, s.idx + 1})
 	}
-	return false
+	return blocked // fell off an unterminated block (cannot happen on valid IR)
 }
 
 // Describe renders the plan for human inspection (CLI and tests).

@@ -1,6 +1,7 @@
 package fence
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -385,5 +386,103 @@ func TestPrunedPlanNeverLargerAndStillVerifies(t *testing.T) {
 	instF, imapF := planFull.Apply()
 	if err := Verify(full, Options{}, instF, imapF); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// oracleUnfencedPathExists is the instruction-level search Verify ran
+// before the block-level one: a DFS over (block, index) states with a
+// visited map. It stays as the differential oracle for pathSearch.
+func oracleUnfencedPathExists(u, v *ir.Instr, needFull bool) bool {
+	type state struct {
+		b   *ir.Block
+		idx int
+	}
+	blocks := func(in *ir.Instr) bool {
+		if in.Kind != ir.Fence {
+			return false
+		}
+		if needFull {
+			return ir.FenceKind(in.Imm) == ir.FenceFull
+		}
+		return true
+	}
+	start := state{u.Block(), u.Pos() + 1}
+	goal := state{v.Block(), v.Pos()}
+	seen := map[state]bool{}
+	stack := []state{start}
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		if s == goal {
+			return true
+		}
+		if s.idx >= len(s.b.Instrs) {
+			continue
+		}
+		in := s.b.Instrs[s.idx]
+		if blocks(in) {
+			continue
+		}
+		if in.IsTerminator() {
+			for _, succ := range s.b.Succs() {
+				stack = append(stack, state{succ, 0})
+			}
+			continue
+		}
+		stack = append(stack, state{s.b, s.idx + 1})
+	}
+	return false
+}
+
+// PathDiff runs the block-level search, on scratch reused across calls as
+// Verify reuses it, next to the oracle. The corpus-wide differential test
+// (package fence_test) drives it.
+type PathDiff struct{ search pathSearch }
+
+// Both returns the search's answer and the oracle's for u→v.
+func (d *PathDiff) Both(u, v *ir.Instr, needFull bool) (got, want bool) {
+	return d.search.unfencedPathExists(u, v, needFull), oracleUnfencedPathExists(u, v, needFull)
+}
+
+// TestPathSearchMatchesOracleOnRandomPrograms compares the block-level
+// search with the oracle for every ordered pair of accesses of random
+// programs, unfenced and instrumented with their minimized plan.
+func TestPathSearchMatchesOracleOnRandomPrograms(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var d PathDiff
+	answers := map[bool]int{}
+	for trial := 0; trial < 40; trial++ {
+		p := randProgram(rng)
+		set, _, _ := pipeline(t, p)
+		inst, _ := Minimize(set, Options{}).Apply()
+		for _, prog := range []*ir.Program{p, inst} {
+			for _, f := range prog.Funcs {
+				var accs []*ir.Instr
+				f.Instrs(func(in *ir.Instr) {
+					if in.IsAccess() {
+						accs = append(accs, in)
+					}
+				})
+				for _, u := range accs {
+					for _, v := range accs {
+						for _, full := range []bool{true, false} {
+							got, want := d.Both(u, v, full)
+							if got != want {
+								t.Fatalf("trial %d %s: [%s] -> [%s] needFull=%v: search %v, oracle %v\n%s",
+									trial, f.Name, u, v, full, got, want, ir.Format(prog))
+							}
+							answers[got]++
+						}
+					}
+				}
+			}
+		}
+	}
+	if answers[true] == 0 || answers[false] == 0 {
+		t.Fatalf("vacuous comparison: answers %v", answers)
 	}
 }

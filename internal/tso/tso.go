@@ -209,6 +209,7 @@ type machine struct {
 	threads []*thread
 	rng     *rand.Rand
 	out     *Outcome
+	ready   []*thread // Random's per-step candidate list, reused
 }
 
 // Run executes the program's main function to completion (or failure).
@@ -227,7 +228,7 @@ func Run(p *ir.Program, cfg Config) *Outcome {
 		m.out.Err = fmt.Errorf("tso: program %q has no main function %q", p.Name, p.Main)
 		return m.out
 	}
-	m.startThread(mainFn, nil)
+	m.startThread(mainFn)
 	m.loop()
 	for _, t := range m.threads {
 		m.out.SumCycles += t.cycles
@@ -257,17 +258,37 @@ func (m *machine) snapshot() {
 	}
 }
 
-func (m *machine) startThread(fn *ir.Fn, args []int64) int {
+// startThread creates a thread running fn; the caller fills the entry
+// frame's parameter registers. Under TSO the store buffer gets its full
+// capacity up front: storeWord never lets it grow past BufferCap.
+func (m *machine) startThread(fn *ir.Fn) *thread {
 	t := &thread{id: len(m.threads), joining: -1}
-	t.frames = []frame{newFrame(fn, args, ir.NoReg)}
+	if m.cfg.Mode == TSO {
+		t.buf = make([]bufEntry, 0, m.cfg.BufferCap)
+	}
+	t.pushFrame(fn, ir.NoReg)
 	m.threads = append(m.threads, t)
-	return t.id
+	return t
 }
 
-func newFrame(fn *ir.Fn, args []int64, retDst ir.Reg) frame {
-	regs := make([]int64, fn.NRegs)
-	copy(regs, args)
-	return frame{fn: fn, blk: fn.Entry(), idx: 0, regs: regs, retDst: retDst}
+// pushFrame enters fn with zeroed registers and returns the new frame. A
+// returned-from frame leaves its register file behind the top of
+// t.frames, and the next call at that depth reuses it when it is large
+// enough, so a call in a loop allocates nothing.
+func (t *thread) pushFrame(fn *ir.Fn, retDst ir.Reg) *frame {
+	n := len(t.frames)
+	var regs []int64
+	if n < cap(t.frames) {
+		if old := t.frames[:n+1][n].regs; cap(old) >= fn.NRegs {
+			regs = old[:fn.NRegs]
+			clear(regs)
+		}
+	}
+	if regs == nil {
+		regs = make([]int64, fn.NRegs)
+	}
+	t.frames = append(t.frames, frame{fn: fn, blk: fn.Entry(), regs: regs, retDst: retDst})
+	return &t.frames[n]
 }
 
 func (m *machine) runnable(t *thread) bool {
@@ -296,42 +317,48 @@ func (m *machine) loop() {
 			m.out.Failures = append(m.out.Failures, "livelock: step limit exceeded")
 			return
 		}
-		var ready []*thread
-		alive := false
-		for _, t := range m.threads {
-			if !t.done {
-				alive = true
-			}
-			if m.runnable(t) {
-				ready = append(ready, t)
-			}
-		}
+		t, alive := m.pick()
 		if !alive {
 			return // all threads finished
 		}
-		if len(ready) == 0 {
+		if t == nil {
 			m.out.Deadlock = true
 			m.out.Failures = append(m.out.Failures, "deadlock: threads blocked in join")
 			return
 		}
-		t := m.pick(ready)
 		m.step(t)
 		m.out.Steps++
 		m.voluntaryDrain(t)
 	}
 }
 
-func (m *machine) pick(ready []*thread) *thread {
-	if m.cfg.Sched == Random {
-		return ready[m.rng.Intn(len(ready))]
-	}
-	best := ready[0]
-	for _, t := range ready[1:] {
-		if t.cycles < best.cycles || (t.cycles == best.cycles && t.id < best.id) {
+// pick chooses the thread to step next, or nil when no thread is
+// runnable; alive reports whether any thread has yet to finish. Every
+// thread goes through runnable, in id order, on every step: runnable
+// completes joins, which the Tracer observes. MinTime keeps the runnable
+// thread with the fewest cycles as it scans (the strict comparison breaks
+// ties to the lowest id); Random draws from the runnable threads in id
+// order, collected in a slice reused across steps.
+func (m *machine) pick() (best *thread, alive bool) {
+	random := m.cfg.Sched == Random
+	m.ready = m.ready[:0]
+	for _, t := range m.threads {
+		if !t.done {
+			alive = true
+		}
+		if !m.runnable(t) {
+			continue
+		}
+		if random {
+			m.ready = append(m.ready, t)
+		} else if best == nil || t.cycles < best.cycles {
 			best = t
 		}
 	}
-	return best
+	if random && len(m.ready) > 0 {
+		best = m.ready[m.rng.Intn(len(m.ready))]
+	}
+	return best, alive
 }
 
 func (m *machine) voluntaryDrain(t *thread) {
@@ -357,9 +384,13 @@ func (m *machine) trace(t *thread, in *ir.Instr, addr int64, write bool) {
 	}
 }
 
+// drainOne retires the oldest buffered store. The remaining entries shift
+// down in place, as in mc.applyDrain: reslicing forward would bleed the
+// buffer's front capacity away and make storeWord's append reallocate.
 func (m *machine) drainOne(t *thread) {
 	e := t.buf[0]
-	t.buf = t.buf[1:]
+	copy(t.buf, t.buf[1:])
+	t.buf = t.buf[:len(t.buf)-1]
 	m.mem[e.addr] = e.val
 }
 
@@ -572,30 +603,27 @@ func (m *machine) step(t *thread) {
 		advance = false
 	case ir.Call:
 		t.cycles += c.Call
-		callee := m.prog.Fn(in.Callee)
-		args := make([]int64, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = f.regs[a]
-		}
 		f.idx++ // return to the next instruction
-		t.frames = append(t.frames, newFrame(callee, args, in.Dst))
+		caller := f.regs
+		nf := t.pushFrame(m.prog.Fn(in.Callee), in.Dst)
+		for i, a := range in.Args {
+			nf.regs[i] = caller[a]
+		}
 		advance = false
 	case ir.Spawn:
 		t.cycles += c.Call
 		// Thread creation synchronizes (pthread_create takes kernel locks):
 		// the parent's buffered stores are visible to the child.
 		m.drainAll(t)
-		callee := m.prog.Fn(in.Callee)
-		args := make([]int64, len(in.Args))
+		child := m.startThread(m.prog.Fn(in.Callee))
 		for i, a := range in.Args {
-			args[i] = f.regs[a]
+			child.frames[0].regs[i] = f.regs[a]
 		}
-		tid := m.startThread(callee, args)
 		if in.Dst != ir.NoReg {
-			f.regs[in.Dst] = int64(tid)
+			f.regs[in.Dst] = int64(child.id)
 		}
 		if m.cfg.Tracer != nil {
-			m.cfg.Tracer.Spawn(t.id, tid)
+			m.cfg.Tracer.Spawn(t.id, child.id)
 		}
 	case ir.Join:
 		t.cycles += c.Call

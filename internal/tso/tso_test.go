@@ -1,6 +1,7 @@
 package tso
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -386,5 +387,139 @@ func TestBufferCapForcesDrain(t *testing.T) {
 	out := Run(pb.MustBuild(), Config{Mode: TSO, Sched: Random, Policy: DrainLazy, BufferCap: 8, Seed: 3})
 	if out.Failed() {
 		t.Fatalf("capacity-forced drain missing: %v %v", out.Failures, out.Err)
+	}
+}
+
+// TestRandomSchedulerPinned pins the Random scheduler's exact runs: the
+// step and cycle counts and the final globals of mp and unfenced Peterson
+// at seeds 0-9, under SC and under TSO with DrainRandom. The values were
+// recorded before the step loop stopped building a ready list per step;
+// any change to which threads the scheduler draws from, or in what order,
+// moves them.
+func TestRandomSchedulerPinned(t *testing.T) {
+	progs := map[string]*ir.Program{"mp": mp(t), "peterson": peterson(t, false, 20)}
+	for _, c := range []struct {
+		prog      string
+		mode      Mode
+		seed      int64
+		steps     int64
+		maxCycles int64
+		sumCycles int64
+		globals   []int64
+	}{
+		{"mp", SC, 0, 22, 35, 61, []int64{42, 1}},
+		{"mp", SC, 1, 21, 30, 56, []int64{42, 1}},
+		{"mp", SC, 2, 22, 35, 61, []int64{42, 1}},
+		{"mp", SC, 3, 26, 35, 67, []int64{42, 1}},
+		{"mp", SC, 4, 26, 35, 67, []int64{42, 1}},
+		{"mp", SC, 5, 22, 35, 61, []int64{42, 1}},
+		{"mp", SC, 6, 22, 35, 61, []int64{42, 1}},
+		{"mp", SC, 7, 22, 35, 61, []int64{42, 1}},
+		{"mp", SC, 8, 22, 35, 61, []int64{42, 1}},
+		{"mp", SC, 9, 22, 35, 61, []int64{42, 1}},
+		{"mp", TSO, 0, 26, 35, 67, []int64{42, 1}},
+		{"mp", TSO, 1, 21, 30, 56, []int64{42, 1}},
+		{"mp", TSO, 2, 22, 35, 61, []int64{42, 1}},
+		{"mp", TSO, 3, 26, 35, 67, []int64{42, 1}},
+		{"mp", TSO, 4, 26, 35, 67, []int64{42, 1}},
+		{"mp", TSO, 5, 22, 35, 61, []int64{42, 1}},
+		{"mp", TSO, 6, 30, 35, 73, []int64{42, 1}},
+		{"mp", TSO, 7, 22, 35, 61, []int64{42, 1}},
+		{"mp", TSO, 8, 22, 35, 61, []int64{42, 1}},
+		{"mp", TSO, 9, 22, 35, 61, []int64{42, 1}},
+		{"peterson", SC, 0, 1112, 815, 1593, []int64{0, 0, 0, 40}},
+		{"peterson", SC, 1, 1035, 716, 1472, []int64{0, 0, 0, 40}},
+		{"peterson", SC, 2, 1028, 727, 1461, []int64{0, 0, 0, 40}},
+		{"peterson", SC, 3, 1111, 782, 1588, []int64{0, 0, 1, 40}},
+		{"peterson", SC, 4, 1098, 771, 1571, []int64{0, 0, 0, 40}},
+		{"peterson", SC, 5, 1070, 782, 1527, []int64{0, 0, 0, 40}},
+		{"peterson", SC, 6, 1160, 815, 1665, []int64{0, 0, 1, 40}},
+		{"peterson", SC, 7, 1140, 848, 1637, []int64{0, 0, 0, 40}},
+		{"peterson", SC, 8, 1007, 694, 1428, []int64{0, 0, 0, 40}},
+		{"peterson", SC, 9, 1118, 804, 1599, []int64{0, 0, 1, 40}},
+		{"peterson", TSO, 0, 1469, 1043, 2088, []int64{0, 0, 0, 40}},
+		{"peterson", TSO, 1, 1244, 847, 1725, []int64{0, 0, 1, 40}},
+		{"peterson", TSO, 2, 1497, 1059, 2120, []int64{0, 0, 0, 39}},
+		{"peterson", TSO, 3, 1525, 1083, 2164, []int64{0, 0, 0, 40}},
+		{"peterson", TSO, 4, 1412, 1011, 1985, []int64{0, 0, 1, 38}},
+		{"peterson", TSO, 5, 1539, 1102, 2196, []int64{0, 0, 0, 39}},
+		{"peterson", TSO, 6, 1434, 1034, 2031, []int64{0, 0, 0, 40}},
+		{"peterson", TSO, 7, 1665, 1235, 2376, []int64{0, 0, 0, 40}},
+		{"peterson", TSO, 8, 1476, 1033, 2075, []int64{0, 0, 0, 40}},
+		{"peterson", TSO, 9, 1482, 1059, 2089, []int64{0, 0, 1, 40}},
+	} {
+		p := progs[c.prog]
+		o := Run(p, Config{Mode: c.mode, Sched: Random, Policy: DrainRandom, Seed: c.seed})
+		var cells []int64
+		for _, g := range p.Globals {
+			for i := 0; i < g.Size; i++ {
+				cells = append(cells, o.GlobalIdx(g.Name, i))
+			}
+		}
+		if o.Steps != c.steps || o.MaxCycles != c.maxCycles || o.SumCycles != c.sumCycles ||
+			!slices.Equal(cells, c.globals) {
+			t.Errorf("%s %s seed %d: steps=%d max=%d sum=%d globals=%v, want %d %d %d %v",
+				c.prog, c.mode, c.seed, o.Steps, o.MaxCycles, o.SumCycles, cells,
+				c.steps, c.maxCycles, c.sumCycles, c.globals)
+		}
+	}
+}
+
+// spinLoop builds two workers that each run iters iterations of a store,
+// a load of the other's cell and a call, then raise a done flag and spin
+// until the other's is raised too. Only the number of simulated steps
+// depends on iters.
+func spinLoop(t testing.TB, iters int64) *ir.Program {
+	t.Helper()
+	pb := ir.NewProgram("spinloop")
+	x := pb.Global("x", 2)
+	done := pb.Global("done", 2)
+	inc := pb.Func("inc", 1)
+	inc.Ret(inc.AddImm(inc.Param(0), 1))
+	worker := func(name string, me, other int64) {
+		b := pb.Func(name, 0)
+		meR, otherR, one := b.Const(me), b.Const(other), b.Const(1)
+		b.ForConst(0, iters, func(i ir.Reg) {
+			b.StoreIdx(x, meR, b.Call("inc", i))
+			b.LoadIdx(x, otherR)
+		})
+		b.StoreIdx(done, meR, one)
+		b.SpinWhileNe(done, otherR, one)
+		b.RetVoid()
+	}
+	worker("w0", 0, 1)
+	worker("w1", 1, 0)
+	main := pb.Func("main", 0)
+	t0 := main.Spawn("w0")
+	t1 := main.Spawn("w1")
+	main.Join(t0)
+	main.Join(t1)
+	main.RetVoid()
+	pb.SetMain("main")
+	return pb.MustBuild()
+}
+
+// TestRunAllocsPerRunIndependentOfSteps pins the simulator's hot path:
+// a run allocates for its setup (machine, threads, frames, outcome) but
+// nothing per simulated step, so a hundredfold longer run allocates
+// exactly as much — under the Figure 10 configuration (MinTime, TSO,
+// DrainRandom) and under the Random scheduler (SC).
+func TestRunAllocsPerRunIndependentOfSteps(t *testing.T) {
+	short, long := spinLoop(t, 10), spinLoop(t, 1000)
+	for _, cfg := range []Config{
+		{Mode: TSO, Sched: MinTime, Policy: DrainRandom},
+		{Mode: SC, Sched: Random, Seed: 1},
+	} {
+		allocs := func(p *ir.Program) float64 {
+			var out *Outcome
+			n := testing.AllocsPerRun(20, func() { out = Run(p, cfg) })
+			if out.Failed() {
+				t.Fatalf("%s: %v %v", cfg.Mode, out.Failures, out.Err)
+			}
+			return n
+		}
+		if a, b := allocs(short), allocs(long); a != b {
+			t.Errorf("%s sched %d: %v allocs at 10 iterations, %v at 1000", cfg.Mode, cfg.Sched, a, b)
+		}
 	}
 }
