@@ -303,15 +303,14 @@ func (s *pathSearch) unfencedPathExists(u, v *ir.Instr, needFull bool) bool {
 
 	b, from := u.Block(), u.Pos()+1
 	for {
-		switch scanBlock(b, from, v, needFull) {
-		case reachedV:
+		reached, t := scanBlock(b, from, v, needFull)
+		if reached {
 			return true
-		case reachedEnd:
-			if t := b.Terminator(); t.Kind == ir.Br || t.Kind == ir.Jmp {
-				s.enter(t.Then)
-				if t.Kind == ir.Br {
-					s.enter(t.Else)
-				}
+		}
+		if t != nil && (t.Kind == ir.Br || t.Kind == ir.Jmp) {
+			s.enter(t.Then)
+			if t.Kind == ir.Br {
+				s.enter(t.Else)
 			}
 		}
 		if len(s.stack) == 0 {
@@ -330,31 +329,23 @@ func (s *pathSearch) enter(b *ir.Block) {
 	}
 }
 
-// scanResult is how a scan of one block ends.
-type scanResult int
-
-const (
-	blocked    scanResult = iota // a fence of sufficient strength (or an unterminated block)
-	reachedV                     // v is reached before any blocking fence
-	reachedEnd                   // the terminator is reached: the path continues in the successors
-)
-
-// scanBlock walks b from index from, stopping at v, at a blocking fence
-// or at the terminator. v is reached when the walk arrives at it, before
-// v itself is examined.
-func scanBlock(b *ir.Block, from int, v *ir.Instr, needFull bool) scanResult {
+// scanBlock walks b from index from. It reports whether the walk arrives
+// at v (before v itself is examined); otherwise it returns the terminator
+// it reached, through which the path continues, or nil when a fence of
+// sufficient strength blocked it.
+func scanBlock(b *ir.Block, from int, v *ir.Instr, needFull bool) (reached bool, term *ir.Instr) {
 	for _, in := range b.Instrs[from:] {
 		if in == v {
-			return reachedV
+			return true, nil
 		}
 		if in.Kind == ir.Fence && (!needFull || ir.FenceKind(in.Imm) == ir.FenceFull) {
-			return blocked
+			return false, nil
 		}
 		if in.IsTerminator() {
-			return reachedEnd
+			return false, in
 		}
 	}
-	return blocked // fell off an unterminated block (cannot happen on valid IR)
+	return false, nil // fell off an unterminated block (cannot happen on valid IR)
 }
 
 // Describe renders the plan for human inspection (CLI and tests).

@@ -17,6 +17,10 @@
 // MaxCycles is the simulated wall-clock of the run and is what the
 // Figure 10 experiment reports. Random is an adversarial scheduler for
 // correctness testing.
+//
+// A run allocates for its setup but not per simulated step: the scheduler
+// builds no ready list, drains shift the store buffer in place, and calls
+// reuse the register file left at their frame depth.
 package tso
 
 import (
