@@ -581,3 +581,80 @@ func TestEvalTablesMatchGolden(t *testing.T) {
 		t.Errorf("rendered evaluation tables differ from bench/testdata/eval_tables.txt\ngot:\n%s", got)
 	}
 }
+
+// TestCertKernelsVisitCounts pins the SC and TSO state counts of every
+// cert-kernels cell at one exploration worker, where the search order —
+// and with it every count — is deterministic. A change to the state
+// encoding or the fingerprint that keeps these counts has kept the
+// quotient of states the reductions explore.
+func TestCertKernelsVisitCounts(t *testing.T) {
+	t.Setenv("FENCEPLACE_CACHE_DIR", "")
+	type visits struct{ sc, tso int64 }
+	// Recorded at one worker before the live-register state encoding.
+	want := map[string]visits{
+		"chaselev/Manual":           {3108, 6138},
+		"chaselev/Pensieve":         {3108, 5357},
+		"chaselev/Address+Control":  {3108, 5352},
+		"chaselev/Control":          {3108, 5352},
+		"cilk5/Manual":              {3910, 12625},
+		"cilk5/Pensieve":            {3910, 7855},
+		"cilk5/Address+Control":     {3910, 7851},
+		"cilk5/Control":             {3910, 7851},
+		"clh/Manual":                {3053, 7514},
+		"clh/Pensieve":              {3053, 5364},
+		"clh/Address+Control":       {3053, 5363},
+		"clh/Control":               {3053, 5363},
+		"dekker/Manual":             {2790, 7713},
+		"dekker/Pensieve":           {2790, 5487},
+		"dekker/Address+Control":    {2790, 5486},
+		"dekker/Control":            {2790, 5486},
+		"lamport/Manual":            {12515, 47166},
+		"lamport/Pensieve":          {12515, 25374},
+		"lamport/Address+Control":   {12515, 25373},
+		"lamport/Control":           {12515, 25373},
+		"mcs/Manual":                {8555, 18937},
+		"mcs/Pensieve":              {8555, 14785},
+		"mcs/Address+Control":       {8555, 14784},
+		"mcs/Control":               {8555, 14784},
+		"msqueue/Manual":            {1812, 3093},
+		"msqueue/Pensieve":          {1812, 3145},
+		"msqueue/Address+Control":   {1812, 3141},
+		"msqueue/Control":           {1812, 3141},
+		"peterson/Manual":           {2049, 3721},
+		"peterson/Pensieve":         {2049, 3432},
+		"peterson/Address+Control":  {2049, 3431},
+		"peterson/Control":          {2049, 3431},
+		"szymanski/Manual":          {4831, 10754},
+		"szymanski/Pensieve":        {4831, 9082},
+		"szymanski/Address+Control": {4831, 9081},
+		"szymanski/Control":         {4831, 9081},
+	}
+	runner := corpus.Runner{
+		Certify: true,
+		Workers: 1,
+		Options: []fenceplace.Option{fenceplace.WithCacheDir(""), fenceplace.WithWorkers(1)},
+	}
+	rep, err := runner.Run(context.Background(), corpus.CertSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, row := range rep.Rows {
+		for _, v := range row.Variants {
+			cells++
+			cell := row.Program + "/" + v.Name
+			if v.Cert == nil {
+				t.Errorf("%s: not certified", cell)
+				continue
+			}
+			got := visits{v.Cert.VisitedSC, v.Cert.VisitedTSO}
+			if w, ok := want[cell]; !ok || got != w {
+				t.Errorf("%s: visited %d SC / %d TSO states, want %d / %d", cell, got.sc, got.tso, w.sc, w.tso)
+				t.Logf("\t%q: {%d, %d},", cell, got.sc, got.tso)
+			}
+		}
+	}
+	if cells != len(want) {
+		t.Errorf("%d cells, want %d", cells, len(want))
+	}
+}

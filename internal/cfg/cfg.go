@@ -2,8 +2,8 @@
 // successor/predecessor maps, reverse postorder, and — the workhorse of
 // Pensieve-style ordering generation (paper §4.3) — a reachability lookup
 // table answering "can access v occur after access u on some execution
-// path?" — plus the register liveness the model checker's dead-register
-// reduction runs on.
+// path?" — plus the register liveness the model checker's state encoding
+// runs on.
 package cfg
 
 import (
@@ -123,14 +123,15 @@ func (g *Graph) CanFollow(u, v *ir.Instr) bool {
 // InLoop reports whether b lies on a CFG cycle.
 func (g *Graph) InLoop(b *ir.Block) bool { return g.BlockReaches(b, b) }
 
-// DeadRegs runs a backward liveness analysis over fn (ir.Instr.Uses and
+// LiveRegs runs a backward liveness analysis over fn (ir.Instr.Uses and
 // Def, ir.Block.Succs) and returns, for every instruction, the registers
-// dead on entry to it: those that no path from that point reads before
+// live on entry to it: those that some path from that point reads before
 // writing. The result is indexed [block ID][instruction index], and each
-// list is in ascending register order. A dead register's value cannot
+// list is in ascending register order. Any other register's value cannot
 // influence any future of the executing frame, which is what lets the
-// model checker zero it without changing the reachable outcomes.
-func DeadRegs(fn *ir.Fn) [][][]ir.Reg {
+// model checker leave it out of its state encoding without changing the
+// reachable outcomes.
+func LiveRegs(fn *ir.Fn) [][][]ir.Reg {
 	n := fn.NRegs
 	live := make([]bool, n)
 	liveIn := make([]bool, len(fn.Blocks)*n) // block b's set is liveIn[b*n:(b+1)*n]
@@ -170,25 +171,34 @@ func DeadRegs(fn *ir.Fn) [][][]ir.Reg {
 			}
 		}
 	}
-	// The lists share one backing array, sized for every register dead
-	// everywhere (most are), so the table costs a fixed handful of
-	// allocations per function.
-	flat := make([]ir.Reg, 0, fn.NumInstrs()*n)
-	lists := make([][]ir.Reg, fn.NumInstrs())
-	dead := make([][][]ir.Reg, len(fn.Blocks))
-	for bi, b := range fn.Blocks {
-		dead[bi], lists = lists[:len(b.Instrs)], lists[len(b.Instrs):]
+	// The lists are windows of one backing array, cut once it has stopped
+	// growing, so the table costs a fixed handful of allocations per
+	// function. spans[k] bounds the list of the k-th instruction in block
+	// order.
+	var flat []ir.Reg
+	spans := make([][2]int, fn.NumInstrs())
+	k := 0
+	for _, b := range fn.Blocks {
 		liveOut(b)
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			transfer(b.Instrs[i])
 			start := len(flat)
 			for r, l := range live {
-				if !l {
+				if l {
 					flat = append(flat, ir.Reg(r))
 				}
 			}
-			dead[bi][i] = flat[start:len(flat):len(flat)]
+			spans[k+i] = [2]int{start, len(flat)}
 		}
+		k += len(b.Instrs)
 	}
-	return dead
+	lists := make([][]ir.Reg, len(spans))
+	for k, sp := range spans {
+		lists[k] = flat[sp[0]:sp[1]:sp[1]]
+	}
+	table := make([][][]ir.Reg, len(fn.Blocks))
+	for bi, b := range fn.Blocks {
+		table[bi], lists = lists[:len(b.Instrs)], lists[len(b.Instrs):]
+	}
+	return table
 }

@@ -255,60 +255,60 @@ join:
 }
 `
 
-// TestDeadRegs pins the dead set on entry to every instruction of liveSrc.
-func TestDeadRegs(t *testing.T) {
+// TestLiveRegs pins the live set on entry to every instruction of liveSrc.
+func TestLiveRegs(t *testing.T) {
 	p, err := ir.Parse(liveSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string][]string{
 		"main": {
-			"r0 r1 r2 r3", // r0 = const 5
-			"r1 r2 r3",    // spawn reads r0
-			"r2 r3",       // call reads r0; r1 is joined later; r2 is its destination
-			"r0 r3",       // join reads r1; r2 is stored after it
-			"r0 r1 r3",    // store reads r2
-			"r0 r1 r2 r3", // ret
+			"",      // r0 = const 5
+			"r0",    // spawn reads r0
+			"r0 r1", // call reads r0; r1 is joined later; r2 is its destination
+			"r1 r2", // join reads r1; r2 is stored after it
+			"r2",    // store reads r2
+			"",      // ret
 		},
 		"inc": {
-			"r1 r2", // the second parameter is never read
-			"r1",    // add reads r0 and r2
-			"r0 r1", // ret reads r2
+			"r0",    // the second parameter is never read
+			"r0 r2", // add reads r0 and r2
+			"r2",    // ret reads r2
 		},
 		"loop": {
-			"r1 r2", // entry: the bound r0 is live throughout the loop
-			"r2",
-			"r2", // head: r1 and r0 cross the back edge
-			"",   // br reads r2
-			"r2", // body
-			"r2",
-			"",
-			"r2",
-			"r0 r1 r2", // done
+			"r0", // entry: the bound r0 is live throughout the loop
+			"r0 r1",
+			"r0 r1",    // head: r1 and r0 cross the back edge
+			"r0 r1 r2", // br reads r2
+			"r0 r1",    // body
+			"r0 r1",
+			"r0 r1 r2",
+			"r0 r1",
+			"", // done
 		},
 		"pick": {
-			"r2", // r1 is live on entry: the b arm reads it at the join
-			"r2",
-			"r0 r1 r2", // a redefines r1
-			"r0 r2",
-			"r0 r2", // b passes r1 through
-			"r0 r2", // join reads r1
+			"r0 r1", // r1 is live on entry: the b arm reads it at the join
+			"r0 r1",
+			"", // a redefines r1
+			"r1",
+			"r1", // b passes r1 through
+			"r1", // join reads r1
 		},
 	}
 	for _, f := range p.Funcs {
-		dead := DeadRegs(f)
+		live := LiveRegs(f)
 		var got []string
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
 				var names []string
-				for _, r := range dead[b.ID()][i] {
+				for _, r := range live[b.ID()][i] {
 					names = append(names, fmt.Sprintf("r%d", r))
 				}
 				got = append(got, strings.Join(names, " "))
 			}
 		}
 		if !slices.Equal(got, want[f.Name]) {
-			t.Errorf("%s: dead sets\n got %q\nwant %q", f.Name, got, want[f.Name])
+			t.Errorf("%s: live sets\n got %q\nwant %q", f.Name, got, want[f.Name])
 		}
 	}
 }

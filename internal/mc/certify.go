@@ -234,7 +234,18 @@ func witness(ctx context.Context, p *ir.Program, threadFns []string, cfg Config,
 	out := make(map[string][]Step, len(targets))
 	remaining := len(targets)
 	seen := make(map[string]bool)
-	encBuf := make([]byte, 0, 256)
+	var enc []uint64
+	var seenKey []byte
+	// firstSight marks s seen, reporting whether it was new.
+	firstSight := func(s *state) bool {
+		enc = e.encode(s, enc)
+		seenKey = appendWordBytes(seenKey[:0], enc)
+		if seen[string(seenKey)] {
+			return false
+		}
+		seen[string(seenKey)] = true
+		return true
+	}
 
 	var an analysis
 	push := func(stack []*wframe, s *state, step Step) []*wframe {
@@ -248,8 +259,7 @@ func witness(ctx context.Context, p *ir.Program, threadFns []string, cfg Config,
 		return append(stack, f)
 	}
 
-	encBuf = e.encode(init, encBuf)
-	seen[string(encBuf)] = true
+	firstSight(init)
 	stack := push(nil, init, Step{})
 	var visited int64
 
@@ -300,12 +310,9 @@ func witness(ctx context.Context, p *ir.Program, threadFns []string, cfg Config,
 			step = Step{Thread: tid, Drain: true, Desc: fmt.Sprintf("%s = %d", e.addrName(en.addr), en.val)}
 			applyDrain(child, tid)
 		}
-		encBuf = e.encode(child, encBuf)
-		key := string(encBuf)
-		if seen[key] {
+		if !firstSight(child) {
 			continue
 		}
-		seen[key] = true
 		stack = push(stack, child, step)
 	}
 	return out

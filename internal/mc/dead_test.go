@@ -14,7 +14,8 @@ import (
 // (so a Ret has a caller whose retDst it writes) after buffering a store,
 // and the second thread finishes at once (so a Join of thread 1 is
 // enabled). Every register of f is printed afterwards: nothing is dead
-// after the instruction, so killing cannot mask what it wrote.
+// after the instruction, so leaving dead registers out of the encoding
+// cannot mask what it wrote.
 const usesSrc = `
 program uses
 global g 4
@@ -179,7 +180,7 @@ func TestStepReadsOnlyUses(t *testing.T) {
 					}
 				}
 			}
-			if a, b := e.encode(s[0], nil), e.encode(s[1], nil); string(a) != string(b) {
+			if a, b := e.encode(s[0], nil), e.encode(s[1], nil); !slices.Equal(a, b) {
 				t.Errorf("%s: states differ after the step: it read a register outside Uses() %v", label, uses)
 			}
 		}
@@ -191,14 +192,16 @@ func TestStepReadsOnlyUses(t *testing.T) {
 	}
 }
 
-// TestEveryFrameStaysKilled runs a program along one schedule and checks
-// after every step that each frame of each thread holds zero in all its
-// dead registers: the caller a Call suspends (its argument r0 dies at the
-// Call), the frame a Spawn starts (its second parameter is never read) and
-// the caller whose dead destination a Ret writes.
-func TestEveryFrameStaysKilled(t *testing.T) {
+// TestEncodingIgnoresDeadRegisters runs a program along one schedule and
+// checks after every step that the encoding, and so the fingerprint, of
+// the state holds exactly its live registers: poisoning every dead
+// register of every frame leaves both unchanged, and poisoning any single
+// live register changes both. The dead registers include the argument r0
+// of the caller a Call suspends, the second parameter of the frame a
+// Spawn starts, and the destination a Ret writes that is never read.
+func TestEncodingIgnoresDeadRegisters(t *testing.T) {
 	p := ir.MustParse(`
-program killed
+program deadregs
 global g 1
 main main
 
@@ -224,12 +227,30 @@ entry:
   ret
 }
 `)
+	// poison rewrites register r of every frame for which pick reports
+	// true, in a copy of s.
+	poison := func(s *state, pick func(tid, depth int, f *frm, r ir.Reg) bool) *state {
+		c := s.clone()
+		for tid := range c.threads {
+			for depth := range c.threads[tid].frames {
+				f := &c.threads[tid].frames[depth]
+				for r := range f.regs {
+					if pick(tid, depth, f, ir.Reg(r)) {
+						f.regs[r] = -1000 - int64(r)
+					}
+				}
+			}
+		}
+		return c
+	}
+	isLive := func(f *frm, r ir.Reg) bool { return slices.Contains(f.fn.live[f.blk.ID()][f.idx], r) }
 	for _, mode := range []tso.Mode{tso.SC, tso.TSO} {
 		e, s, err := newEngine(p, nil, Config{Mode: mode, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var an analysis
+		deadSeen, liveSeen := 0, 0
 		for steps := 0; !s.terminal(); steps++ {
 			e.analyze(s, &an)
 			bit := 0
@@ -243,16 +264,33 @@ entry:
 			} else {
 				applyDrain(s, bit-MaxThreads)
 			}
+			want := e.encode(s, nil)
+			wantH := hash128w(want)
+			dead := poison(s, func(_, _ int, f *frm, r ir.Reg) bool {
+				if !isLive(f, r) {
+					deadSeen++
+					return true
+				}
+				return false
+			})
+			if got := e.encode(dead, nil); !slices.Equal(got, want) || hash128w(got) != wantH {
+				t.Fatalf("%s step %d: poisoning dead registers changed the encoding\n got %v\nwant %v", mode, steps, got, want)
+			}
 			for tid := range s.threads {
-				for _, f := range s.threads[tid].frames {
-					for _, r := range f.fn.dead[f.blk.ID()][f.idx] {
-						if f.regs[r] != 0 {
-							t.Fatalf("%s step %d: thread %d frame %s at %s:%d holds %d in dead r%d",
-								mode, steps, tid, f.fn.Name, f.blk.Name, f.idx, f.regs[r], r)
+				for depth, f := range s.threads[tid].frames {
+					for _, r := range f.fn.live[f.blk.ID()][f.idx] {
+						liveSeen++
+						one := poison(s, func(t2, d2 int, _ *frm, r2 ir.Reg) bool { return t2 == tid && d2 == depth && r2 == r })
+						if got := e.encode(one, nil); slices.Equal(got, want) || hash128w(got) == wantH {
+							t.Fatalf("%s step %d: poisoning live r%d of thread %d frame %s left the encoding unchanged",
+								mode, steps, r, tid, f.fn.Name)
 						}
 					}
 				}
 			}
+		}
+		if deadSeen == 0 || liveSeen == 0 {
+			t.Fatalf("%s: %d dead and %d live registers checked", mode, deadSeen, liveSeen)
 		}
 	}
 }

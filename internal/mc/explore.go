@@ -95,7 +95,7 @@ type engine struct {
 // worker; freelists never cross workers, so no locking is involved.
 type workerCtx struct {
 	local      []*node
-	encBuf     []byte
+	encBuf     []uint64
 	keyBuf     []byte
 	an         analysis
 	freeStates []*state
@@ -310,7 +310,7 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			wctx := &workerCtx{encBuf: make([]byte, 0, 256)}
+			wctx := &workerCtx{encBuf: make([]uint64, 0, 64)}
 			e.worker(wctx)
 			wctx.stats.flush(shard)
 			for m := wctx.stats.maxMem; ; {
@@ -560,26 +560,29 @@ func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32) {
 	var need bool
 	var revisit uint32
 	if e.cfg.ExactSeen {
-		sh := &e.shards[fnv1a(w.encBuf)%nShards]
+		// The oracle keys by the encoding's bytes; keyBuf is free scratch
+		// until record renders the next outcome key into it.
+		w.keyBuf = appendWordBytes(w.keyBuf[:0], w.encBuf)
+		sh := &e.shards[fnv1a(w.keyBuf)%nShards]
 		sh.mu.Lock()
 		if sh.m == nil {
 			sh.m = make(map[string]uint32)
 		}
-		prev, seen := sh.m[string(w.encBuf)] // no-copy map probe
+		prev, seen := sh.m[string(w.keyBuf)] // no-copy map probe
 		switch {
 		case !seen:
-			sh.m[string(w.encBuf)] = sleep
+			sh.m[string(w.keyBuf)] = sleep
 			need = true
 		case prev&^sleep == 0:
 			// Already covered for a sleep set at least as permissive: prune.
 		default:
 			// Previously slept transitions wake up: expand just those.
-			sh.m[string(w.encBuf)] = prev & sleep
+			sh.m[string(w.keyBuf)] = prev & sleep
 			need, revisit = true, prev&^sleep
 		}
 		sh.mu.Unlock()
 	} else {
-		h := hash128(w.encBuf)
+		h := hash128w(w.encBuf)
 		si := int(h.hi % nShards)
 		sh := &e.shards[si]
 		sh.mu.Lock()

@@ -8,10 +8,10 @@
 // Compared with the legacy sequential enumerator (tso.Explore) the engine
 // adds four things:
 //
-//   - canonical state hashing: states are encoded into a compact canonical
-//     byte string (memory, per-thread frame stacks, store buffers), so
-//     structurally identical states met along different interleavings are
-//     explored once;
+//   - canonical state hashing: states are encoded into a canonical string
+//     of fixed-width words (memory, per-thread store buffers and frame
+//     stacks), so structurally identical states met along different
+//     interleavings are explored once;
 //
 //   - partial-order reduction: a persistent-set rule executes invisible
 //     transitions (register ops, buffered stores, forwarded loads, frame
@@ -20,12 +20,13 @@
 //     transitions. Reduction preserves the reachable final-state set, which
 //     is the property certification compares;
 //
-//   - dead-register reduction: after every step, the registers a frame
-//     will overwrite before reading again (cfg.DeadRegs, a backward
-//     liveness pass per function) are set to zero, so states that differ
-//     only in values no path reads hash alike and are explored once. A
-//     dead value cannot reach memory, a branch or an outcome, so the
-//     reachable final-state set is unchanged;
+//   - dead-register reduction: a frame's encoding holds only the
+//     registers live at its program point (cfg.LiveRegs, a backward
+//     liveness pass per function), so states that differ only in values
+//     no path reads before overwriting hash alike and are explored once.
+//     Dead registers keep whatever stale value they last held; a dead
+//     value cannot reach memory, a branch or an outcome, so the reachable
+//     final-state set is unchanged;
 //
 //   - a sharded work-stealing worker pool: every worker owns a frontier
 //     stack and a shard of the seen set; surplus states are handed off to
@@ -60,7 +61,6 @@
 package mc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -196,15 +196,15 @@ type bufEntry struct {
 
 // fnInfo is the engine's per-function record, shared by every frame of
 // the function: its identity in state encodings (its index in
-// Program.Funcs) and its dead-register table from cfg.DeadRegs.
+// Program.Funcs) and its live-register table from cfg.LiveRegs.
 type fnInfo struct {
 	*ir.Fn
 	id   int32
-	dead [][][]ir.Reg // [block ID][instruction index] -> registers dead on entry
+	live [][][]ir.Reg // [block ID][instruction index] -> registers live on entry
 }
 
 func newFnInfo(fn *ir.Fn, id int) *fnInfo {
-	return &fnInfo{Fn: fn, id: int32(id), dead: cfg.DeadRegs(fn)}
+	return &fnInfo{Fn: fn, id: int32(id), live: cfg.LiveRegs(fn)}
 }
 
 type frm struct {
@@ -285,52 +285,41 @@ func (t *thr) next() *ir.Instr {
 	return f.blk.Instrs[f.idx]
 }
 
-// kill zeroes the registers that are dead at the frame's program point.
-// Every frame of every state the engine produces is killed this way, so
-// two states that differ only in values no path will read encode alike
-// and are explored once.
-func (f *frm) kill() {
-	for _, r := range f.fn.dead[f.blk.ID()][f.idx] {
-		f.regs[r] = 0
-	}
-}
-
-// encode renders the state into its canonical byte form, appending to buf
-// (callers keep a per-worker buffer to avoid allocation churn). Block
-// identity is (function index, block id), so the encoding is stable across
-// workers.
-func (e *engine) encode(s *state, buf []byte) []byte {
-	b := buf[:0]
+// encode renders the state into its canonical form, a string of words
+// appended to buf (callers keep a per-worker buffer to avoid allocation
+// churn). The header is the failed flag and the memory and thread counts,
+// then come the memory words; each thread contributes a word packing its
+// done flag, buffer length and frame count, its buffered (addr, val)
+// pairs, and per frame two position words — (function index, block id)
+// and (instruction index, retDst), stable across workers — followed by
+// the registers live at that position only. Position determines the live
+// set, so the string stays injective on everything a future step can read.
+func (e *engine) encode(s *state, buf []uint64) []uint64 {
+	failed := uint64(0)
 	if s.failed {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+		failed = 1
 	}
-	b = binary.AppendVarint(b, int64(len(s.mem)))
+	b := append(buf[:0], failed, uint64(len(s.mem)), uint64(len(s.threads)))
 	for _, v := range s.mem {
-		b = binary.AppendVarint(b, v)
+		b = append(b, uint64(v))
 	}
 	for i := range s.threads {
 		t := &s.threads[i]
-		flag := byte(0)
+		done := uint64(0)
 		if t.done {
-			flag = 1
+			done = 1
 		}
-		b = append(b, '|', flag)
-		b = binary.AppendVarint(b, int64(len(t.buf)))
+		b = append(b, done|uint64(len(t.buf))<<1|uint64(len(t.frames))<<32)
 		for _, en := range t.buf {
-			b = binary.AppendVarint(b, en.addr)
-			b = binary.AppendVarint(b, en.val)
+			b = append(b, uint64(en.addr), uint64(en.val))
 		}
-		b = binary.AppendVarint(b, int64(len(t.frames)))
 		for j := range t.frames {
 			f := &t.frames[j]
-			b = binary.AppendVarint(b, int64(f.fn.id))
-			b = binary.AppendVarint(b, int64(f.blk.ID()))
-			b = binary.AppendVarint(b, int64(f.idx))
-			b = binary.AppendVarint(b, int64(f.retDst))
-			for _, r := range f.regs {
-				b = binary.AppendVarint(b, r)
+			blk, regs := f.blk.ID(), f.regs
+			live := f.fn.live[blk][f.idx]
+			b = append(b, uint64(f.fn.id)<<32|uint64(blk), uint64(f.idx)<<32|uint64(uint32(f.retDst)))
+			for _, r := range live {
+				b = append(b, uint64(regs[r]))
 			}
 		}
 	}
@@ -590,8 +579,7 @@ func applyDrain(s *state, tid int) {
 
 // applyStep executes the next instruction of thread tid, in place. It
 // mirrors tso.Run's semantics exactly (including forced drains, LOCK-prefix
-// RMWs and thread-exit buffer publication) minus cost accounting, then
-// kills every frame whose position or registers the step changed.
+// RMWs and thread-exit buffer publication) minus cost accounting.
 func (e *engine) applyStep(s *state, tid int) error {
 	t := &s.threads[tid]
 	f := t.top()
@@ -797,26 +785,12 @@ func (e *engine) applyStep(s *state, tid int) error {
 	}
 
 	if advance {
-		f = t.top()
-		f.idx++
-	}
-	// The top frame moved (or, after a Ret, had its retDst written); a
-	// Call also moved the caller past it, and a Spawn started a frame
-	// whose unused parameters are dead.
-	if len(t.frames) > 0 {
-		t.top().kill()
-	}
-	switch in.Kind {
-	case ir.Call:
-		t.frames[len(t.frames)-2].kill()
-	case ir.Spawn:
-		s.threads[len(s.threads)-1].top().kill()
+		t.top().idx++
 	}
 	return nil
 }
 
-// newFrame builds an entry frame with zeroed registers, which is already
-// killed: a register holding zero needs no clearing.
+// newFrame builds an entry frame with zeroed registers.
 func newFrame(fn *fnInfo) frm {
 	return frm{fn: fn, blk: fn.Entry(), idx: 0, regs: make([]int64, fn.NRegs), retDst: ir.NoReg}
 }

@@ -146,3 +146,38 @@ func TestHash128Vectors(t *testing.T) {
 		}
 	}
 }
+
+// TestHash128wMatchesBytes pins hash128w to hash128 over the words'
+// little-endian bytes, for even and odd word counts (a whole number of
+// 16-byte blocks, or one 8-byte tail word).
+func TestHash128wMatchesBytes(t *testing.T) {
+	w := make([]uint64, 41)
+	for i := range w {
+		w[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+	}
+	for n := 0; n <= len(w); n++ {
+		if got, want := hash128w(w[:n]), hash128(appendWordBytes(nil, w[:n])); got != want {
+			t.Errorf("%d words: hash128w = %016x%016x, hash128 of the bytes = %016x%016x", n, got.hi, got.lo, want.hi, want.lo)
+		}
+	}
+}
+
+// TestHash128wEncodeAllocs pins the per-state fingerprint path: encoding a
+// state into a warm buffer and hashing the words allocates nothing.
+func TestHash128wEncodeAllocs(t *testing.T) {
+	e, s, err := newEngine(medium3(), []string{"t0", "t1", "t2"}, Config{Mode: tso.TSO, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := e.encode(s, nil)
+	var h h128
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = e.encode(s, buf)
+		h = hash128w(buf)
+	}); allocs != 0 {
+		t.Errorf("encode + hash128w allocated %.1f times per state, want 0", allocs)
+	}
+	if h == (h128{}) {
+		t.Error("zero fingerprint")
+	}
+}
