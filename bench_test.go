@@ -300,7 +300,7 @@ func BenchmarkCertify(b *testing.B) {
 // so the two-level seen set must seal hot tables into sorted runs and
 // spill them to disk to finish. The budget comes from
 // FENCEPLACE_BENCH_MEMCAP (MemoryCap in arena words; the default 1<<19
-// words anchors a 4 MiB seen budget, against the ~29 MiB an unbounded hot
+// words anchors a 4 MiB seen budget, against the ~14 MiB an unbounded hot
 // tier would hold at ~26 B per state).
 //
 // The benchmark fails if spilling never engaged (the program fit in RAM —
@@ -321,7 +321,7 @@ func BenchmarkCertifySpill(b *testing.B) {
 	m := progs.ByName("msqueue")
 	pp := m.Defaults
 	pp.Threads = 3
-	pp.Size = 4 // ~1.1M states: far past the capped seen budget
+	pp.Size = 4 // ~530k states: far past the capped seen budget
 	res := fenceplace.Analyze(m.Build(pp), fenceplace.Control)
 	opts := []fenceplace.Option{
 		fenceplace.WithWorkers(runtime.GOMAXPROCS(0)),

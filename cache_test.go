@@ -313,10 +313,20 @@ func TestCorruptTSOEntryReexplored(t *testing.T) {
 func TestIncompleteTSOExplorationNotStored(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "")
 
-	// Truncated: dekker's SC side fits in 1000 states, its TSO side does not.
+	// Truncated: dekker's SC side fits in the budget, its TSO side does not.
+	const budget = 400
+	full, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil,
+		fenceplace.WithCacheDir(""), fenceplace.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.VisitedSC > budget || full.VisitedTSO <= budget {
+		t.Fatalf("dekker explores %d SC / %d TSO states; the budget %d must close the SC side only",
+			full.VisitedSC, full.VisitedTSO, budget)
+	}
 	dir := t.TempDir()
-	_, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil,
-		fenceplace.WithCacheDir(dir), fenceplace.WithMaxStates(1000), fenceplace.WithWorkers(1))
+	_, err = fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil,
+		fenceplace.WithCacheDir(dir), fenceplace.WithMaxStates(budget), fenceplace.WithWorkers(1))
 	if !errors.Is(err, fenceplace.ErrTruncated) || !strings.Contains(err.Error(), "TSO exploration") {
 		t.Fatalf("certification returned %v, want a truncated TSO exploration", err)
 	}

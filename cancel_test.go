@@ -17,8 +17,8 @@ import (
 )
 
 // TestCertifyCtxCancelPromptly is the acceptance check for cancellation:
-// certifying a large kernel (msqueue at threads=3/size=4 explores about a
-// million states) and cancelling mid-exploration must return
+// certifying a large kernel (msqueue at threads=3/size=4 explores about
+// half a million states) and cancelling mid-exploration must return
 // context.Canceled within 100ms and must not write a baseline entry to the
 // store.
 func TestCertifyCtxCancelPromptly(t *testing.T) {

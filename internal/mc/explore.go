@@ -24,6 +24,7 @@ var (
 	mSCExploreRuns = telemetry.NewCounter("mc.sc_explore_runs")
 	mStates        = telemetry.NewCounter("mc.states_visited")
 	mTransitions   = telemetry.NewCounter("mc.transitions_executed")
+	mMergedSteps   = telemetry.NewCounter("mc.merged_steps")
 	mSleepPrunes   = telemetry.NewCounter("mc.sleep_set_prunes")
 	mSteals        = telemetry.NewCounter("mc.steals")
 	mSeenProbes    = telemetry.NewCounter("mc.seen_probes")
@@ -98,6 +99,7 @@ type workerCtx struct {
 	encBuf     []uint64
 	keyBuf     []byte
 	an         analysis
+	detAn      analysis // normalize's footprint scratch; an is live across it
 	freeStates []*state
 	freeNodes  []*node
 	stats      workerStats
@@ -109,7 +111,8 @@ type workerCtx struct {
 // retires.
 type workerStats struct {
 	states       int64 // states expanded (mirrors engine.visited)
-	transitions  int64 // child transitions executed
+	transitions  int64 // children produced by expand
+	mergedSteps  int64 // det steps normalize fired in place
 	sleepPrunes  int64 // states pruned by the sleep-set seen protocol
 	steals       int64 // nodes received over the handoff channel
 	seenProbes   int64 // seen-set lookups
@@ -123,6 +126,7 @@ type workerStats struct {
 func (st *workerStats) flush(shard int) {
 	mStates.Add(shard, st.states)
 	mTransitions.Add(shard, st.transitions)
+	mMergedSteps.Add(shard, st.mergedSteps)
 	mSleepPrunes.Add(shard, st.sleepPrunes)
 	mSteals.Add(shard, st.steals)
 	mSeenProbes.Add(shard, st.seenProbes)
@@ -273,8 +277,14 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 	}
 	cfg = e.cfg
 	e.startSpill()
-	e.inflight.Store(1)
-	e.handoff <- &node{s: init}
+	root := &workerCtx{}
+	if _, ok := e.normalize(root, init, 0, 0); ok {
+		e.inflight.Store(1)
+		e.handoff <- &node{s: init}
+	} else {
+		e.closeOnce.Do(func() { close(e.done) })
+	}
+	root.stats.flush(0)
 
 	// The watcher turns a ctx firing into an engine failure: e.fail sets
 	// the drain flag every worker polls, so the frontier empties within one
@@ -459,9 +469,10 @@ func (e *engine) fail(err error) {
 }
 
 // expand explores one frontier node: records terminal outcomes, computes
-// the transition set to fire (persistent singleton, fresh sleep complement,
-// or revisit delta), executes each transition and enqueues the children
-// that survive the seen-set filter.
+// the transition set to fire (fresh sleep complement or revisit delta),
+// executes each transition and enqueues the children that survive the
+// seen-set filter. Outside NoPOR the node is in normal form, so no det
+// step is enabled and every fired transition is a real choice.
 func (e *engine) expand(w *workerCtx, n *node) {
 	if e.truncated.Load() {
 		return // budget blown or failed: drain the frontier uncounted
@@ -499,21 +510,7 @@ func (e *engine) expand(w *workerCtx, n *node) {
 		T = a.enabled
 		sleep = 0
 	default:
-		// Persistent singleton: an invisible, non-branching transition is
-		// independent of everything other threads can ever do before it
-		// runs, so it can be fired alone. Br/Jmp are excluded so that every
-		// cycle of the state graph retains a fully-expanded state (the
-		// cycle proviso); without that, a spinning thread could starve the
-		// transitions of its peers out of the reduced graph.
-		for bit := 0; bit < 2*MaxThreads; bit++ {
-			if a.enabled&(1<<uint(bit)) != 0 && a.fps[bit].det {
-				T = 1 << uint(bit)
-				break
-			}
-		}
-		if T == 0 {
-			T = a.enabled &^ sleep
-		}
+		T = a.enabled &^ sleep
 	}
 
 	cur := sleep
@@ -541,16 +538,22 @@ func (e *engine) expand(w *workerCtx, n *node) {
 				childSleep |= 1 << uint(sb)
 			}
 		}
-		e.enqueue(w, child, childSleep)
+		e.enqueue(w, child, childSleep, resumeFrom(child, bit%MaxThreads))
 		cur |= tb
 	}
 }
 
-// enqueue runs the seen-set protocol for a freshly produced state and, if
-// it needs (re-)expansion, pushes it on the worker's frontier; pruned
-// states go back on the worker's freelist.
-func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32) {
+// enqueue brings a freshly produced state into normal form, runs the
+// seen-set protocol on it and, if it needs (re-)expansion, pushes it on
+// the worker's frontier; pruned and dropped states go back on the
+// worker's freelist. Threads below from have no det step in s.
+func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, from int) {
 	if e.truncated.Load() {
+		w.putState(s)
+		return
+	}
+	sleep, ok := e.normalize(w, s, sleep, from)
+	if !ok {
 		w.putState(s)
 		return
 	}
@@ -600,6 +603,77 @@ func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32) {
 		w.stats.sleepPrunes++
 		w.putState(s)
 	}
+}
+
+// normalize merges invisible steps: while some thread's next step is det,
+// it fires the lowest-numbered such thread in place, so only the state
+// where the chain ends is encoded, stored and expanded. A det step is an
+// enabled step with no effect on shared memory (stepFP reports it local)
+// that is not a Br or Jmp: it commutes with every transition of every
+// other thread, so firing it alone loses no final state, and it cannot
+// wake or disable anyone, so it leaves the other threads' sleep bits as
+// they are and clears only its own thread's. Br/Jmp are never det: every
+// cycle of the state graph passes one, so every cycle keeps a
+// fully-expanded state (the cycle proviso) and a spinning thread cannot
+// starve its peers out of the reduced graph. Without branches a chain
+// ends unless it recurses forever, growing frames; a chain longer than
+// cfg.MaxStates truncates the exploration like the state budget does.
+// NoPOR states stay as produced. The caller promises that no thread
+// below from has a det step in s. ok is false when the state must be
+// dropped: the chain hit the budget or a step failed.
+func (e *engine) normalize(w *workerCtx, s *state, sleep uint32, from int) (_ uint32, ok bool) {
+	if e.cfg.NoPOR {
+		return sleep, true
+	}
+	for chain := int64(0); ; chain++ {
+		tid := e.detThread(w, s, from)
+		if tid < 0 {
+			return sleep, true
+		}
+		if chain == e.cfg.MaxStates {
+			e.truncated.Store(true)
+			return 0, false
+		}
+		if err := e.applyStep(s, tid); err != nil {
+			e.fail(err)
+			return 0, false
+		}
+		sleep &^= stepBit(tid) | drainBit(tid)
+		w.stats.mergedSteps++
+		from = resumeFrom(s, tid)
+	}
+}
+
+// resumeFrom is where the det scan resumes after a transition of thread
+// tid produced s from a state in which no thread below tid had a det
+// step. Whether a step is det depends only on its own thread, except that
+// a Join waits for its target: so the transition gave a det step only to
+// tid itself, to a thread it spawned (numbered above it) or, when it
+// finished tid, to a thread joining it, anywhere.
+func resumeFrom(s *state, tid int) int {
+	if s.threads[tid].done {
+		return 0
+	}
+	return tid
+}
+
+// detThread returns the lowest-numbered thread, from from on, whose next
+// step is det in s, or -1 when there is none.
+func (e *engine) detThread(w *workerCtx, s *state, from int) int {
+	for tid := from; tid < len(s.threads); tid++ {
+		if !stepEnabled(s, tid) {
+			continue
+		}
+		in := s.threads[tid].next()
+		if in.Kind == ir.Br || in.Kind == ir.Jmp {
+			continue
+		}
+		w.detAn.addrs = w.detAn.addrs[:0]
+		if e.stepFP(&w.detAn, s, tid, in).local {
+			return tid
+		}
+	}
+	return -1
 }
 
 // record registers a terminal (or deadlocked) state's global values. The

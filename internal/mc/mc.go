@@ -13,12 +13,13 @@
 //     stacks), so structurally identical states met along different
 //     interleavings are explored once;
 //
-//   - partial-order reduction: a persistent-set rule executes invisible
-//     transitions (register ops, buffered stores, forwarded loads, frame
-//     pushes/pops) immediately without branching on other threads, and
-//     sleep sets prune commuting interleavings of the remaining visible
-//     transitions. Reduction preserves the reachable final-state set, which
-//     is the property certification compares;
+//   - partial-order reduction: invisible, non-branching steps (register
+//     ops, buffered stores, forwarded loads, frame pushes/pops) are merged
+//     into the transition that precedes them, so only states with no such
+//     step enabled are stored (normalize), and sleep sets prune commuting
+//     interleavings of the remaining visible transitions. Reduction
+//     preserves the reachable final-state set, which is the property
+//     certification compares;
 //
 //   - dead-register reduction: a frame's encoding holds only the
 //     registers live at its program point (cfg.LiveRegs, a backward
@@ -362,7 +363,6 @@ type fp struct {
 	rOff, rLen int
 	wOff, wLen int
 	local      bool // no visible effect: independent of every other thread
-	det        bool // safe persistent singleton: local and never part of a cycle
 	alloc      bool // moves the arena bump pointer
 	univ       bool // conservatively dependent with everything (Spawn)
 }
@@ -426,21 +426,30 @@ func (e *engine) analyze(s *state, a *analysis) {
 			a.enabled |= drainBit(tid)
 			a.fps[MaxThreads+tid] = a.write1(t.buf[0].addr)
 		}
-		if t.done {
+		if !stepEnabled(s, tid) {
 			continue
 		}
-		in := t.next()
-		if in.Kind == ir.Join {
-			// A join is enabled only once its target has finished; an
-			// out-of-range id is "enabled" so apply can surface the error.
-			target := t.top().regs[in.A]
-			if target >= 0 && target < int64(len(s.threads)) && !s.threads[target].done {
-				continue
-			}
-		}
 		a.enabled |= stepBit(tid)
-		a.fps[tid] = e.stepFP(a, s, tid, in)
+		a.fps[tid] = e.stepFP(a, s, tid, t.next())
 	}
+}
+
+// stepEnabled reports whether thread tid can execute its next instruction:
+// it has not finished, and a join's target has. An out-of-range join id
+// counts as enabled so applyStep can surface the error.
+func stepEnabled(s *state, tid int) bool {
+	t := &s.threads[tid]
+	if t.done {
+		return false
+	}
+	in := t.next()
+	if in.Kind == ir.Join {
+		target := t.top().regs[in.A]
+		if target >= 0 && target < int64(len(s.threads)) && !s.threads[target].done {
+			return false
+		}
+	}
+	return true
 }
 
 // stepFP evaluates the footprint of thread tid executing in from s,
@@ -466,18 +475,15 @@ func (e *engine) stepFP(a *analysis, s *state, tid int, in *ir.Instr) fp {
 	}
 	switch in.Kind {
 	case ir.Const, ir.Move, ir.BinOp, ir.AddrOf, ir.Gep, ir.Assert, ir.Print, ir.Call, ir.Join:
-		return fp{local: true, det: true}
+		return fp{local: true}
 	case ir.Br, ir.Jmp:
-		// Local, but never a persistent singleton: every cycle in the state
-		// graph contains a Br/Jmp, so expanding these states fully is the
-		// cycle proviso that keeps the reduction from ignoring threads.
 		return fp{local: true}
 	case ir.Ret:
 		if len(t.frames) == 1 && tso_ && len(t.buf) > 0 {
 			// Thread exit publishes the store buffer (pthread semantics).
 			return a.writeBuf(t, false, 0)
 		}
-		return fp{local: true, det: true}
+		return fp{local: true}
 	case ir.Load, ir.LoadPtr:
 		var addr int64
 		if in.Kind == ir.Load {
@@ -486,7 +492,7 @@ func (e *engine) stepFP(a *analysis, s *state, tid int, in *ir.Instr) fp {
 			addr = f.regs[in.Addr]
 		}
 		if tso_ && forwarded(addr) {
-			return fp{local: true, det: true}
+			return fp{local: true}
 		}
 		return a.read1(addr)
 	case ir.Store, ir.StorePtr:
@@ -495,7 +501,7 @@ func (e *engine) stepFP(a *analysis, s *state, tid int, in *ir.Instr) fp {
 				// Buffer pressure forces the oldest entry to memory.
 				return a.write1(t.buf[0].addr)
 			}
-			return fp{local: true, det: true} // store lands in the buffer
+			return fp{local: true} // store lands in the buffer
 		}
 		var addr int64
 		if in.Kind == ir.Store {
@@ -514,7 +520,7 @@ func (e *engine) stepFP(a *analysis, s *state, tid int, in *ir.Instr) fp {
 		if ir.FenceKind(in.Imm) == ir.FenceFull && tso_ && len(t.buf) > 0 {
 			return a.writeBuf(t, false, 0)
 		}
-		return fp{local: true, det: true}
+		return fp{local: true}
 	case ir.Alloca, ir.Malloc:
 		return fp{alloc: true}
 	case ir.Spawn:

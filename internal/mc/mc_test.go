@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"fenceplace/internal/ir"
-	"fenceplace/internal/progs"
 	"fenceplace/internal/tso"
 )
 
@@ -447,38 +446,6 @@ func TestRMWAndPointerOps(t *testing.T) {
 		// The counter always ends at 2 and the two observations are {0,1}.
 		if !por.Has(map[string]int64{"c": 2}, p) {
 			t.Fatalf("%s: counter did not reach 2: %v", mode, por.Keys())
-		}
-	}
-}
-
-// TestWholeProgramPORDifferential checks the reduction on real corpus
-// kernels (spawn, join, spin loops): with and without POR the reachable
-// final-state sets must coincide, and POR must visit fewer states.
-func TestWholeProgramPORDifferential(t *testing.T) {
-	for _, name := range []string{"dekker", "peterson"} {
-		m := progs.ByName(name)
-		pp := m.Defaults
-		pp.Threads = 2
-		pp.Size = 1
-		pp.Manual = true
-		p := m.Build(pp)
-		for _, mode := range []tso.Mode{tso.TSO, tso.SC} {
-			por, err := Explore(p, nil, Config{Mode: mode, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			naive, err := Explore(p, nil, Config{Mode: mode, Workers: 2, NoPOR: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if por.Truncated || naive.Truncated {
-				t.Fatalf("%s/%s: truncated", name, mode)
-			}
-			sameKeys(t, fmt.Sprintf("%s/%s POR vs NoPOR", name, mode),
-				keySet(por.Outcomes), keySet(naive.Outcomes))
-			if por.Visited >= naive.Visited {
-				t.Errorf("%s/%s: POR visited %d >= naive %d", name, mode, por.Visited, naive.Visited)
-			}
 		}
 	}
 }

@@ -24,6 +24,7 @@ func TestExploreMetricsMatchResult(t *testing.T) {
 			trans0 := mTransitions.Value()
 			probes0 := mSeenProbes.Value()
 			seen0 := mSeenStates.Value()
+			merged0 := mMergedSteps.Value()
 
 			res, err := Explore(p, []string{"t0", "t1", "t2"}, Config{Mode: mode, Workers: 2})
 			if err != nil {
@@ -44,8 +45,9 @@ func TestExploreMetricsMatchResult(t *testing.T) {
 				t.Errorf("mc.sc_explore_runs advanced by %d, want %d", d, wantSC)
 			}
 			// Every visited state beyond the root arrived by executing a
-			// transition, and every executed transition was probed against
-			// the seen set.
+			// transition in expand, and every child expand produced was
+			// probed against the seen set once, after normalize merged its
+			// det steps.
 			trans := mTransitions.Value() - trans0
 			if trans < res.Visited-1 {
 				t.Errorf("mc.transitions_executed %d < visited-1 (%d)", trans, res.Visited-1)
@@ -56,6 +58,11 @@ func TestExploreMetricsMatchResult(t *testing.T) {
 			seen := mSeenStates.Value() - seen0
 			if seen <= 0 || seen > res.Visited {
 				t.Errorf("mc.seen_states delta %d out of range (visited %d)", seen, res.Visited)
+			}
+			// ring3's stores land in the store buffer under TSO: invisible
+			// steps normalize merges instead of storing.
+			if merged := mMergedSteps.Value() - merged0; mode == tso.TSO && merged <= 0 {
+				t.Errorf("mc.merged_steps advanced by %d under TSO, want > 0", merged)
 			}
 		})
 	}

@@ -39,7 +39,7 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 }
 
 // blockerRequest is a deliberately heavy job (msqueue at threads=3/size=4
-// explores about a million states) used to occupy a one-worker pool while
+// explores about half a million states) used to occupy a one-worker pool while
 // the interesting submissions queue up behind it.
 func blockerRequest() *Request {
 	return &Request{
