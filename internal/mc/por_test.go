@@ -52,7 +52,7 @@ func porAgreesWithNoPOR(t *testing.T, label string, p *ir.Program, threads []str
 // TestWholeProgramPORDifferential checks the reduction, invisible-step
 // merging included, against the unreduced exploration: on every
 // cert-kernels program (spawn, join, spin loops) whose NoPOR run closes at
-// size 1, both the unfenced original and the Control build, and on random
+// size 1, in its unfenced, Control and Manual builds, and on random
 // programs whose threads call helper functions, so chains of Call, Ret and
 // Alloca steps are merged. The final-state sets must coincide and the
 // reduction must visit fewer states.
@@ -61,12 +61,14 @@ func TestWholeProgramPORDifferential(t *testing.T) {
 	t.Run("kernels", func(t *testing.T) {
 		checked := 0
 		for _, m := range progs.ByKind(progs.SyncKernel) {
-			orig := m.Build(m.CertParams(0, 1))
-			ctl := passes.NewSession(m.Build(m.CertParams(0, 1))).Instrumented(passes.Control)
+			pp := m.CertParams(0, 1)
+			orig := m.Build(pp)
+			ctl := passes.NewSession(m.Build(pp)).Instrumented(passes.Control)
+			pp.Manual = true
 			for _, b := range []struct {
 				name string
 				p    *ir.Program
-			}{{"unfenced", orig}, {"Control", ctl}} {
+			}{{"unfenced", orig}, {"Control", ctl}, {"Manual", m.Build(pp)}} {
 				for _, mode := range modes {
 					label := fmt.Sprintf("%s/%s/%s", m.Name, b.name, mode)
 					if porAgreesWithNoPOR(t, label, b.p, nil, mode, 1<<18) {
