@@ -124,3 +124,43 @@ func TestCertifyForeignResult(t *testing.T) {
 		}
 	}
 }
+
+// certifyDekker certifies a fresh analysis of dekker 2/1 Control under
+// opts, bypassing any exploration store so both explorations run.
+func certifyDekker(t *testing.T, opts ...fenceplace.Option) *fenceplace.CertReport {
+	t.Helper()
+	res := analyzedControl(t, "dekker", 2, 1)
+	rep, err := fenceplace.CertifyCtx(context.Background(), res, nil, append(opts, fenceplace.WithCacheDir(""))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestCertifyCappedMemorySpills pins the public capped-memory path: under
+// a tiny memory cap the seen set must seal and spill to disk, and the
+// verdict and outcome counts must equal an uncapped run's with no worker
+// panic recovered. Not parallel: the counters are process-wide.
+func TestCertifyCappedMemorySpills(t *testing.T) {
+	uncapped := certifyDekker(t)
+	if !uncapped.Equivalent {
+		t.Fatalf("dekker/Control not SC-equivalent: %s", uncapped)
+	}
+
+	counters := func() map[string]int64 { return telemetry.Default().Snapshot().Counters }
+	before := counters()
+	capped := certifyDekker(t, fenceplace.WithMemoryCap(1<<12), fenceplace.WithSpillDir(t.TempDir()))
+	after := counters()
+	delta := func(name string) int64 { return after[name] - before[name] }
+
+	if capped.Equivalent != uncapped.Equivalent ||
+		capped.SCOutcomes != uncapped.SCOutcomes || capped.TSOOutcomes != uncapped.TSOOutcomes {
+		t.Errorf("capped run differs from uncapped:\n  capped:   %s\n  uncapped: %s", capped, uncapped)
+	}
+	if seals, runs := delta("mc.seen_seals"), delta("mc.spill_runs"); seals == 0 || runs == 0 {
+		t.Errorf("spilling never engaged under the cap (seals=%d, spilled runs=%d)", seals, runs)
+	}
+	if panics := delta("mc.worker_panics"); panics != 0 {
+		t.Errorf("mc.worker_panics advanced by %d, want 0", panics)
+	}
+}

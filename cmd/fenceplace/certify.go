@@ -44,7 +44,7 @@ func certify(args []string) int {
 		entry    = fs.String("entry", "", "comma-separated flat thread functions (litmus mode; default: explore from main)")
 		threads  = fs.Int("threads", 2, "worker threads for corpus instantiation")
 		size     = fs.Int64("size", 0, "problem size for corpus instantiation (0 = reduced default)")
-		budget   = fs.Int64("budget", 0, "model-checker state budget per exploration (0 = default 2M)")
+		budget   = fs.Int64("budget", 0, "model-checker state budget per exploration (<= 0 = default 2M)")
 		workers  = fs.Int("workers", 0, "exploration workers (0 = GOMAXPROCS)")
 		exact    = fs.Bool("exact", false, "exact string-keyed seen sets instead of fingerprints (slow oracle mode)")
 		unfenced = fs.Bool("unfenced", false, "certify the unfenced legacy build instead of the instrumented one")

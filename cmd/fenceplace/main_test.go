@@ -191,6 +191,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"certify", "-prog", "dekker"}, 0, "SC-equivalent"},
 		{[]string{"certify", "-prog", "dekker", "-unfenced"}, 1, "non-SC outcome"},
 		{[]string{"certify", "-prog", "szymanski", "-budget", "1000"}, 2, ""},
+		{[]string{"certify", "-prog", "dekker", "-budget", "-5"}, 0, "SC-equivalent"}, // <= 0 means the default
 		{[]string{"certify", "-prog", "nosuch"}, 2, ""},
 		{[]string{"analyze", "-prog", "nosuch"}, 2, ""},
 		{[]string{"nosuch"}, 2, ""},

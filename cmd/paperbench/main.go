@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"fenceplace"
@@ -164,7 +165,10 @@ func parseShard(s string) (i, n int, err error) {
 	if s == "" {
 		return 0, 0, nil
 	}
-	if _, err := fmt.Sscanf(s, "%d/%d", &i, &n); err != nil || i < 1 || n < 1 || i > n {
+	is, ns, ok := strings.Cut(s, "/")
+	i, ierr := strconv.Atoi(is)
+	n, nerr := strconv.Atoi(ns)
+	if !ok || ierr != nil || nerr != nil || i < 1 || n < 1 || i > n {
 		return 0, 0, fmt.Errorf("invalid -shard %q (want i/n with 1 <= i <= n)", s)
 	}
 	return i, n, nil

@@ -15,6 +15,29 @@ import (
 	"fenceplace/internal/progs"
 )
 
+// TestMain runs the command in place of the tests when runPaperbench
+// re-executes the binary with PAPERBENCH_ARGS set.
+func TestMain(m *testing.M) {
+	if args := os.Getenv("PAPERBENCH_ARGS"); args != "" {
+		os.Exit(run(strings.Split(args, "\n")))
+	}
+	os.Exit(m.Run())
+}
+
+// runPaperbench runs the command in a child process (this test binary,
+// re-executed into TestMain) and returns its combined output and exit code.
+func runPaperbench(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "FENCEPLACE_CACHE_DIR=", "PAPERBENCH_ARGS="+strings.Join(args, "\n"))
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatalf("paperbench %s: %v", strings.Join(args, " "), err)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
 func TestTable2AndFig2Render(t *testing.T) {
 	if s := renderTable2(); !strings.Contains(s, "chaselev") || !strings.Contains(s, "matches the paper") {
 		t.Errorf("Table II incomplete:\n%s", s)
@@ -52,9 +75,6 @@ func TestCertTableRenders(t *testing.T) {
 // report, which has no dynamic runs, so the run fails with exit 1. The
 // -trace file must still be finalized into valid JSON on that path.
 func TestFailedRunLeavesValidTrace(t *testing.T) {
-	if args := os.Getenv("PAPERBENCH_ARGS"); args != "" {
-		os.Exit(run(strings.Split(args, "\n")))
-	}
 	dir := t.TempDir()
 	m := progs.ByName("dekker")
 	runner := corpus.Runner{Certify: true, Options: []fenceplace.Option{fenceplace.WithCacheDir("")}}
@@ -74,14 +94,11 @@ func TestFailedRunLeavesValidTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cmd := exec.Command(os.Args[0], "-test.run=^TestFailedRunLeavesValidTrace$")
-	cmd.Env = append(os.Environ(), "PAPERBENCH_ARGS="+strings.Join([]string{"-merge", certJSON, "-fig10", "-trace", trace}, "\n"))
-	out, err := cmd.CombinedOutput()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
-		t.Fatalf("want exit code 1, got %v\n%s", err, out)
+	out, code := runPaperbench(t, "-merge", certJSON, "-fig10", "-trace", trace)
+	if code != 1 {
+		t.Fatalf("want exit code 1, got %d\n%s", code, out)
 	}
-	if !strings.Contains(string(out), "figure 10 failed") {
+	if !strings.Contains(out, "figure 10 failed") {
 		t.Errorf("stderr does not report the figure 10 failure:\n%s", out)
 	}
 	raw, err := os.ReadFile(trace)
@@ -91,5 +108,19 @@ func TestFailedRunLeavesValidTrace(t *testing.T) {
 	var events []any
 	if err := json.Unmarshal(raw, &events); err != nil {
 		t.Fatalf("trace file is not valid JSON after exit 1: %v\n%q", err, raw)
+	}
+}
+
+// TestShardRejectsTrailingJunk pins strict -shard parsing: anything after
+// "i/n" is a usage error (exit 2), not a valid shard.
+func TestShardRejectsTrailingJunk(t *testing.T) {
+	for _, shard := range []string{"2/2/9", "1/2x", "1/2 "} {
+		out, code := runPaperbench(t, "-shard", shard, "-table2")
+		if code != 2 {
+			t.Errorf("-shard %q: exit code %d, want 2\n%s", shard, code, out)
+		}
+		if !strings.Contains(out, "want i/n") {
+			t.Errorf("-shard %q: output does not explain the i/n form:\n%s", shard, out)
+		}
 	}
 }

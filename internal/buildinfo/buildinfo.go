@@ -3,7 +3,7 @@
 // Go linker stamps into every binary (debug.ReadBuildInfo). There is
 // nothing to wire in the build system: `go build` embeds the data, and
 // every CLI's -version flag and fenced's /statusz read it from here, so
-// all seven commands report identical provenance for one build.
+// every command reports identical provenance for one build.
 package buildinfo
 
 import (

@@ -88,7 +88,7 @@ var ErrTruncated = errors.New("mc: state budget exhausted, exploration truncated
 type Config struct {
 	Mode      tso.Mode
 	BufferCap int   // store buffer capacity (default 4)
-	MaxStates int64 // state budget; exceeded => Truncated (default 1<<21)
+	MaxStates int64 // state budget; exceeded => Truncated (<= 0: default 1<<21)
 	Workers   int   // worker goroutines (default GOMAXPROCS)
 	NoPOR     bool  // disable partial-order reduction (cross-check oracle)
 
@@ -143,7 +143,7 @@ func (c Config) withDefaults() Config {
 	if c.BufferCap == 0 {
 		c.BufferCap = 4
 	}
-	if c.MaxStates == 0 {
+	if c.MaxStates <= 0 {
 		c.MaxStates = 1 << 21
 	}
 	if c.MemoryCap == 0 {

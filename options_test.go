@@ -6,6 +6,7 @@ package fenceplace_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"fenceplace"
@@ -106,5 +107,20 @@ func TestCertifyCtxInheritsAnalyzerOptions(t *testing.T) {
 	// truncate even though the analyzer's budget is ample.
 	if _, err := fenceplace.CertifyCtx(context.Background(), res, nil, fenceplace.WithMaxStates(16)); err == nil {
 		t.Error("explicit WithMaxStates(16) did not override the analyzer's budget")
+	}
+}
+
+// TestWithMaxStatesNonPositiveMeansDefault pins WithMaxStates' documented
+// n <= 0: a negative budget selects the checker's default instead of
+// truncating at the first state, so the report equals the default run's.
+// One worker keeps the visit counts comparable.
+func TestWithMaxStatesNonPositiveMeansDefault(t *testing.T) {
+	one := fenceplace.WithWorkers(1)
+	def := certifyDekker(t, one)
+	if !def.Equivalent {
+		t.Fatalf("dekker/Control not SC-equivalent: %s", def)
+	}
+	if neg := certifyDekker(t, fenceplace.WithMaxStates(-1), one); !reflect.DeepEqual(neg, def) {
+		t.Errorf("WithMaxStates(-1) report differs from the default budget's:\n  -1:      %s\n  default: %s", neg, def)
 	}
 }

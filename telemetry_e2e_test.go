@@ -2,17 +2,12 @@ package fenceplace_test
 
 // End-to-end observability tests through the public API: progress
 // streaming from CertifyCtx, corpus-row events from the Runner, and trace
-// emission on the certification path. TestMain additionally gives the
-// benchmark runs a metrics egress: with FENCEPLACE_BENCH_METRICS set, the
-// final telemetry snapshot is written there after the run, where CI's
-// benchjson -metrics folds it into the benchmark record.
+// emission on the certification path.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -22,23 +17,6 @@ import (
 	"fenceplace/internal/progs"
 	"fenceplace/internal/telemetry"
 )
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("FENCEPLACE_BENCH_METRICS"); path != "" {
-		data, err := json.MarshalIndent(telemetry.Default().Snapshot(), "", "  ")
-		if err == nil {
-			err = os.WriteFile(path, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench metrics:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
-}
 
 // analyzedControl builds a reduced corpus kernel and analyzes its Control
 // placement, the cheapest certifiable fixture.
