@@ -1,8 +1,7 @@
 package fenceplace_test
 
 // Microbenchmarks that no bench/ workload covers: corpus-scale analysis
-// across worker counts, capped-memory certification that spills to disk,
-// the partial-order reduction against the naive explorer, and ablations
+// across worker counts, the partial-order reduction against the naive explorer, and ablations
 // of the pipeline's design choices (the §4.4 entry-fence rule, drain
 // policies, schedulers, the exhaustive explorer). The paper's tables and
 // figures are measured by the bench/ module (fencebench) and printed by
@@ -27,7 +26,6 @@ import (
 	"fenceplace/internal/mc"
 	"fenceplace/internal/orders"
 	"fenceplace/internal/progs"
-	"fenceplace/internal/telemetry"
 	"fenceplace/internal/tso"
 )
 
@@ -111,72 +109,6 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 	}
 	if sink < 0 {
 		b.Fatal("impossible")
-	}
-}
-
-// BenchmarkCertifySpill measures capped-memory certification: msqueue at
-// an instantiation whose seen set does not fit the memory budget,
-// so the two-level seen set must seal hot tables into sorted runs and
-// spill them to disk to finish. The budget is MemoryCap 1<<19 arena words,
-// which anchors a 4 MiB seen budget, against the ~14 MiB an unbounded hot
-// tier would hold at ~26 B per state.
-//
-// The benchmark fails if spilling never engaged (the program fit in RAM —
-// the bench measured nothing), the exploration truncated, a worker panic
-// was recovered (mc.worker_panics advanced), and on ≥4-core machines if
-// throughput drops below 1M states/s. Reported metrics: total
-// states/s, spilled MB per run, the hot-tier share of seen-set hits, and a
-// peak-heap proxy showing the exploration stayed near its budget.
-func BenchmarkCertifySpill(b *testing.B) {
-	b.Setenv("FENCEPLACE_CACHE_DIR", "")
-	const memCap = 1 << 19
-	m := progs.ByName("msqueue")
-	pp := m.Defaults
-	pp.Threads = 3
-	pp.Size = 4 // ~530k states: far past the capped seen budget
-	res := fenceplace.Analyze(m.Build(pp), fenceplace.Control)
-	opts := []fenceplace.Option{
-		fenceplace.WithWorkers(runtime.GOMAXPROCS(0)),
-		fenceplace.WithMaxStates(16 << 20),
-		fenceplace.WithMemoryCap(memCap),
-		fenceplace.WithSpillDir(b.TempDir()),
-	}
-	before := telemetry.Default().Snapshot().Counters
-	b.ReportAllocs()
-	b.ResetTimer()
-	var states int64
-	for i := 0; i < b.N; i++ {
-		rep, err := fenceplace.CertifyCtx(context.Background(), res, nil, opts...)
-		if err != nil {
-			// Includes ErrTruncated: the bench must certify to completion.
-			b.Fatal(err)
-		}
-		if !rep.Equivalent {
-			b.Fatalf("msqueue: not SC-equivalent: %s", rep)
-		}
-		states += rep.VisitedSC + rep.VisitedTSO
-	}
-	b.StopTimer()
-	after := telemetry.Default().Snapshot().Counters
-	delta := func(name string) int64 { return after[name] - before[name] }
-
-	if seals, runs := delta("mc.seen_seals"), delta("mc.spill_runs"); seals == 0 || runs == 0 {
-		b.Fatalf("spilling never engaged (seals=%d, spilled runs=%d): the state space fit the budget and the bench measured nothing — lower memCap", seals, runs)
-	}
-	if panics := delta("mc.worker_panics"); panics != 0 {
-		b.Fatalf("mc.worker_panics advanced by %d, want 0", panics)
-	}
-	rate := float64(states) / b.Elapsed().Seconds()
-	b.ReportMetric(rate, "states/s")
-	b.ReportMetric(float64(delta("mc.spill_bytes"))/float64(b.N)/(1<<20), "spill-MB/op")
-	if hits := delta("mc.seen_hot_hits") + delta("mc.seen_cold_hits"); hits > 0 {
-		b.ReportMetric(float64(delta("mc.seen_hot_hits"))/float64(hits), "hot-hit-ratio")
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	b.ReportMetric(float64(ms.HeapSys)/(1<<20), "peak-heap-MB")
-	if runtime.GOMAXPROCS(0) >= 4 && rate < 1e6 {
-		b.Fatalf("capped-memory throughput %.2fM states/s on %d cores, want >=1M", rate/1e6, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -24,9 +24,10 @@ func scExplorations() int64 { return telemetry.Default().Counter("mc.sc_explore_
 // TestCertifyVariantsShareOneSCExploration is the acceptance check for
 // baseline reuse: certifying all three placement strategies of one
 // program through an Analyzer must run exactly one SC exploration plus
-// one TSO exploration per variant — 4 explorations, not 6. The assertion
-// rides on the model checker's process-wide exploration counters, which
-// is safe here because root-package tests do not run in parallel.
+// one TSO exploration per variant — 4 explorations, not 6 — with no
+// worker panic recovered along the way. The assertions ride on the model
+// checker's process-wide counters, which is safe here because
+// root-package tests do not run in parallel.
 func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "") // exploration counts assume no disk cache
 	m := progs.ByName("dekker")
@@ -36,7 +37,8 @@ func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 	az := fenceplace.NewAnalyzer(m.Build(pp))
 	results := az.AnalyzeAll()
 
-	before, scBefore := explorations(), scExplorations()
+	panics := func() int64 { return telemetry.Default().Counter("mc.worker_panics").Value() }
+	before, scBefore, panicsBefore := explorations(), scExplorations(), panics()
 	for _, res := range results {
 		rep, err := fenceplace.CertifyCtx(context.Background(), res, nil)
 		if err != nil {
@@ -54,6 +56,9 @@ func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 	}
 	if d := scExplorations() - scBefore; d != 1 {
 		t.Errorf("certifying %d variants ran %d SC explorations, want 1", len(results), d)
+	}
+	if d := panics() - panicsBefore; d != 0 {
+		t.Errorf("mc.worker_panics advanced by %d, want 0", d)
 	}
 
 	// Further certifications of the same session hit the memoized baseline:
@@ -135,32 +140,4 @@ func certifyDekker(t *testing.T, opts ...fenceplace.Option) *fenceplace.CertRepo
 		t.Fatal(err)
 	}
 	return rep
-}
-
-// TestCertifyCappedMemorySpills pins the public capped-memory path: under
-// a tiny memory cap the seen set must seal and spill to disk, and the
-// verdict and outcome counts must equal an uncapped run's with no worker
-// panic recovered. Not parallel: the counters are process-wide.
-func TestCertifyCappedMemorySpills(t *testing.T) {
-	uncapped := certifyDekker(t)
-	if !uncapped.Equivalent {
-		t.Fatalf("dekker/Control not SC-equivalent: %s", uncapped)
-	}
-
-	counters := func() map[string]int64 { return telemetry.Default().Snapshot().Counters }
-	before := counters()
-	capped := certifyDekker(t, fenceplace.WithMemoryCap(1<<12), fenceplace.WithSpillDir(t.TempDir()))
-	after := counters()
-	delta := func(name string) int64 { return after[name] - before[name] }
-
-	if capped.Equivalent != uncapped.Equivalent ||
-		capped.SCOutcomes != uncapped.SCOutcomes || capped.TSOOutcomes != uncapped.TSOOutcomes {
-		t.Errorf("capped run differs from uncapped:\n  capped:   %s\n  uncapped: %s", capped, uncapped)
-	}
-	if seals, runs := delta("mc.seen_seals"), delta("mc.spill_runs"); seals == 0 || runs == 0 {
-		t.Errorf("spilling never engaged under the cap (seals=%d, spilled runs=%d)", seals, runs)
-	}
-	if panics := delta("mc.worker_panics"); panics != 0 {
-		t.Errorf("mc.worker_panics advanced by %d, want 0", panics)
-	}
 }

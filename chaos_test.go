@@ -2,7 +2,7 @@ package fenceplace_test
 
 // Chaos suite: seeded fault schedules replayed through full corpus
 // certification. The invariant under every schedule is exactness or
-// explicit degradation — a flaky cache or spill disk may cost
+// explicit degradation — a flaky cache disk may cost
 // re-exploration or a rung on the degradation ladder, but the verdict
 // and outcome counts must match the fault-free run bit for bit, and no
 // failure may pass silently. The base seed comes from
@@ -56,12 +56,11 @@ func chaosSeed(t *testing.T) int64 {
 }
 
 // TestChaosCertificationExactUnderFaults replays seeded fault schedules
-// through the whole pipeline — baseline cache reads and writes, seen-set
-// spill, quarantine cleanup — and requires the certification verdict to
+// through the whole pipeline — exploration cache reads and writes,
+// quarantine cleanup — and requires the certification verdict to
 // match the fault-free run exactly on every schedule.
 func TestChaosCertificationExactUnderFaults(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "")
-	t.Setenv("FENCEPLACE_SPILL_DIR", "")
 	clean, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +77,6 @@ func TestChaosCertificationExactUnderFaults(t *testing.T) {
 			fenceplace.WithFaultFS(ff),
 			fenceplace.WithIORetries(2),
 			fenceplace.WithCacheDir(t.TempDir()),
-			fenceplace.WithSpillDir(t.TempDir()),
-			fenceplace.WithMemoryCap(1<<12), // small seen budget: force spill traffic
 		)
 		if err != nil {
 			t.Fatalf("seed %d: certification failed under store faults: %v", seed, err)
@@ -98,7 +95,6 @@ func TestChaosCertificationExactUnderFaults(t *testing.T) {
 // errors silently.
 func TestChaosCorpusRunUnderFaults(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "")
-	t.Setenv("FENCEPLACE_SPILL_DIR", "")
 	m := mustProg(t, "dekker")
 	runner := corpus.Runner{Certify: true, Workers: 1}
 	cleanRep, err := runner.Run(context.Background(), corpus.SingleSource("dekker", m, nil))
@@ -113,8 +109,6 @@ func TestChaosCorpusRunUnderFaults(t *testing.T) {
 		fenceplace.WithFaultFS(ff),
 		fenceplace.WithIORetries(2),
 		fenceplace.WithCacheDir(t.TempDir()),
-		fenceplace.WithSpillDir(t.TempDir()),
-		fenceplace.WithMemoryCap(1 << 12),
 	}
 	faultRep, err := runner.Run(context.Background(), corpus.SingleSource("dekker", mustProg(t, "dekker"), nil))
 	if err != nil {

@@ -8,16 +8,13 @@
 //	fencecache -dir /var/cache/fenceplace verify           # integrity-check everything
 //	fencecache -dir /var/cache/fenceplace gc -max-bytes 1048576
 //	fencecache -dir /var/cache/fenceplace gc -n -max-bytes 1048576   # dry run
-//	fencecache -dir /var/cache/fenceplace gc -max-bytes 1048576 -spill /tmp/fp-spill
 //
 // -dir defaults to $FENCEPLACE_CACHE_DIR and must name an existing store.
 // verify quarantines corrupt entries (they become cache misses, never
 // wrong data) and exits 1 when it found any; gc evicts live entries
 // oldest-first until the store fits the bound, and reclaims quarantined
 // entries and stale temp files while it is at it. gc -n previews the
-// eviction list without removing anything; gc -spill DIR additionally
-// sweeps a seen-set spill area (see WithSpillDir): sessions orphaned by
-// crashed explorations and quarantined runs.
+// eviction list without removing anything.
 //
 // Exit status: 0 ok, 1 verification failures, 2 usage.
 package main
@@ -35,7 +32,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: fencecache [-dir DIR] stats|ls|verify|gc [-n] [-max-bytes N] [-spill DIR]\n")
+	fmt.Fprintf(os.Stderr, "usage: fencecache [-dir DIR] stats|ls|verify|gc [-n] -max-bytes N\n")
 	flag.PrintDefaults()
 }
 
@@ -124,58 +121,31 @@ func main() {
 		fs := flag.NewFlagSet("gc", flag.ExitOnError)
 		maxBytes := fs.Int64("max-bytes", 0, "evict oldest entries until the store is at most this many bytes")
 		dryRun := fs.Bool("n", false, "dry run: print what would be evicted, remove nothing")
-		spill := fs.String("spill", "", "also sweep this seen-set spill area (crashed sessions, quarantined runs)")
-		spillAge := fs.Duration("spill-max-age", 24*time.Hour, "spill sessions untouched this long are treated as crash orphans")
 		fs.Parse(flag.Args()[1:])
-		if *maxBytes <= 0 && *spill == "" {
-			fmt.Fprintln(os.Stderr, "gc requires -max-bytes > 0 (and/or -spill DIR)")
+		if *maxBytes <= 0 {
+			fmt.Fprintln(os.Stderr, "gc requires -max-bytes > 0")
 			os.Exit(2)
 		}
 		if *dryRun {
-			if *maxBytes > 0 {
-				plan, err := st.GCPlan(*maxBytes)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(2)
-				}
-				var freed int64
-				for _, en := range plan {
-					fmt.Printf("would evict %s  %8d B  %s\n", en.Key, en.Size, en.ModTime.UTC().Format(time.RFC3339))
-					freed += en.Size
-				}
-				fmt.Printf("would evict %d entries, free %d bytes\n", len(plan), freed)
+			plan, err := st.GCPlan(*maxBytes)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
 			}
-			if *spill != "" {
-				plan, err := store.PlanSpillGC(*spill, *spillAge)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(2)
-				}
-				var freed int64
-				for _, en := range plan {
-					fmt.Printf("would remove %s  %8d B  %s\n", en.Path, en.Size, en.ModTime.UTC().Format(time.RFC3339))
-					freed += en.Size
-				}
-				fmt.Printf("would remove %d spill items, free %d bytes\n", len(plan), freed)
+			var freed int64
+			for _, en := range plan {
+				fmt.Printf("would evict %s  %8d B  %s\n", en.Key, en.Size, en.ModTime.UTC().Format(time.RFC3339))
+				freed += en.Size
 			}
+			fmt.Printf("would evict %d entries, free %d bytes\n", len(plan), freed)
 			break
 		}
-		if *maxBytes > 0 {
-			evicted, freed, err := st.GC(*maxBytes)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			fmt.Printf("evicted %d entries, freed %d bytes\n", evicted, freed)
+		evicted, freed, err := st.GC(*maxBytes)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
-		if *spill != "" {
-			removed, freed, err := store.SpillGC(*spill, *spillAge)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			fmt.Printf("removed %d spill items, freed %d bytes\n", removed, freed)
-		}
+		fmt.Printf("evicted %d entries, freed %d bytes\n", evicted, freed)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown command %q (valid choices: stats, ls, verify, gc)\n", cmd)
 		usage()

@@ -48,7 +48,7 @@ func certify(args []string) int {
 		workers  = fs.Int("workers", 0, "exploration workers (0 = GOMAXPROCS)")
 		exact    = fs.Bool("exact", false, "exact string-keyed seen sets instead of fingerprints (slow oracle mode)")
 		unfenced = fs.Bool("unfenced", false, "certify the unfenced legacy build instead of the instrumented one")
-		memCap   = fs.Int("memcap", 0, "memory budget in arena words; the seen set spills past it (0 = default 1<<22, negative = uncapped)")
+		memCap   = fs.Int("memcap", 0, "per-state arena limit in words; an allocation past it fails the run (0 = default 1<<22, negative = uncapped)")
 		jsonOut  = fs.Bool("json", false, "emit the certification as a corpus Report row (JSON) instead of prose")
 	)
 	fl := cli.Register(fs, cli.Store|cli.Run)

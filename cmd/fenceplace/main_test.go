@@ -21,7 +21,7 @@ func certInstance(m *progs.Meta) *fenceplace.Program { return m.Build(m.CertPara
 func runMain(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), "FENCEPLACE_CACHE_DIR=", "FENCEPLACE_SPILL_DIR=",
+	cmd.Env = append(os.Environ(), "FENCEPLACE_CACHE_DIR=",
 		"FENCEPLACE_MAIN_ARGS="+strings.Join(args, "\n"))
 	var out, errOut bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errOut

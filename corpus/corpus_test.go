@@ -564,7 +564,7 @@ func TestEvalTablesMatchGolden(t *testing.T) {
 	runner := corpus.Runner{
 		Seeds:   1,
 		Workers: 1,
-		Options: []fenceplace.Option{fenceplace.WithCacheDir(""), fenceplace.WithSpillDir("")},
+		Options: []fenceplace.Option{fenceplace.WithCacheDir("")},
 	}
 	rep, err := runner.Run(context.Background(), corpus.EvalSource())
 	if err != nil {

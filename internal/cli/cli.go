@@ -22,17 +22,17 @@ import (
 
 // Flag groups a command registers beside -version (see Register).
 const (
-	Store = 1 << iota // -cache-dir, -spill-dir
+	Store = 1 << iota // -cache-dir
 	Run               // -deadline, -trace, -metrics, -pprof
 )
 
 // Flags holds the values of the shared flags after parsing.
 type Flags struct {
-	version            bool
-	cacheDir, spillDir string
-	deadline           time.Duration
-	trace, pprof       string
-	metrics            bool
+	version      bool
+	cacheDir     string
+	deadline     time.Duration
+	trace, pprof string
+	metrics      bool
 }
 
 // Register adds -version and the given flag groups to fs.
@@ -41,7 +41,6 @@ func Register(fs *flag.FlagSet, groups int) *Flags {
 	fs.BoolVar(&f.version, "version", false, "print the build identity and exit")
 	if groups&Store != 0 {
 		fs.StringVar(&f.cacheDir, "cache-dir", "", "persistent exploration store for SC baselines and TSO outcome sets (default $FENCEPLACE_CACHE_DIR; empty = no persistence)")
-		fs.StringVar(&f.spillDir, "spill-dir", "", "scratch area for seen-set spill under the memory budget (default $FENCEPLACE_SPILL_DIR; empty = keep sealed runs in RAM)")
 	}
 	if groups&Run != 0 {
 		fs.DurationVar(&f.deadline, "deadline", 0, "wall-clock budget for the whole run; exceeding it aborts with the inconclusive exit code 2 (0 = none)")
@@ -75,14 +74,9 @@ func CacheDir(flagValue string) string {
 // CacheDir is the resolved -cache-dir.
 func (f *Flags) CacheDir() string { return CacheDir(f.cacheDir) }
 
-// StoreOptions pins the resolved -cache-dir and -spill-dir (flag, else
-// $FENCEPLACE_SPILL_DIR) into analyzer options.
+// StoreOptions pins the resolved -cache-dir into analyzer options.
 func (f *Flags) StoreOptions() []fenceplace.Option {
-	spill := f.spillDir
-	if spill == "" {
-		spill = os.Getenv("FENCEPLACE_SPILL_DIR")
-	}
-	return []fenceplace.Option{fenceplace.WithCacheDir(f.CacheDir()), fenceplace.WithSpillDir(spill)}
+	return []fenceplace.Option{fenceplace.WithCacheDir(f.CacheDir())}
 }
 
 // Start begins a run: the returned context is cancelled by SIGINT or

@@ -198,18 +198,6 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 	return &faultFile{File: file, fs: f}, nil
 }
 
-func (f *FaultFS) Open(name string) (File, error) {
-	var file File
-	err := f.run("open "+name, opClass{}, func() (e error) {
-		file, e = f.inner.Open(name)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{File: file, fs: f}, nil
-}
-
 func (f *FaultFS) ReadFile(name string) (data []byte, err error) {
 	err = f.run("readfile "+name, opClass{}, func() (e error) {
 		data, e = f.inner.ReadFile(name)
@@ -264,8 +252,7 @@ func (f *FaultFS) ReadDir(name string) (ents []os.DirEntry, err error) {
 }
 
 // faultFile routes the open-file operations through the schedule, so
-// spilled-run reads (ReadAt) and in-flight entry writes fail like any
-// other operation.
+// in-flight entry writes fail like any other operation.
 type faultFile struct {
 	File
 	fs *FaultFS
@@ -289,15 +276,4 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 			ff.Name(), n, len(p), io.ErrShortWrite)
 	}
 	return ff.File.Write(p)
-}
-
-func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	sleep, err := ff.fs.decide("readat "+ff.Name(), opClass{})
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return ff.File.ReadAt(p, off)
 }

@@ -1,12 +1,12 @@
-// Package fsx is the filesystem seam of the persistence layers: a minimal
-// interface over the operations internal/store (the baseline cache and the
-// spill area) performs, with a passthrough OS implementation for
-// production and a deterministic fault-injecting implementation for the
-// chaos test suite (see fault.go). Routing every store and spill
-// operation through FS is what lets the test suite replay seeded disk
-// failures — EIO, ENOSPC, short writes, rename failures, latency, a
-// crash-after-N-ops disk — through full certifications and assert that
-// every verdict stays exact or degrades explicitly.
+// Package fsx is the filesystem seam of the persistence layer: a minimal
+// interface over the operations internal/store (the exploration cache)
+// performs, with a passthrough OS implementation for production and a
+// deterministic fault-injecting implementation for the chaos test suite
+// (see fault.go). Routing every store operation through FS is what lets
+// the test suite replay seeded disk failures — EIO, ENOSPC, short writes,
+// rename failures, latency, a crash-after-N-ops disk — through full
+// certifications and assert that every verdict stays exact or degrades
+// explicitly.
 //
 // The package also owns the transient-vs-permanent error classification
 // (Transient) and the bounded-backoff retry helper (retry.go) the store
@@ -21,13 +21,12 @@ import (
 	"syscall"
 )
 
-// File is the open-file surface the store layers need: sequential writes
-// for in-flight entries, random-access reads for spilled runs.
+// File is the open-file surface the store needs: sequential writes for
+// in-flight entries.
 type File interface {
 	io.Writer
-	io.ReaderAt
 	io.Closer
-	// Name returns the path the file was opened or created with.
+	// Name returns the path the file was created with.
 	Name() string
 }
 
@@ -39,7 +38,6 @@ type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	MkdirTemp(dir, pattern string) (string, error)
 	CreateTemp(dir, pattern string) (File, error)
-	Open(name string) (File, error)
 	ReadFile(name string) ([]byte, error)
 	WriteFile(name string, data []byte, perm os.FileMode) error
 	Rename(oldpath, newpath string) error
@@ -59,7 +57,6 @@ func (osFS) MkdirTemp(dir, pattern string) (string, error) {
 	return os.MkdirTemp(dir, pattern)
 }
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
-func (osFS) Open(name string) (File, error)               { return os.Open(name) }
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
 func (osFS) WriteFile(name string, data []byte, perm os.FileMode) error {
 	return os.WriteFile(name, data, perm)
@@ -83,8 +80,7 @@ func Or(f FS) FS {
 // or would-block syscall, a busy file, or a short write. Everything else
 // — no space, read-only or permission failures, missing files, a crashed
 // (injected) disk — is permanent: retrying cannot help, and the caller
-// must degrade instead (uncached certification, seal-in-RAM, an explicit
-// miss).
+// must degrade instead (uncached certification, an explicit miss).
 func Transient(err error) bool {
 	if err == nil {
 		return false

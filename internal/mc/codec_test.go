@@ -249,12 +249,10 @@ func TestExplorationKeyGoldenAndSensitivity(t *testing.T) {
 	}
 
 	for name, cfg := range map[string]Config{
-		"workers":  {Workers: 3},
-		"budget":   {MaxStates: 1 << 10},
-		"spilldir": {SpillDir: "/elsewhere"},
-		"seen":     {SeenBudget: 1 << 12},
-		"exact":    {ExactSeen: true},
-		"nopor":    {NoPOR: true},
+		"workers": {Workers: 3},
+		"budget":  {MaxStates: 1 << 10},
+		"exact":   {ExactSeen: true},
+		"nopor":   {NoPOR: true},
 	} {
 		if k := tsoKey(sbProgram(), threads, cfg); k != base {
 			t.Errorf("%s changed the TSO key: %s vs %s", name, k, base)

@@ -1,7 +1,7 @@
 package mc
 
-// Panic isolation. A panic in an exploration worker (or a spiller, or the
-// pass layer's per-function fan-out) must cost exactly one job: the pool
+// Panic isolation. A panic in an exploration worker (or in the pass
+// layer's per-function fan-out) must cost exactly one job: the pool
 // drains cleanly, sibling explorations keep running, and the process never
 // dies. The recovered panic travels as an InternalError on the failing
 // job's result — a structured, inspectable error, not a crash.
@@ -14,8 +14,9 @@ import (
 	"fenceplace/internal/telemetry"
 )
 
-// mWorkerPanics counts every recovered worker panic process-wide; the CI
-// bench-smoke asserts it stays zero on healthy runs.
+// mWorkerPanics counts every recovered worker panic process-wide;
+// TestCertifyVariantsShareOneSCExploration and CI's fenced smoke assert it
+// stays zero on healthy runs.
 var mWorkerPanics = telemetry.NewCounter("mc.worker_panics")
 
 // InternalError is a panic recovered from a worker goroutine, carried on

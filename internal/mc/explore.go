@@ -34,19 +34,6 @@ var (
 	mWitnessRuns   = telemetry.NewCounter("mc.witness_runs") // counterexample searches, not in explore_runs
 	mFrontierDepth = telemetry.NewHistogram("mc.frontier_depth")
 	mMemHeadroom   = telemetry.NewGauge("mc.memcap_headroom")
-
-	// Two-level seen-set metrics (see seen.go / spill.go). Hot/cold hits
-	// count probes answered by the in-RAM tier vs. sealed runs; seals,
-	// spill runs/bytes and quarantines describe the cold tier's life
-	// cycle; seal latency is the pause a worker takes to sort and encode
-	// a full hot tier.
-	mSeenHotHits      = telemetry.NewCounter("mc.seen_hot_hits")
-	mSeenColdHits     = telemetry.NewCounter("mc.seen_cold_hits")
-	mSeenSeals        = telemetry.NewCounter("mc.seen_seals")
-	mSpillRuns        = telemetry.NewCounter("mc.spill_runs")
-	mSpillBytes       = telemetry.NewCounter("mc.spill_bytes")
-	mSpillQuarantines = telemetry.NewCounter("mc.spill_quarantines")
-	mSealLatency      = telemetry.NewHistogram("mc.seal_latency_ns")
 )
 
 const nShards = 64 // seen-set shards; fine-grained locking for the pool
@@ -67,12 +54,7 @@ type engine struct {
 	fns    map[string]*fnInfo
 	gwords int
 
-	shards      [nShards]seenShard
-	shardBudget int64 // seen-set RAM budget per shard, in bytes
-	hotMaxSlots int   // hot-tier slot cap derived from the budget
-	spill       *store.Spill
-	spillChs    [nSpillGroups]chan spillItem
-	spillWG     sync.WaitGroup
+	shards [nShards]seenShard
 
 	visited   atomic.Int64
 	seen      atomic.Int64 // distinct states inserted into the seen set
@@ -214,7 +196,6 @@ func newEngine(p *ir.Program, threadFns []string, cfg Config) (*engine, *state, 
 	for i, f := range p.Funcs {
 		e.fns[f.Name] = newFnInfo(f, i)
 	}
-	e.shardBudget, e.hotMaxSlots = seenBudget(cfg)
 
 	// Layout globals exactly like tso.Run: address 0 stays unused so a zero
 	// value is never a valid pointer.
@@ -276,7 +257,6 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 		return nil, err
 	}
 	cfg = e.cfg
-	e.startSpill()
 	root := &workerCtx{}
 	if _, ok := e.normalize(root, init, 0, 0); ok {
 		e.inflight.Store(1)
@@ -334,7 +314,6 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 	}
 	wg.Wait()
 	<-watchDone
-	e.finishSeen()
 	mSeenStates.Add(0, e.seen.Load())
 	if e.cfg.MemoryCap > 0 {
 		mMemHeadroom.Set(0, int64(e.cfg.MemoryCap)-maxMem.Load())
@@ -586,10 +565,9 @@ func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, from int) {
 		sh.mu.Unlock()
 	} else {
 		h := hash128w(w.encBuf)
-		si := int(h.hi % nShards)
-		sh := &e.shards[si]
+		sh := &e.shards[h.hi%nShards]
 		sh.mu.Lock()
-		need, revisit = sh.visit(e, si, h, sleep)
+		need, revisit = sh.visit(h, sleep)
 		sh.mu.Unlock()
 	}
 

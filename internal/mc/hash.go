@@ -96,11 +96,8 @@ func appendWordBytes(dst []byte, w []uint64) []byte {
 	return dst
 }
 
-// fpEntry is one slot of the hot fingerprint tier (and the unit of a
-// sealed cold-tier run): the state's fingerprint plus the sleep mask it
-// has been covered for (see seenShard in seen.go). visit remaps the
-// (vanishingly unlikely) all-zero fingerprint away from the hot tier's
-// empty-slot marker.
+// fpEntry is one slot of a seen-set table: the state's fingerprint plus
+// the sleep mask it has been covered for (see seenShard in seen.go).
 type fpEntry struct {
 	hi, lo uint64
 	sleep  uint32

@@ -49,10 +49,10 @@
 //     tests of dead_test.go demand the same final-state sets from it;
 //
 //   - Config.ExactSeen, string-keyed seen sets in place of 128-bit
-//     fingerprints: the fingerprint and two-level seen-set differentials
-//     (seen_test.go, seen_spill_test.go) and the spill-fault tests
-//     (fault_test.go, spill_crash_test.go) compare visit counts and
-//     outcomes against it, and `fenceplace certify -exact` exposes it;
+//     fingerprints: the fingerprint differentials of seen_test.go
+//     (TestFingerprintMatchesExactSeen and its random twin) compare
+//     visit counts and outcomes against it, and `fenceplace certify
+//     -exact` exposes it;
 //
 //   - Config.NoPOR, the exploration without partial-order reduction: the
 //     POR differentials (crossCheck in mc_test.go,
@@ -92,41 +92,36 @@ type Config struct {
 	Workers   int   // worker goroutines (default GOMAXPROCS)
 	NoPOR     bool  // disable partial-order reduction (cross-check oracle)
 
-	// MemoryCap is the per-state arena limit in words and the anchor of
-	// the exploration's memory budget: the two-level seen set derives its
-	// RAM allowance from it (8 bytes per word) unless SeenBudget overrides
-	// that. 0 means the default (1<<22 words); negative means uncapped.
+	// MemoryCap is the per-state arena limit in words: an Alloca or
+	// Malloc that would grow a state's memory past it fails the
+	// exploration ("arena exhausted"). It decides where allocations fail,
+	// so it is part of BaselineKey and ExplorationKey. 0 means the default
+	// (1<<22 words); negative means uncapped.
 	MemoryCap int
 
-	// SeenBudget bounds the seen set's RAM in bytes. When a shard's share
-	// of the budget fills, its hot fingerprint tier is sealed into a
-	// sorted run and spilled to SpillDir in the background (see seen.go),
-	// so exploration proceeds under the cap instead of truncating. 0
-	// derives the budget from MemoryCap; negative disables the bound.
-	SeenBudget int64
-
-	// SpillDir is where sealed seen-set runs are written (a scratch spill
-	// area managed by internal/store, distinct from the baseline cache).
-	// Empty disables spilling: sealed runs then stay in RAM, keeping
-	// correctness but not the budget. SpillDir and SeenBudget do not
-	// affect exploration results, so neither is part of BaselineKey.
+	// SpillDir is ignored: the seen set no longer spills to disk, and
+	// withDefaults zeroes the field so it reaches no key.
+	//
+	// Deprecated: ignored. It remains only because the benchmark harness
+	// (bench/workloads.go) still sets it; the ROADMAP benchmark item
+	// removes that use and then this field.
 	SpillDir string
 
 	// ExactSeen keys the seen set by full canonical state encodings
 	// instead of 128-bit fingerprints. Exact mode allocates one string per
 	// visited state; it exists as a cross-checking oracle for the
-	// fingerprint tiers, not for production use.
+	// fingerprint tables, not for production use.
 	ExactSeen bool
 
-	// FS overrides the filesystem the exploration's disk surface (the
-	// spill area) routes through; nil means the real OS. It is the fault-
-	// injection seam of the chaos suite and, like SpillDir, cannot affect
-	// exploration results — it is not part of BaselineKey. Implementations
-	// must have a comparable dynamic type: normalized Configs are used as
-	// map keys by the pass session.
+	// FS overrides the filesystem the certification pipeline's exploration
+	// store (internal/passes opens it from this Config) routes through;
+	// nil means the real OS. It is the fault-injection seam of the chaos
+	// suite and cannot affect exploration results — it is not part of
+	// BaselineKey. Implementations must have a comparable dynamic type:
+	// normalized Configs are used as map keys by the pass session.
 	FS fsx.FS
 
-	// IORetries bounds the retry loop around transient spill-I/O
+	// IORetries bounds the retry loop around transient store-I/O
 	// failures: 0 means the fsx default (2), negative disables retrying.
 	// Excluded from BaselineKey like every other I/O knob.
 	IORetries int
@@ -152,6 +147,7 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
+	c.SpillDir = ""
 	return c
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"fenceplace/internal/ir"
@@ -411,6 +412,34 @@ func TestTruncationIsAnExplicitError(t *testing.T) {
 	_, err = certify(p, sb(true), []string{"t0", "t1"}, Config{MaxStates: 3})
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("certify on a truncated exploration returned %v, want ErrTruncated", err)
+	}
+}
+
+// TestMemoryCapBoundsTheArena pins what Config.MemoryCap does: an Alloca
+// that would grow a state's memory past the cap fails the exploration
+// with "arena exhausted", and the same program explores when uncapped.
+func TestMemoryCapBoundsTheArena(t *testing.T) {
+	pb := ir.NewProgram("big-alloca")
+	o := pb.Global("o", 1)
+	t0 := pb.Func("t0", 0)
+	slot := t0.Alloca(64)
+	t0.StorePtr(slot, t0.Const(7))
+	t0.Store(o, t0.LoadPtr(slot))
+	t0.RetVoid()
+	p := pb.MustBuild()
+
+	for _, mode := range []tso.Mode{tso.TSO, tso.SC} {
+		_, err := Explore(p, []string{"t0"}, Config{Mode: mode, MemoryCap: 32})
+		if err == nil || !strings.Contains(err.Error(), "arena exhausted") {
+			t.Fatalf("%s: 64-word Alloca under a 32-word cap: err = %v, want arena exhausted", mode, err)
+		}
+		res, err := Explore(p, []string{"t0"}, Config{Mode: mode, MemoryCap: -1})
+		if err != nil {
+			t.Fatalf("%s: uncapped: %v", mode, err)
+		}
+		if !res.Has(map[string]int64{"o": 7}, p) || len(res.Outcomes) != 1 {
+			t.Fatalf("%s: uncapped outcomes %v, want only o=7", mode, res.Keys())
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -179,5 +180,94 @@ func TestHash128wEncodeAllocs(t *testing.T) {
 	}
 	if h == (h128{}) {
 		t.Error("zero fingerprint")
+	}
+}
+
+// testFP derives a deterministic fingerprint stream for the table tests.
+func testFP(i int) h128 {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(i))
+	return hash128(b[:])
+}
+
+// TestHotProbeAllocFree pins the seen-set probe at zero allocations: a hit
+// on a present fingerprint and a miss that inserts an absent one. The
+// fill before the probes grows the table at least three times, and every
+// fingerprint inserted across those growths must still be found.
+func TestHotProbeAllocFree(t *testing.T) {
+	var sh seenShard
+	const n = 1000
+	sh.mu.Lock()
+	for i := 0; i < n; i++ {
+		if need, _ := sh.visit(testFP(i), 0); !need {
+			t.Fatalf("fresh fingerprint %d reported seen", i)
+		}
+	}
+	slots := len(sh.tags)
+	if slots < minSlots<<3 {
+		t.Fatalf("%d inserts left the table at %d slots: fewer than 3 growths from %d", n, slots, minSlots)
+	}
+	for i := 0; i < n; i++ {
+		if need, _ := sh.visit(testFP(i), 0); need {
+			t.Fatalf("fingerprint %d lost across growths", i)
+		}
+	}
+	sh.mu.Unlock()
+
+	probe := func(name string, fn func()) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s: %v allocs per probe, want 0", name, allocs)
+		}
+	}
+	i := 0
+	probe("hit", func() {
+		sh.mu.Lock()
+		if need, _ := sh.visit(testFP(i%n), 0); need {
+			t.Fatal("present fingerprint reported unseen")
+		}
+		sh.mu.Unlock()
+		i++
+	})
+	j := n
+	probe("miss", func() {
+		sh.mu.Lock()
+		if need, _ := sh.visit(testFP(j), 0); !need {
+			t.Fatal("absent fingerprint reported seen")
+		}
+		sh.mu.Unlock()
+		j++
+	})
+	if len(sh.tags) != slots {
+		t.Fatalf("the miss probes grew the table from %d to %d slots: the alloc count measured a growth", slots, len(sh.tags))
+	}
+}
+
+// TestSleepMaskNarrowing drives the mask-narrowing protocol directly: a
+// state first seen with a permissive sleep mask, then revisited with a
+// narrower one, must wake exactly the previously slept transitions and
+// store the narrowed mask.
+func TestSleepMaskNarrowing(t *testing.T) {
+	var sh seenShard
+	h := testFP(42)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+
+	if need, _ := sh.visit(h, 0b1100); !need {
+		t.Fatal("first visit pruned")
+	}
+	// Stored 1100, probe 0100: prev&^sleep = 1000 must wake.
+	need, revisit := sh.visit(h, 0b0100)
+	if !need || revisit != 0b1000 {
+		t.Fatalf("revisit: need=%v revisit=%04b, want true 1000", need, revisit)
+	}
+	// The narrowed mask (0100) is stored: a probe with 0100 is covered, a
+	// probe with 0000 wakes the remaining bit.
+	if need, _ := sh.visit(h, 0b0100); need {
+		t.Fatal("narrowed mask not honored: probe with equal sleep re-expanded")
+	}
+	need, revisit = sh.visit(h, 0)
+	if !need || revisit != 0b0100 {
+		t.Fatalf("final narrowing: need=%v revisit=%04b, want true 0100", need, revisit)
 	}
 }

@@ -348,8 +348,8 @@ type statuszDoc struct {
 	Jobs Stats `json:"jobs"`
 
 	// DegradedMode is the store package's process-wide degradation rung:
-	// 0 healthy, higher rungs mean the process has fallen back (uncached
-	// certification, seal-in-RAM, truncation). Monotonic per process.
+	// 0 healthy, higher rungs mean the process has fallen back (1 uncached
+	// certification, 3 truncation). Monotonic per process.
 	DegradedMode int `json:"degraded_mode"`
 
 	// Store is the baseline store's snapshot when the server runs with a

@@ -87,8 +87,8 @@ type Config struct {
 	// for status polling before the oldest are forgotten (default 256).
 	Retain int
 
-	// Options is the base option set every job runs under — the cache and
-	// spill directories, progress interval and similar process-wide
+	// Options is the base option set every job runs under — the cache
+	// directory, progress interval and similar process-wide
 	// configuration. Per-job budgets are appended after it and win.
 	Options []fenceplace.Option
 }

@@ -28,11 +28,10 @@ func explorations() int64 { return telemetry.Default().Counter("mc.explore_runs"
 func scExplorations() int64 { return telemetry.Default().Counter("mc.sc_explore_runs").Value() }
 
 // newTestManager builds a manager with a neutral environment: no ambient
-// cache or spill directory can leak into the jobs.
+// cache directory can leak into the jobs.
 func newTestManager(t *testing.T, cfg Config) *Manager {
 	t.Helper()
 	t.Setenv("FENCEPLACE_CACHE_DIR", "")
-	t.Setenv("FENCEPLACE_SPILL_DIR", "")
 	m := NewManager(cfg)
 	t.Cleanup(m.Close)
 	return m

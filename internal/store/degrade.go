@@ -9,16 +9,15 @@ package store
 //	DegradeUncached   the baseline cache was unusable (unwritable dir,
 //	                  failed write-back): certification re-explores from
 //	                  scratch — exact, just slower
-//	DegradeSealInRAM  the spill area failed mid-run: sealed seen-set runs
-//	                  stay in RAM — exact, but the memory cap now bites
-//	                  sooner
 //	DegradeTruncated  the exploration budget was truly exhausted: the
 //	                  verdict is explicitly three-valued (ErrTruncated)
 //
 // The process-wide degraded_mode gauge records the highest rung reached
 // (monotonic max), so one end-of-run snapshot answers "did anything
-// degrade, and how badly". Per-rung counters record how often each
-// fallback engaged.
+// degrade, and how badly". A per-rung counter records how often the
+// uncached fallback engaged. Rung 2 is retired (it was the seen set's
+// disk spill failing); the others keep their numbers, so degraded_mode
+// readings mean what they always did.
 
 import (
 	"sync"
@@ -30,14 +29,12 @@ import (
 const (
 	DegradeNone      = 0
 	DegradeUncached  = 1
-	DegradeSealInRAM = 2
 	DegradeTruncated = 3
 )
 
 var (
 	gDegradedMode = telemetry.NewGauge("degraded_mode")
 	gDegUncached  = telemetry.NewCounter("store.degraded_uncached")
-	gDegSealInRAM = telemetry.NewCounter("store.degraded_seal_in_ram")
 )
 
 var (
@@ -62,13 +59,6 @@ func NoteDegraded(rung int) {
 func NoteUncached() {
 	gDegUncached.Inc(0)
 	NoteDegraded(DegradeUncached)
-}
-
-// NoteSealInRAM records one fall to the seal-in-RAM rung: the spill area
-// failed (at session setup or mid-run) and a sealed run stayed in memory.
-func NoteSealInRAM() {
-	gDegSealInRAM.Inc(0)
-	NoteDegraded(DegradeSealInRAM)
 }
 
 // DegradedMode returns the highest rung recorded since process start (or

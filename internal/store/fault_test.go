@@ -1,6 +1,6 @@
 package store
 
-// Fault-injection tests for the store and spill layers: seeded fault
+// Fault-injection tests for the store: seeded fault
 // schedules and targeted stub filesystems drive every degradation path —
 // transient faults retried to success, persistent faults surfacing as
 // explicit errors with cleanup metered, torn writes degrading to misses.
@@ -140,48 +140,6 @@ func TestCleanupErrorsCounted(t *testing.T) {
 	}
 }
 
-// TestTornSpillWriteRetriedToCleanFile pins the short-write path through
-// the spill area: the first attempt tears the file, the retry overwrites
-// it whole, and the read-back verifies.
-func TestTornSpillWriteRetriedToCleanFile(t *testing.T) {
-	root := t.TempDir()
-	ff := fsx.NewFaultFS(nil, fsx.FaultConfig{Seed: 3, ShortWrite: 1, MaxInjected: 1})
-	sp, err := NewSpillSessionConfig(root, Config{FS: ff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Remove()
-	payload := bytes.Repeat([]byte("spill"), 1000)
-	path, err := sp.Write(payload)
-	if err != nil {
-		t.Fatalf("Write under a single short-write fault: %v", err)
-	}
-	got, err := sp.ReadRunPayload(path)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("ReadRunPayload = %d bytes, err %v; want the clean payload", len(got), err)
-	}
-}
-
-// TestSpillWriteGiveUpRemovesTornPrefix pins that a spill write that
-// fails every attempt does not leave a torn file behind for OpenRun to
-// trip over.
-func TestSpillWriteGiveUpRemovesTornPrefix(t *testing.T) {
-	root := t.TempDir()
-	ff := fsx.NewFaultFS(nil, fsx.FaultConfig{Seed: 9, ShortWrite: 1})
-	sp, err := NewSpillSessionConfig(root, Config{FS: ff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Remove()
-	path, err := sp.Write([]byte("never lands"))
-	if err == nil {
-		t.Fatal("Write succeeded under an always-short-write schedule")
-	}
-	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
-		t.Fatalf("torn spill file left behind: stat err %v", serr)
-	}
-}
-
 // TestDegradationLadderMonotonic pins the gauge discipline: the recorded
 // rung only climbs, and ResetDegraded rearms it.
 func TestDegradationLadderMonotonic(t *testing.T) {
@@ -190,17 +148,17 @@ func TestDegradationLadderMonotonic(t *testing.T) {
 	if got := DegradedMode(); got != DegradeNone {
 		t.Fatalf("fresh rung = %d, want DegradeNone", got)
 	}
-	NoteSealInRAM()
-	if got := DegradedMode(); got != DegradeSealInRAM {
-		t.Fatalf("rung = %d, want DegradeSealInRAM", got)
-	}
-	NoteUncached() // lower rung must not regress the gauge
-	if got := DegradedMode(); got != DegradeSealInRAM {
-		t.Fatalf("rung regressed to %d after a lower-rung note", got)
+	NoteUncached()
+	if got := DegradedMode(); got != DegradeUncached {
+		t.Fatalf("rung = %d, want DegradeUncached", got)
 	}
 	NoteDegraded(DegradeTruncated)
 	if got := DegradedMode(); got != DegradeTruncated {
 		t.Fatalf("rung = %d, want DegradeTruncated", got)
+	}
+	NoteUncached() // lower rung must not regress the gauge
+	if got := DegradedMode(); got != DegradeTruncated {
+		t.Fatalf("rung regressed to %d after a lower-rung note", got)
 	}
 	ResetDegraded()
 	if got := DegradedMode(); got != DegradeNone {

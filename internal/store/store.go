@@ -75,7 +75,7 @@ const (
 // magic heads every entry file; the fourth byte is the format version.
 var magic = [4]byte{'F', 'P', 'S', formatVersion}
 
-// Config tunes how a Store (or Spill session) touches the disk. The zero
+// Config tunes how a Store touches the disk. The zero
 // value is production behavior: the real OS, default retries.
 type Config struct {
 	// FS is the filesystem the store routes every operation through; nil
@@ -282,16 +282,9 @@ func fnv1a64(b []byte) uint64 {
 	return h
 }
 
-// HeaderSize is the length of the magic+length+checksum prefix Frame
-// prepends; a framed file's payload begins at this offset.
-const HeaderSize = headerSize
-
-// Frame wraps payload in the store's on-disk format: magic+version, the
+// frame wraps payload in the store's on-disk format: magic+version, the
 // payload length, and an FNV-1a checksum, followed by the payload bytes.
-// It is exported so other disk surfaces (the model checker's spill area)
-// reuse the exact framing — and therefore the exact corruption-degrades-
-// to-a-miss guarantee — of the baseline store.
-func Frame(payload []byte) []byte {
+func frame(payload []byte) []byte {
 	buf := make([]byte, headerSize+len(payload))
 	copy(buf, magic[:])
 	binary.LittleEndian.PutUint64(buf[4:12], uint64(len(payload)))
@@ -300,10 +293,10 @@ func Frame(payload []byte) []byte {
 	return buf
 }
 
-// Unframe verifies a framed file's header and checksum and returns its
+// unframe verifies a framed file's header and checksum and returns its
 // payload, or ok=false for any integrity failure (short file, bad magic or
 // version, length mismatch, checksum mismatch).
-func Unframe(data []byte) (payload []byte, ok bool) {
+func unframe(data []byte) (payload []byte, ok bool) {
 	if len(data) < headerSize || [4]byte(data[:4]) != magic {
 		return nil, false
 	}
@@ -353,7 +346,7 @@ func (s *Store) get(ctx context.Context, key string) ([]byte, bool) {
 		count(s.misses, gMisses, 1)
 		return nil, false
 	}
-	payload, ok := Unframe(data)
+	payload, ok := unframe(data)
 	if !ok {
 		s.Quarantine(key)
 		count(s.misses, gMisses, 1)
@@ -374,7 +367,7 @@ func (s *Store) Peek(key string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	return Unframe(data)
+	return unframe(data)
 }
 
 // PutCtx is Put gated by a context: a cancelled ctx skips the write
@@ -405,7 +398,7 @@ func (s *Store) put(ctx context.Context, key string, payload []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	framed := Frame(payload)
+	framed := frame(payload)
 	if err := s.do(ctx, func() error { return s.putOnce(key, framed) }); err != nil {
 		return fmt.Errorf("store: put %s: %w", key, err)
 	}
@@ -527,7 +520,7 @@ func (s *Store) Verify() (ok int, bad []string, err error) {
 		if rerr != nil {
 			continue // removed concurrently: neither good nor bad
 		}
-		if _, valid := Unframe(data); !valid {
+		if _, valid := unframe(data); !valid {
 			s.Quarantine(en.Key)
 			bad = append(bad, en.Key)
 			continue

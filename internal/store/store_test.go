@@ -389,3 +389,51 @@ func TestTwoProcessesSharingOneCacheDir(t *testing.T) {
 		t.Fatalf("Verify after shared-dir races: bad=%v err=%v", bad, err)
 	}
 }
+
+// TestGCPlanMatchesGC pins the dry run behind `fencecache gc -n`: GCPlan
+// lists the entries GC would evict, oldest first, removes nothing, and
+// the real GC then evicts exactly those.
+func TestGCPlanMatchesGC(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	payload := []byte(strings.Repeat("p", 100))
+	for i := 0; i < 4; i++ {
+		if err := s.Put(key(i), payload); err != nil {
+			t.Fatal(err)
+		}
+		old := time.Now().Add(time.Duration(i-10) * time.Hour)
+		if err := os.Chtimes(filepath.Join(s.Dir(), key(i)[:2], key(i)+".art"), old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, _ := s.List()
+	perEntry := entries[0].Size
+
+	plan, err := s.GCPlan(2 * perEntry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan) != 2 || plan[0].Key != key(0) || plan[1].Key != key(1) {
+		t.Fatalf("plan %+v, want the two oldest (key(0), key(1)) in eviction order", plan)
+	}
+	// The dry run removed nothing.
+	for i := 0; i < 4; i++ {
+		if _, ok := s.Get(key(i)); !ok {
+			t.Fatalf("GCPlan evicted key(%d)", i)
+		}
+	}
+	// The real GC does exactly what the plan said.
+	evicted, freed, err := s.GC(2 * perEntry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evicted != len(plan) || freed != 2*perEntry {
+		t.Fatalf("GC evicted %d / %d bytes, plan promised %d / %d", evicted, freed, len(plan), 2*perEntry)
+	}
+	// Within budget: empty plan, no error.
+	if plan, err := s.GCPlan(1 << 30); err != nil || len(plan) != 0 {
+		t.Errorf("under-budget plan %v, err %v; want empty", plan, err)
+	}
+	if _, err := s.GCPlan(-1); err == nil {
+		t.Error("GCPlan accepted a negative bound")
+	}
+}

@@ -31,13 +31,10 @@ type config struct {
 	cacheDir    string // persistent baseline store directory ("" = none)
 	cacheDirSet bool   // WithCacheDir was given; skip the env default
 
-	spillDir    string // seen-set spill area ("" = keep sealed runs in RAM)
-	spillDirSet bool   // WithSpillDir was given; skip the env default
-
 	progress      func(ProgressEvent) // streaming progress sink (nil = none)
 	progressEvery time.Duration       // heartbeat interval (0 = default 250ms)
 
-	faultFS   fsx.FS // filesystem override for cache + spill I/O (nil = the OS)
+	faultFS   fsx.FS // filesystem override for cache I/O (nil = the OS)
 	ioRetries int    // transient-I/O retry bound (0 = default, <0 = none)
 }
 
@@ -58,9 +55,6 @@ func resolve(opts []Option) config {
 		// value instead of consulting the environment again.
 		c.cacheDir, c.cacheDirSet = os.Getenv("FENCEPLACE_CACHE_DIR"), true
 	}
-	if !c.spillDirSet {
-		c.spillDir, c.spillDirSet = os.Getenv("FENCEPLACE_SPILL_DIR"), true
-	}
 	return c
 }
 
@@ -71,7 +65,6 @@ func (c config) mcConfig() mc.Config {
 		MaxStates: c.maxStates,
 		Workers:   c.workers,
 		MemoryCap: c.memoryCap,
-		SpillDir:  c.spillDir,
 		ExactSeen: c.exactSeen,
 		FS:        c.faultFS,
 		IORetries: c.ioRetries,
@@ -114,35 +107,32 @@ func WithExactSeen() Option {
 	return func(c *config) { c.exactSeen = true }
 }
 
-// WithMemoryCap sets the model checker's memory budget: the per-state
-// arena limit in words (default 1<<22) and, through it, the RAM allowance
-// of the seen set (8 bytes per word) — once the seen set crosses that
-// allowance, cold fingerprints are sealed and spilled to the WithSpillDir
-// area instead of truncating the exploration. n < 0 removes the cap.
+// WithMemoryCap sets the model checker's per-state arena limit in words
+// (default 1<<22): an Alloca or Malloc that would grow a state's memory
+// past it fails the certification with "arena exhausted". The cap decides
+// where allocations fail, so it is part of the exploration cache key. It
+// does not bound the seen set; WithMaxStates does. n < 0 removes the cap.
 func WithMemoryCap(n int) Option {
 	return func(c *config) { c.memoryCap = n }
 }
 
-// WithSpillDir names the scratch area where the model checker's sealed
-// seen-set runs are written when an exploration outgrows its memory
-// budget (see WithMemoryCap). The empty string disables spilling
-// explicitly — unlike omitting the option, which falls back to
-// $FENCEPLACE_SPILL_DIR (read once, when the option list is resolved).
-// Without a spill directory, sealed runs stay in RAM: results are
-// identical, only the budget is no longer honored. The area is distinct
-// from the WithCacheDir baseline store; `fencecache gc -spill DIR`
-// reclaims sessions orphaned by crashes.
-func WithSpillDir(dir string) Option {
-	return func(c *config) { c.spillDir, c.spillDirSet = dir, true }
+// WithSpillDir returns an option that does nothing.
+//
+// Deprecated: ignored. The seen set no longer spills to disk. The name
+// remains only because the benchmark harness (bench/workloads.go,
+// bench/service.go) still calls it; the ROADMAP benchmark item removes
+// those calls and then this function.
+func WithSpillDir(string) Option {
+	return func(*config) {}
 }
 
 // WithFaultFS routes every disk operation of the certification pipeline —
-// the baseline cache and the seen-set spill area — through fs instead of
-// the real filesystem. It is the fault-injection seam of the chaos test
-// suite (see internal/fsx.NewFaultFS); nil restores the OS. The
-// filesystem cannot affect certification verdicts, only whether the
-// pipeline runs cached, spilled, or degraded; fs must have a comparable
-// dynamic type (the pass session keys baselines by configuration).
+// the exploration cache — through fs instead of the real filesystem. It
+// is the fault-injection seam of the chaos test suite (see
+// internal/fsx.NewFaultFS); nil restores the OS. The filesystem cannot
+// affect certification verdicts, only whether the pipeline runs cached or
+// degraded; fs must have a comparable dynamic type (the pass session keys
+// baselines by configuration).
 func WithFaultFS(fs fsx.FS) Option {
 	return func(c *config) { c.faultFS = fs }
 }
