@@ -256,7 +256,14 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 	if err != nil {
 		return nil, err
 	}
-	cfg = e.cfg
+	return e.explore(ctx, init, start)
+}
+
+// explore runs the worker pool over the states reachable from init and
+// collects the result; start is when the exploration began, for the trace
+// span and the progress events.
+func (e *engine) explore(ctx context.Context, init *state, start time.Time) (*StateSet, error) {
+	p, cfg := e.prog, e.cfg
 	root := &workerCtx{}
 	if _, ok := e.normalize(root, init, 0, 0); ok {
 		e.inflight.Store(1)

@@ -50,8 +50,9 @@
 //
 //   - Config.ExactSeen, string-keyed seen sets in place of 128-bit
 //     fingerprints: the fingerprint differentials of seen_test.go
-//     (TestFingerprintMatchesExactSeen and its random twin) compare
-//     visit counts and outcomes against it, and `fenceplace certify
+//     (TestFingerprintMatchesExactSeen, TestTwoLevelSeenMatchesExactSeen
+//     over presized tables, and their random twins) compare visit counts
+//     and outcomes against it, and `fenceplace certify
 //     -exact` exposes it;
 //
 //   - Config.NoPOR, the exploration without partial-order reduction: the

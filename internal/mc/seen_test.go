@@ -1,9 +1,12 @@
 package mc
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"testing"
+	"time"
+	"unsafe"
 
 	"fenceplace/internal/ir"
 	"fenceplace/internal/progs"
@@ -94,6 +97,158 @@ func TestFingerprintMatchesExactSeenRandom(t *testing.T) {
 			}
 		}
 	}
+}
+
+// seenBudgets are the starting sizes the growth differentials sweep, in
+// bytes of seen set across all shards: 1 byte starts every shard at one
+// slot, so each table doubles on almost every early insert (the most
+// rehash-heavy schedule); 4 KiB starts every shard at two slots; 1 MiB
+// presizes every shard past what these programs store, so nothing grows;
+// -1 keeps the default lazy start at minSlots.
+var seenBudgets = []int64{1, 4 << 10, 1 << 20, -1}
+
+// exploreWithBudget is Explore with every shard's table presized from a
+// seen-set byte budget (see seenBudgets). It returns the engine too, so a
+// test can inspect the tables the exploration left.
+func exploreWithBudget(p *ir.Program, threads []string, cfg Config, budget int64) (*StateSet, *engine, error) {
+	e, init, err := newEngine(p, threads, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if budget > 0 {
+		const slotBytes = int64(unsafe.Sizeof(uint16(0)) + unsafe.Sizeof(fpEntry{}))
+		per := budget / (slotBytes * nShards)
+		slots := 1
+		for int64(2*slots) <= per {
+			slots *= 2
+		}
+		for i := range e.shards {
+			e.shards[i].grow(slots)
+		}
+	}
+	res, err := e.explore(context.Background(), init, time.Now())
+	return res, e, err
+}
+
+// TestTwoLevelSeenMatchesExactSeen is the oracle check for the seen-set
+// table across its growth schedules (the name predates the single table:
+// the budget is now the table's starting size, no longer a tier bound).
+// Across litmus programs and instrumented corpus kernels, every starting
+// budget, including the 1-byte one that rehashes on almost every early
+// insert, must reproduce exactly the outcome sets AND visit counts of the
+// exact string-keyed oracle. Visit counts are compared at one worker,
+// where the sleep-set protocol is deterministic; a fingerprint or sleep
+// mask lost in a rehash shows up as a drift here.
+func TestTwoLevelSeenMatchesExactSeen(t *testing.T) {
+	type tc struct {
+		name    string
+		prog    *ir.Program
+		threads []string
+	}
+	cases := []tc{
+		{"sb", sb(false), []string{"t0", "t1"}},
+		{"sb+f", sb(true), []string{"t0", "t1"}},
+		{"mp", mp(), []string{"t0", "t1"}},
+		{"lb", lb(), []string{"t0", "t1"}},
+		{"ring3", medium3(), []string{"t0", "t1", "t2"}},
+	}
+	for _, name := range []string{"dekker", "peterson"} {
+		m := progs.ByName(name)
+		pp := m.Defaults
+		pp.Threads = 2
+		pp.Size = 1
+		pp.Manual = true
+		cases = append(cases, tc{name + "/manual", m.Build(pp), nil})
+	}
+	for _, c := range cases {
+		for _, mode := range []tso.Mode{tso.TSO, tso.SC} {
+			exact, err := Explore(c.prog, c.threads, Config{Mode: mode, Workers: 1, ExactSeen: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, budget := range seenBudgets {
+				t.Run(fmt.Sprintf("%s/%s/budget=%d", c.name, mode, budget), func(t *testing.T) {
+					fp, e, err := exploreWithBudget(c.prog, c.threads, Config{Mode: mode, Workers: 1}, budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fp.Truncated || exact.Truncated {
+						t.Fatal("exploration truncated")
+					}
+					sameKeys(t, "table vs exact outcomes", keySet(fp.Outcomes), keySet(exact.Outcomes))
+					for k, vec := range exact.Outcomes {
+						got := fp.Outcomes[k]
+						if len(got) != len(vec) {
+							t.Fatalf("outcome %s: vector length %d vs %d", k, len(got), len(vec))
+						}
+						for i := range vec {
+							if got[i] != vec[i] {
+								t.Fatalf("outcome %s: globals %v vs %v", k, got, vec)
+							}
+						}
+					}
+					if fp.Visited != exact.Visited {
+						t.Errorf("visit counts diverge: table %d, exact %d", fp.Visited, exact.Visited)
+					}
+					stored := 0
+					for i := range e.shards {
+						stored += e.shards[i].n
+					}
+					if budget == 1 && stored > nShards {
+						grown := false
+						for i := range e.shards {
+							grown = grown || len(e.shards[i].tags) > 1
+						}
+						if !grown {
+							t.Errorf("%d states stored in one-slot tables: no shard grew", stored)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTwoLevelSeenMatchesExactSeenRandom fuzzes flat random programs
+// through the 1-byte starting budget (a fresh generator seed, so the
+// shapes differ from the other differentials): the most rehashes over
+// unpredictable sleep-set interleavings.
+func TestTwoLevelSeenMatchesExactSeenRandom(t *testing.T) {
+	progsByName := randomPrograms(20260807, 15)
+	for name, p := range progsByName {
+		for _, mode := range []tso.Mode{tso.TSO, tso.SC} {
+			fp, _, err := exploreWithBudget(p, []string{"t0", "t1"}, Config{Mode: mode, Workers: 1}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := Explore(p, []string{"t0", "t1"}, Config{Mode: mode, Workers: 1, ExactSeen: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameKeys(t, fmt.Sprintf("%s/%s table vs exact", name, mode),
+				keySet(fp.Outcomes), keySet(exact.Outcomes))
+			if fp.Visited != exact.Visited {
+				t.Errorf("%s/%s: visit counts diverge: table %d, exact %d", name, mode, fp.Visited, exact.Visited)
+			}
+		}
+	}
+}
+
+// TestTwoLevelSeenSpillsConcurrently re-runs one differential with the
+// full worker pool and one-slot starting tables: outcome sets (visit
+// counts are schedule-dependent under >1 workers) must survive tables
+// growing while other workers probe their neighbours.
+func TestTwoLevelSeenSpillsConcurrently(t *testing.T) {
+	p := medium3()
+	exact, err := Explore(p, []string{"t0", "t1", "t2"}, Config{Mode: tso.TSO, Workers: 1, ExactSeen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, _, err := exploreWithBudget(p, []string{"t0", "t1", "t2"}, Config{Mode: tso.TSO}, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameKeys(t, "concurrent table vs exact outcomes", keySet(fp.Outcomes), keySet(exact.Outcomes))
 }
 
 // TestExploreSteadyStateAllocs is the allocation regression test for the
@@ -243,11 +398,12 @@ func TestHotProbeAllocFree(t *testing.T) {
 	}
 }
 
-// TestSleepMaskNarrowing drives the mask-narrowing protocol directly: a
+// TestSealPreservesSleepMasks drives the mask-narrowing protocol directly
+// (there is no seal step any more; the table keeps every mask in place): a
 // state first seen with a permissive sleep mask, then revisited with a
 // narrower one, must wake exactly the previously slept transitions and
 // store the narrowed mask.
-func TestSleepMaskNarrowing(t *testing.T) {
+func TestSealPreservesSleepMasks(t *testing.T) {
 	var sh seenShard
 	h := testFP(42)
 	sh.mu.Lock()
