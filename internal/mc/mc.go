@@ -580,9 +580,11 @@ func applyDrain(s *state, tid int) {
 	s.mem[en.addr] = en.val
 }
 
-// applyStep executes the next instruction of thread tid, in place. It
-// mirrors tso.Run's semantics exactly (including forced drains, LOCK-prefix
-// RMWs and thread-exit buffer publication) minus cost accounting.
+// applyStep executes the next instruction of thread tid, in place, with
+// tso.Run's forced drains, LOCK-prefix RMWs and thread-exit buffer
+// publication, minus cost accounting. TestSimulatorWithinChecker
+// (internal/tso) checks that every final state tso.Run reaches on the
+// Table II kernels and the litmus tests is one this engine enumerates.
 func (e *engine) applyStep(s *state, tid int) error {
 	t := &s.threads[tid]
 	f := t.top()
