@@ -299,16 +299,16 @@ func witness(ctx context.Context, p *ir.Program, threadFns []string, cfg Config,
 		child := top.s.clone()
 		var step Step
 		if bit < MaxThreads {
-			in := child.threads[bit].next()
+			in := child.Threads[bit].Next()
 			step = Step{Thread: bit, Desc: in.String()}
-			if err := e.applyStep(child, bit); err != nil {
+			if err := e.step(child, bit); err != nil {
 				continue
 			}
 		} else {
 			tid := bit - MaxThreads
-			en := child.threads[tid].buf[0]
-			step = Step{Thread: tid, Drain: true, Desc: fmt.Sprintf("%s = %d", e.addrName(en.addr), en.val)}
-			applyDrain(child, tid)
+			en := child.Threads[tid].Buf[0]
+			step = Step{Thread: tid, Drain: true, Desc: fmt.Sprintf("%s = %d", e.addrName(en.Addr), en.Val)}
+			child.Drain(tid)
 		}
 		if !firstSight(child) {
 			continue
@@ -320,13 +320,13 @@ func witness(ctx context.Context, p *ir.Program, threadFns []string, cfg Config,
 
 // outcomeKey renders a terminal state's printable outcome key.
 func (e *engine) outcomeKey(s *state, suffix string) string {
-	return string(appendOutcomeKey(nil, s.mem[1:1+e.gwords], s.failed, suffix))
+	return string(appendOutcomeKey(nil, s.Mem[1:1+e.gwords], s.failed, suffix))
 }
 
 // addrName maps a word address back to a printable global location.
 func (e *engine) addrName(addr int64) string {
 	for _, g := range e.prog.Globals {
-		b := e.base[g]
+		b := e.m.Base(g)
 		if addr >= b && addr < b+int64(g.Size) {
 			if g.Size == 1 {
 				return g.Name

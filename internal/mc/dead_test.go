@@ -64,7 +64,7 @@ entry:
 `
 
 // TestStepReadsOnlyUses pins the contract the dead-register reduction
-// rests on: applyStep and analyze read only the registers ir.Instr.Uses
+// rests on: the step and analyze read only the registers ir.Instr.Uses
 // reports, for every instruction kind. Two states that differ only in the
 // executing frame's other registers must have the same enabledness and
 // footprint and take the same step.
@@ -121,7 +121,7 @@ func TestStepReadsOnlyUses(t *testing.T) {
 			}
 			// main: const, store, call f; other: ret.
 			for _, tid := range []int{0, 0, 0, 1} {
-				if err := e.applyStep(init, tid); err != nil {
+				if err := e.step(init, tid); err != nil {
 					t.Fatalf("%s: setup: %v", label, err)
 				}
 			}
@@ -130,12 +130,12 @@ func TestStepReadsOnlyUses(t *testing.T) {
 			var s [2]*state
 			for k := range s {
 				s[k] = init.clone()
-				f := s[k].threads[0].top()
-				for r := range f.regs {
+				f := s[k].Threads[0].Top()
+				for r := range f.Regs {
 					if slices.Contains(uses, ir.Reg(r)) {
-						f.regs[r] = c.vals[ir.Reg(r)]
+						f.Regs[r] = c.vals[ir.Reg(r)]
 					} else {
-						f.regs[r] = int64(1000*(k+1) + r)
+						f.Regs[r] = int64(1000*(k+1) + r)
 					}
 				}
 			}
@@ -161,7 +161,7 @@ func TestStepReadsOnlyUses(t *testing.T) {
 			}
 			var errs [2]string
 			for k := range s {
-				if err := e.applyStep(s[k], 0); err != nil {
+				if err := e.step(s[k], 0); err != nil {
 					errs[k] = err.Error()
 				}
 			}
@@ -170,13 +170,13 @@ func TestStepReadsOnlyUses(t *testing.T) {
 			}
 			// Put back the poison f's frame still holds where the step did
 			// not write; what remains must be identical.
-			if fr := s[0].threads[0].frames; len(fr) > 1 && fr[1].fn.Name == "f" {
-				for r := range fr[1].regs {
+			if fr := s[0].Threads[0].Frames; len(fr) > 1 && fr[1].Fn.Name == "f" {
+				for r := range fr[1].Regs {
 					// A Call's destination is written by the callee's Ret,
 					// not by the Call.
 					written := ir.Reg(r) == in.Def() && in.Kind != ir.Call
 					if !slices.Contains(uses, ir.Reg(r)) && !written {
-						s[1].threads[0].frames[1].regs[r] = fr[1].regs[r]
+						s[1].Threads[0].Frames[1].Regs[r] = fr[1].Regs[r]
 					}
 				}
 			}
@@ -229,26 +229,26 @@ entry:
 `)
 	// poison rewrites register r of every frame for which pick reports
 	// true, in a copy of s.
-	poison := func(s *state, pick func(tid, depth int, f *frm, r ir.Reg) bool) *state {
+	poison := func(s *state, pick func(tid, depth int, f *tso.Frame, r ir.Reg) bool) *state {
 		c := s.clone()
-		for tid := range c.threads {
-			for depth := range c.threads[tid].frames {
-				f := &c.threads[tid].frames[depth]
-				for r := range f.regs {
+		for tid := range c.Threads {
+			for depth := range c.Threads[tid].Frames {
+				f := &c.Threads[tid].Frames[depth]
+				for r := range f.Regs {
 					if pick(tid, depth, f, ir.Reg(r)) {
-						f.regs[r] = -1000 - int64(r)
+						f.Regs[r] = -1000 - int64(r)
 					}
 				}
 			}
 		}
 		return c
 	}
-	isLive := func(f *frm, r ir.Reg) bool { return slices.Contains(f.fn.live[f.blk.ID()][f.idx], r) }
 	for _, mode := range []tso.Mode{tso.SC, tso.TSO} {
 		e, s, err := newEngine(p, nil, Config{Mode: mode, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		isLive := func(f *tso.Frame, r ir.Reg) bool { return slices.Contains(e.live[f.Fn.ID][f.Blk.ID()][f.Idx], r) }
 		var an analysis
 		deadSeen, liveSeen := 0, 0
 		for steps := 0; !s.terminal(); steps++ {
@@ -258,15 +258,15 @@ entry:
 				bit++
 			}
 			if bit < MaxThreads {
-				if err := e.applyStep(s, bit); err != nil {
+				if err := e.step(s, bit); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				applyDrain(s, bit-MaxThreads)
+				s.Drain(bit - MaxThreads)
 			}
 			want := e.encode(s, nil)
 			wantH := hash128w(want)
-			dead := poison(s, func(_, _ int, f *frm, r ir.Reg) bool {
+			dead := poison(s, func(_, _ int, f *tso.Frame, r ir.Reg) bool {
 				if !isLive(f, r) {
 					deadSeen++
 					return true
@@ -276,14 +276,14 @@ entry:
 			if got := e.encode(dead, nil); !slices.Equal(got, want) || hash128w(got) != wantH {
 				t.Fatalf("%s step %d: poisoning dead registers changed the encoding\n got %v\nwant %v", mode, steps, got, want)
 			}
-			for tid := range s.threads {
-				for depth, f := range s.threads[tid].frames {
-					for _, r := range f.fn.live[f.blk.ID()][f.idx] {
+			for tid := range s.Threads {
+				for depth, f := range s.Threads[tid].Frames {
+					for _, r := range e.live[f.Fn.ID][f.Blk.ID()][f.Idx] {
 						liveSeen++
-						one := poison(s, func(t2, d2 int, _ *frm, r2 ir.Reg) bool { return t2 == tid && d2 == depth && r2 == r })
+						one := poison(s, func(t2, d2 int, _ *tso.Frame, r2 ir.Reg) bool { return t2 == tid && d2 == depth && r2 == r })
 						if got := e.encode(one, nil); slices.Equal(got, want) || hash128w(got) == wantH {
 							t.Fatalf("%s step %d: poisoning live r%d of thread %d frame %s left the encoding unchanged",
-								mode, steps, r, tid, f.fn.Name)
+								mode, steps, r, tid, f.Fn.Name)
 						}
 					}
 				}

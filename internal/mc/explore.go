@@ -50,8 +50,8 @@ type node struct {
 type engine struct {
 	prog   *ir.Program
 	cfg    Config
-	base   map[*ir.Global]int64
-	fns    map[string]*fnInfo
+	m      *tso.Machine
+	live   [][][][]ir.Reg // liveTables(prog)
 	gwords int
 
 	shards [nShards]seenShard
@@ -187,45 +187,32 @@ func newEngine(p *ir.Program, threadFns []string, cfg Config) (*engine, *state, 
 	e := &engine{
 		prog:     p,
 		cfg:      cfg,
-		base:     make(map[*ir.Global]int64),
-		fns:      make(map[string]*fnInfo, len(p.Funcs)),
+		m:        tso.NewMachine(p, cfg.Mode, cfg.BufferCap, cfg.MemoryCap),
+		live:     liveTables(p),
 		handoff:  make(chan *node, 4096),
 		done:     make(chan struct{}),
 		outcomes: make(map[string][]int64),
 	}
-	for i, f := range p.Funcs {
-		e.fns[f.Name] = newFnInfo(f, i)
-	}
+	e.gwords = e.m.GlobalWords()
 
-	// Layout globals exactly like tso.Run: address 0 stays unused so a zero
-	// value is never a valid pointer.
-	mem := []int64{0}
-	for _, g := range p.Globals {
-		e.base[g] = int64(len(mem))
-		cells := make([]int64, g.Size)
-		copy(cells, g.Init)
-		mem = append(mem, cells...)
-		e.gwords += g.Size
-	}
-
-	init := &state{mem: mem}
+	init := &state{State: e.m.NewState()}
 	if len(threadFns) > 0 {
 		if len(threadFns) > MaxThreads {
 			return nil, nil, fmt.Errorf("mc: %d thread functions exceed the %d-thread limit", len(threadFns), MaxThreads)
 		}
 		for _, name := range threadFns {
-			fn := e.fns[name]
+			fn := e.m.Func(name)
 			if fn == nil {
 				return nil, nil, fmt.Errorf("mc: explore: no function %q", name)
 			}
-			init.threads = append(init.threads, thr{frames: []frm{newFrame(fn)}})
+			e.m.StartThread(&init.State, fn)
 		}
 	} else {
-		mainFn := e.fns[p.Main]
+		mainFn := e.m.Func(p.Main)
 		if mainFn == nil {
 			return nil, nil, fmt.Errorf("mc: explore: program %q has no main function %q", p.Name, p.Main)
 		}
-		init.threads = []thr{{frames: []frm{newFrame(mainFn)}}}
+		e.m.StartThread(&init.State, mainFn)
 	}
 	return e, init, nil
 }
@@ -470,7 +457,7 @@ func (e *engine) expand(w *workerCtx, n *node) {
 		return
 	}
 	s := n.s
-	if m := int64(len(s.mem)); m > w.stats.maxMem {
+	if m := int64(len(s.Mem)); m > w.stats.maxMem {
 		w.stats.maxMem = m
 	}
 	if d := int64(len(w.local)); d > w.stats.maxFrontier {
@@ -509,12 +496,12 @@ func (e *engine) expand(w *workerCtx, n *node) {
 		w.stats.transitions++
 		cloneInto(child, s)
 		if bit < MaxThreads {
-			if err := e.applyStep(child, bit); err != nil {
+			if err := e.step(child, bit); err != nil {
 				e.fail(err)
 				return
 			}
 		} else {
-			applyDrain(child, bit-MaxThreads)
+			child.Drain(bit - MaxThreads)
 		}
 		// The child sleeps on every already-covered transition that
 		// commutes with the one just fired.
@@ -619,7 +606,7 @@ func (e *engine) normalize(w *workerCtx, s *state, sleep uint32, from int) (_ ui
 			e.truncated.Store(true)
 			return 0, false
 		}
-		if err := e.applyStep(s, tid); err != nil {
+		if err := e.step(s, tid); err != nil {
 			e.fail(err)
 			return 0, false
 		}
@@ -636,7 +623,7 @@ func (e *engine) normalize(w *workerCtx, s *state, sleep uint32, from int) (_ ui
 // tid itself, to a thread it spawned (numbered above it) or, when it
 // finished tid, to a thread joining it, anywhere.
 func resumeFrom(s *state, tid int) int {
-	if s.threads[tid].done {
+	if s.Threads[tid].Done {
 		return 0
 	}
 	return tid
@@ -645,11 +632,11 @@ func resumeFrom(s *state, tid int) int {
 // detThread returns the lowest-numbered thread, from from on, whose next
 // step is det in s, or -1 when there is none.
 func (e *engine) detThread(w *workerCtx, s *state, from int) int {
-	for tid := from; tid < len(s.threads); tid++ {
+	for tid := from; tid < len(s.Threads); tid++ {
 		if !stepEnabled(s, tid) {
 			continue
 		}
-		in := s.threads[tid].next()
+		in := s.Threads[tid].Next()
 		if in.Kind == ir.Br || in.Kind == ir.Jmp {
 			continue
 		}
@@ -666,10 +653,10 @@ func (e *engine) detThread(w *workerCtx, s *state, from int) int {
 // probed before anything is copied, so duplicate terminal states — the
 // overwhelming majority — allocate nothing.
 func (e *engine) record(w *workerCtx, s *state, suffix string) {
-	w.keyBuf = appendOutcomeKey(w.keyBuf[:0], s.mem[1:1+e.gwords], s.failed, suffix)
+	w.keyBuf = appendOutcomeKey(w.keyBuf[:0], s.Mem[1:1+e.gwords], s.failed, suffix)
 	e.outMu.Lock()
 	if _, ok := e.outcomes[string(w.keyBuf)]; !ok {
-		vec := append([]int64(nil), s.mem[1:1+e.gwords]...)
+		vec := append([]int64(nil), s.Mem[1:1+e.gwords]...)
 		e.outcomes[string(w.keyBuf)] = vec
 	}
 	e.outMu.Unlock()

@@ -5,8 +5,15 @@
 // whether a fence placement restores sequential consistency, producing a
 // counterexample schedule when it does not.
 //
-// Compared with the legacy sequential enumerator (tso.Explore) the engine
-// adds four things:
+// The engine executes instructions through tso's step semantics,
+// tso.Machine.Step, the same step the simulator tso.Run executes; it adds
+// only exploration bookkeeping (the failed-assert flag, the MaxThreads
+// limit, each function's live-register table). Whole programs — main
+// spawning workers, calls, allocation — are explored exactly as they are
+// simulated, including thread exit, which publishes a finishing thread's
+// buffered stores at its final Ret. TestSimulatorWithinChecker checks that
+// every final state the simulator reaches is one the engine enumerates.
+// Around the step the engine adds four things:
 //
 //   - canonical state hashing: states are encoded into a canonical string
 //     of fixed-width words (memory, per-thread store buffers and frame
@@ -34,17 +41,13 @@
 //     hungry workers over a channel, so exploration scales with GOMAXPROCS
 //     instead of dying at a fixed sequential budget.
 //
-// Unlike tso.Explore, the engine also executes Call, Spawn, Join, Alloca
-// and Malloc, so whole corpus programs (main spawning workers) can be
-// explored, not just flat litmus threads. Thread exit models pthread
-// semantics exactly like tso.Run: a finishing thread's buffered stores
-// become visible atomically at its final Ret.
-//
 // Three slower explorers stay in the tree as cross-check oracles, each
 // kept because tests compare the engine against it:
 //
-//   - tso.Explore, the legacy sequential enumerator with none of the
-//     reductions above: litmus.TestModelCheckerAgreesWithLegacyExplorer,
+//   - tso.Explore, a sequential enumerator of flat litmus threads with
+//     none of the reductions above and its own interpreter, the one
+//     execution of the IR that shares no code with the step: it is the
+//     independent reference. litmus.TestModelCheckerAgreesWithLegacyExplorer,
 //     the crossCheck differential of mc_test.go and the dead-register
 //     tests of dead_test.go demand the same final-state sets from it;
 //
@@ -143,7 +146,7 @@ func (c Config) withDefaults() Config {
 		c.MaxStates = 1 << 21
 	}
 	if c.MemoryCap == 0 {
-		c.MemoryCap = 1 << 22
+		c.MemoryCap = tso.DefaultMemoryCap
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -188,41 +191,11 @@ func (s *StateSet) Has(want map[string]int64, prog *ir.Program) bool {
 
 // --- machine state -----------------------------------------------------------
 
-type bufEntry struct {
-	addr, val int64
-}
-
-// fnInfo is the engine's per-function record, shared by every frame of
-// the function: its identity in state encodings (its index in
-// Program.Funcs) and its live-register table from cfg.LiveRegs.
-type fnInfo struct {
-	*ir.Fn
-	id   int32
-	live [][][]ir.Reg // [block ID][instruction index] -> registers live on entry
-}
-
-func newFnInfo(fn *ir.Fn, id int) *fnInfo {
-	return &fnInfo{Fn: fn, id: int32(id), live: cfg.LiveRegs(fn)}
-}
-
-type frm struct {
-	fn     *fnInfo
-	blk    *ir.Block
-	idx    int
-	regs   []int64
-	retDst ir.Reg
-}
-
-type thr struct {
-	frames []frm
-	buf    []bufEntry
-	done   bool
-}
-
+// state is a machine state of tso's step semantics plus the engine's one
+// addition: whether an Assert failed on the path to it.
 type state struct {
-	mem     []int64
-	threads []thr
-	failed  bool // an Assert tripped somewhere on the path to this state
+	tso.State
+	failed bool
 }
 
 func (s *state) clone() *state {
@@ -237,50 +210,53 @@ func (s *state) clone() *state {
 // only shape growth beyond a recycled state's capacity allocates.
 func cloneInto(dst, src *state) {
 	dst.failed = src.failed
-	dst.mem = append(dst.mem[:0], src.mem...)
-	n := len(src.threads)
-	if cap(dst.threads) >= n {
-		// Reslicing (not appending) keeps the recycled thr slots beyond the
-		// previous length, so their buffers and frame stacks get reused too.
-		dst.threads = dst.threads[:n]
+	dst.Mem = append(dst.Mem[:0], src.Mem...)
+	n := len(src.Threads)
+	if cap(dst.Threads) >= n {
+		// Reslicing (not appending) keeps the recycled thread slots beyond
+		// the previous length, so their buffers and frame stacks get reused
+		// too.
+		dst.Threads = dst.Threads[:n]
 	} else {
-		dst.threads = append(dst.threads[:cap(dst.threads)], make([]thr, n-cap(dst.threads))...)
+		dst.Threads = append(dst.Threads[:cap(dst.Threads)], make([]tso.Thread, n-cap(dst.Threads))...)
 	}
 	for i := 0; i < n; i++ {
-		st, dt := &src.threads[i], &dst.threads[i]
-		dt.done = st.done
-		dt.buf = append(dt.buf[:0], st.buf...)
-		m := len(st.frames)
-		if cap(dt.frames) >= m {
-			dt.frames = dt.frames[:m]
+		st, dt := &src.Threads[i], &dst.Threads[i]
+		dt.Done = st.Done
+		dt.Buf = append(dt.Buf[:0], st.Buf...)
+		m := len(st.Frames)
+		if cap(dt.Frames) >= m {
+			dt.Frames = dt.Frames[:m]
 		} else {
-			dt.frames = append(dt.frames[:cap(dt.frames)], make([]frm, m-cap(dt.frames))...)
+			dt.Frames = append(dt.Frames[:cap(dt.Frames)], make([]tso.Frame, m-cap(dt.Frames))...)
 		}
 		for j := 0; j < m; j++ {
-			sf, df := &st.frames[j], &dt.frames[j]
-			regs := df.regs
+			sf, df := &st.Frames[j], &dt.Frames[j]
+			regs := df.Regs
 			*df = *sf
-			df.regs = append(regs[:0], sf.regs...)
+			df.Regs = append(regs[:0], sf.Regs...)
 		}
 	}
 }
 
 func (s *state) terminal() bool {
-	for i := range s.threads {
-		if !s.threads[i].done || len(s.threads[i].buf) > 0 {
+	for i := range s.Threads {
+		if !s.Threads[i].Done || len(s.Threads[i].Buf) > 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// top returns the executing frame of a live thread.
-func (t *thr) top() *frm { return &t.frames[len(t.frames)-1] }
-
-// next returns the next instruction of a live thread.
-func (t *thr) next() *ir.Instr {
-	f := t.top()
-	return f.blk.Instrs[f.idx]
+// liveTables returns every function's live-register table from
+// cfg.LiveRegs, indexed [tso.Func.ID][block ID][instruction index], which
+// gives the registers live on entry to that instruction.
+func liveTables(p *ir.Program) [][][][]ir.Reg {
+	live := make([][][][]ir.Reg, len(p.Funcs))
+	for i, f := range p.Funcs {
+		live[i] = cfg.LiveRegs(f)
+	}
+	return live
 }
 
 // encode renders the state into its canonical form, a string of words
@@ -297,25 +273,25 @@ func (e *engine) encode(s *state, buf []uint64) []uint64 {
 	if s.failed {
 		failed = 1
 	}
-	b := append(buf[:0], failed, uint64(len(s.mem)), uint64(len(s.threads)))
-	for _, v := range s.mem {
+	b := append(buf[:0], failed, uint64(len(s.Mem)), uint64(len(s.Threads)))
+	for _, v := range s.Mem {
 		b = append(b, uint64(v))
 	}
-	for i := range s.threads {
-		t := &s.threads[i]
+	for i := range s.Threads {
+		t := &s.Threads[i]
 		done := uint64(0)
-		if t.done {
+		if t.Done {
 			done = 1
 		}
-		b = append(b, done|uint64(len(t.buf))<<1|uint64(len(t.frames))<<32)
-		for _, en := range t.buf {
-			b = append(b, uint64(en.addr), uint64(en.val))
+		b = append(b, done|uint64(len(t.Buf))<<1|uint64(len(t.Frames))<<32)
+		for _, en := range t.Buf {
+			b = append(b, uint64(en.Addr), uint64(en.Val))
 		}
-		for j := range t.frames {
-			f := &t.frames[j]
-			blk, regs := f.blk.ID(), f.regs
-			live := f.fn.live[blk][f.idx]
-			b = append(b, uint64(f.fn.id)<<32|uint64(blk), uint64(f.idx)<<32|uint64(uint32(f.retDst)))
+		for j := range t.Frames {
+			f := &t.Frames[j]
+			blk, regs := f.Blk.ID(), f.Regs
+			live := e.live[f.Fn.ID][blk][f.Idx]
+			b = append(b, uint64(f.Fn.ID)<<32|uint64(blk), uint64(f.Idx)<<32|uint64(uint32(f.RetDst)))
 			for _, r := range live {
 				b = append(b, uint64(regs[r]))
 			}
@@ -399,10 +375,10 @@ func (a *analysis) write1(addr int64) fp {
 
 // writeBuf records the thread's buffered store addresses (plus extra, when
 // extraAddr is true) as a write set, sorted for merge-scanning.
-func (a *analysis) writeBuf(t *thr, extraAddr bool, extra int64) fp {
+func (a *analysis) writeBuf(t *tso.Thread, extraAddr bool, extra int64) fp {
 	off := len(a.addrs)
-	for _, en := range t.buf {
-		a.addrs = append(a.addrs, en.addr)
+	for _, en := range t.Buf {
+		a.addrs = append(a.addrs, en.Addr)
 	}
 	if extraAddr {
 		a.addrs = append(a.addrs, extra)
@@ -417,32 +393,32 @@ func (a *analysis) writeBuf(t *thr, extraAddr bool, extra int64) fp {
 func (e *engine) analyze(s *state, a *analysis) {
 	a.enabled = 0
 	a.addrs = a.addrs[:0]
-	for tid := range s.threads {
-		t := &s.threads[tid]
-		if e.cfg.Mode == tso.TSO && len(t.buf) > 0 {
+	for tid := range s.Threads {
+		t := &s.Threads[tid]
+		if e.cfg.Mode == tso.TSO && len(t.Buf) > 0 {
 			a.enabled |= drainBit(tid)
-			a.fps[MaxThreads+tid] = a.write1(t.buf[0].addr)
+			a.fps[MaxThreads+tid] = a.write1(t.Buf[0].Addr)
 		}
 		if !stepEnabled(s, tid) {
 			continue
 		}
 		a.enabled |= stepBit(tid)
-		a.fps[tid] = e.stepFP(a, s, tid, t.next())
+		a.fps[tid] = e.stepFP(a, s, tid, t.Next())
 	}
 }
 
 // stepEnabled reports whether thread tid can execute its next instruction:
 // it has not finished, and a join's target has. An out-of-range join id
-// counts as enabled so applyStep can surface the error.
+// counts as enabled so the step can surface the error.
 func stepEnabled(s *state, tid int) bool {
-	t := &s.threads[tid]
-	if t.done {
+	t := &s.Threads[tid]
+	if t.Done {
 		return false
 	}
-	in := t.next()
+	in := t.Next()
 	if in.Kind == ir.Join {
-		target := t.top().regs[in.A]
-		if target >= 0 && target < int64(len(s.threads)) && !s.threads[target].done {
+		target := t.Top().Regs[in.A]
+		if target >= 0 && target < int64(len(s.Threads)) && !s.Threads[target].Done {
 			return false
 		}
 	}
@@ -450,71 +426,49 @@ func stepEnabled(s *state, tid int) bool {
 }
 
 // stepFP evaluates the footprint of thread tid executing in from s,
-// recording address sets in a's arena.
+// recording address sets in a's arena. Addresses come from the step's own
+// resolution (tso.Machine.Addr); an out-of-bounds one makes the step fail
+// when it fires, so its footprint is never relied on.
 func (e *engine) stepFP(a *analysis, s *state, tid int, in *ir.Instr) fp {
-	t := &s.threads[tid]
-	f := t.top()
-	tso_ := e.cfg.Mode == tso.TSO
-	directAddr := func() int64 {
-		off := int64(0)
-		if in.Idx != ir.NoReg {
-			off = f.regs[in.Idx]
-		}
-		return e.base[in.G] + off
-	}
-	forwarded := func(addr int64) bool {
-		for i := len(t.buf) - 1; i >= 0; i-- {
-			if t.buf[i].addr == addr {
-				return true
-			}
-		}
-		return false
-	}
+	t := &s.Threads[tid]
+	tsoMode := e.cfg.Mode == tso.TSO
 	switch in.Kind {
 	case ir.Const, ir.Move, ir.BinOp, ir.AddrOf, ir.Gep, ir.Assert, ir.Print, ir.Call, ir.Join:
 		return fp{local: true}
 	case ir.Br, ir.Jmp:
 		return fp{local: true}
 	case ir.Ret:
-		if len(t.frames) == 1 && tso_ && len(t.buf) > 0 {
+		if len(t.Frames) == 1 && tsoMode && len(t.Buf) > 0 {
 			// Thread exit publishes the store buffer (pthread semantics).
 			return a.writeBuf(t, false, 0)
 		}
 		return fp{local: true}
 	case ir.Load, ir.LoadPtr:
-		var addr int64
-		if in.Kind == ir.Load {
-			addr = directAddr()
-		} else {
-			addr = f.regs[in.Addr]
-		}
-		if tso_ && forwarded(addr) {
-			return fp{local: true}
+		addr, _ := e.m.Addr(&s.State, t.Top(), in)
+		if tsoMode {
+			if _, fwd := t.Forward(addr); fwd {
+				return fp{local: true}
+			}
 		}
 		return a.read1(addr)
 	case ir.Store, ir.StorePtr:
-		if tso_ {
-			if len(t.buf) >= e.cfg.BufferCap {
+		if tsoMode {
+			if len(t.Buf) >= e.cfg.BufferCap {
 				// Buffer pressure forces the oldest entry to memory.
-				return a.write1(t.buf[0].addr)
+				return a.write1(t.Buf[0].Addr)
 			}
 			return fp{local: true} // store lands in the buffer
 		}
-		var addr int64
-		if in.Kind == ir.Store {
-			addr = directAddr()
-		} else {
-			addr = f.regs[in.Addr]
-		}
+		addr, _ := e.m.Addr(&s.State, t.Top(), in)
 		return a.write1(addr)
 	case ir.CAS, ir.FetchAdd:
-		addr := f.regs[in.Addr]
+		addr, _ := e.m.Addr(&s.State, t.Top(), in)
 		r := a.read1(addr)
 		w := a.writeBuf(t, true, addr)
 		r.wOff, r.wLen = w.wOff, w.wLen
 		return r
 	case ir.Fence:
-		if ir.FenceKind(in.Imm) == ir.FenceFull && tso_ && len(t.buf) > 0 {
+		if ir.FenceKind(in.Imm) == ir.FenceFull && tsoMode && len(t.Buf) > 0 {
 			return a.writeBuf(t, false, 0)
 		}
 		return fp{local: true}
@@ -568,258 +522,23 @@ func indep(a *analysis, i, j int) bool {
 
 // --- execution ---------------------------------------------------------------
 
-// applyDrain retires the oldest buffered store of thread tid, in place.
-// The remaining entries shift down rather than reslicing forward: a
-// forward reslice would bleed the array's front capacity away, and every
-// later cloneInto of the state would have to reallocate the buffer.
-func applyDrain(s *state, tid int) {
-	t := &s.threads[tid]
-	en := t.buf[0]
-	copy(t.buf, t.buf[1:])
-	t.buf = t.buf[:len(t.buf)-1]
-	s.mem[en.addr] = en.val
-}
-
-// applyStep executes the next instruction of thread tid, in place, with
-// tso.Run's forced drains, LOCK-prefix RMWs and thread-exit buffer
-// publication, minus cost accounting. TestSimulatorWithinChecker
-// (internal/tso) checks that every final state tso.Run reaches on the
-// Table II kernels and the litmus tests is one this engine enumerates.
-func (e *engine) applyStep(s *state, tid int) error {
-	t := &s.threads[tid]
-	f := t.top()
-	in := f.blk.Instrs[f.idx]
-	tsoMode := e.cfg.Mode == tso.TSO
-	advance := true
-
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("mc: thread %d in %s: %s", tid, f.fn.Name, fmt.Sprintf(format, args...))
+// step executes the next instruction of thread tid in place through tso's
+// step semantics — the same one tso.Run executes, minus cost accounting —
+// and adds the engine's own bookkeeping: an Assert failure marks the
+// state, and no state may hold more than MaxThreads threads.
+// TestSimulatorWithinChecker (internal/tso) checks that every final state
+// tso.Run reaches on the Table II kernels and the litmus tests is one this
+// engine enumerates.
+func (e *engine) step(s *state, tid int) error {
+	ev, err := e.m.Step(&s.State, tid)
+	if err != nil {
+		return fmt.Errorf("mc: %w", err)
 	}
-	directAddr := func(g *ir.Global, idx ir.Reg) (int64, error) {
-		off := int64(0)
-		if idx != ir.NoReg {
-			off = f.regs[idx]
-		}
-		if off < 0 || off >= int64(g.Size) {
-			return 0, fail("index %d out of bounds for global %s[%d]", off, g.Name, g.Size)
-		}
-		return e.base[g] + off, nil
+	if ev.Instr.Kind == ir.Assert && ev.Hit {
+		s.failed = true
 	}
-	checkAddr := func(addr int64) error {
-		if addr <= 0 || addr >= int64(len(s.mem)) {
-			return fail("wild address %d (memory has %d words)", addr, len(s.mem))
-		}
-		return nil
-	}
-	load := func(addr int64) int64 {
-		if tsoMode {
-			for i := len(t.buf) - 1; i >= 0; i-- {
-				if t.buf[i].addr == addr {
-					return t.buf[i].val
-				}
-			}
-		}
-		return s.mem[addr]
-	}
-	store := func(addr, val int64) {
-		if tsoMode {
-			if len(t.buf) >= e.cfg.BufferCap {
-				applyDrain(s, tid)
-			}
-			t.buf = append(t.buf, bufEntry{addr, val})
-			return
-		}
-		s.mem[addr] = val
-	}
-	drainAll := func() {
-		for len(t.buf) > 0 {
-			applyDrain(s, tid)
-		}
-	}
-	alloc := func(n int64) (int64, error) {
-		if e.cfg.MemoryCap > 0 && len(s.mem)+int(n) > e.cfg.MemoryCap {
-			return 0, fail("arena exhausted (%d words requested at %d)", n, len(s.mem))
-		}
-		addr := int64(len(s.mem))
-		// Appended words are zeroed explicitly: a recycled state's mem
-		// array may hold stale values beyond its length.
-		for i := int64(0); i < n; i++ {
-			s.mem = append(s.mem, 0)
-		}
-		return addr, nil
-	}
-
-	switch in.Kind {
-	case ir.Const:
-		f.regs[in.Dst] = in.Imm
-	case ir.Move:
-		f.regs[in.Dst] = f.regs[in.A]
-	case ir.BinOp:
-		f.regs[in.Dst] = ir.EvalBinOp(in.Op, f.regs[in.A], f.regs[in.B])
-	case ir.Load:
-		addr, err := directAddr(in.G, in.Idx)
-		if err != nil {
-			return err
-		}
-		f.regs[in.Dst] = load(addr)
-	case ir.Store:
-		addr, err := directAddr(in.G, in.Idx)
-		if err != nil {
-			return err
-		}
-		store(addr, f.regs[in.A])
-	case ir.LoadPtr:
-		addr := f.regs[in.Addr]
-		if err := checkAddr(addr); err != nil {
-			return err
-		}
-		f.regs[in.Dst] = load(addr)
-	case ir.StorePtr:
-		addr := f.regs[in.Addr]
-		if err := checkAddr(addr); err != nil {
-			return err
-		}
-		store(addr, f.regs[in.A])
-	case ir.AddrOf:
-		addr, err := directAddr(in.G, in.Idx)
-		if err != nil {
-			return err
-		}
-		f.regs[in.Dst] = addr
-	case ir.Gep:
-		f.regs[in.Dst] = f.regs[in.A] + f.regs[in.B]
-	case ir.Alloca, ir.Malloc:
-		addr, err := alloc(in.Imm)
-		if err != nil {
-			return err
-		}
-		f.regs[in.Dst] = addr
-	case ir.CAS:
-		addr := f.regs[in.Addr]
-		if err := checkAddr(addr); err != nil {
-			return err
-		}
-		drainAll()
-		if s.mem[addr] == f.regs[in.A] {
-			s.mem[addr] = f.regs[in.B]
-			f.regs[in.Dst] = 1
-		} else {
-			f.regs[in.Dst] = 0
-		}
-	case ir.FetchAdd:
-		addr := f.regs[in.Addr]
-		if err := checkAddr(addr); err != nil {
-			return err
-		}
-		drainAll()
-		f.regs[in.Dst] = s.mem[addr]
-		s.mem[addr] += f.regs[in.A]
-	case ir.Fence:
-		if ir.FenceKind(in.Imm) == ir.FenceFull {
-			drainAll()
-		}
-	case ir.Br:
-		if f.regs[in.A] != 0 {
-			f.blk, f.idx = in.Then, 0
-		} else {
-			f.blk, f.idx = in.Else, 0
-		}
-		advance = false
-	case ir.Jmp:
-		f.blk, f.idx = in.Then, 0
-		advance = false
-	case ir.Ret:
-		var val int64
-		if in.A != ir.NoReg {
-			val = f.regs[in.A]
-		}
-		retDst := f.retDst
-		t.frames = t.frames[:len(t.frames)-1]
-		if len(t.frames) == 0 {
-			t.done = true
-			drainAll() // exit publishes the buffer, like tso.Run
-		} else if retDst != ir.NoReg {
-			t.top().regs[retDst] = val
-		}
-		advance = false
-	case ir.Call:
-		// The caller's register file survives frame-stack growth (it is its
-		// own array), so arguments are read through it after the push.
-		f.idx++ // return to the next instruction
-		t.pushFrame(e.fns[in.Callee], in.Dst, f.regs, in.Args)
-		advance = false
-	case ir.Spawn:
-		drainAll() // thread creation synchronizes
-		if len(s.threads) >= MaxThreads {
-			return fail("spawn exceeds the %d-thread limit of the model checker", MaxThreads)
-		}
-		callee := e.fns[in.Callee]
-		ntid := len(s.threads)
-		if ntid < cap(s.threads) {
-			// Reslice to recycle the stale thr slot's buffers and frames.
-			s.threads = s.threads[:ntid+1]
-		} else {
-			s.threads = append(s.threads, thr{})
-		}
-		// NB: growing may have moved the threads slice; refresh t and f
-		// (f.regs itself is stable — register files are separate arrays).
-		t = &s.threads[tid]
-		f = t.top()
-		nt := &s.threads[ntid]
-		nt.done = false
-		nt.buf = nt.buf[:0]
-		nt.frames = nt.frames[:0]
-		nt.pushFrame(callee, ir.NoReg, f.regs, in.Args)
-		if in.Dst != ir.NoReg {
-			f.regs[in.Dst] = int64(ntid)
-		}
-	case ir.Join:
-		target := f.regs[in.A]
-		if target < 0 || target >= int64(len(s.threads)) {
-			return fail("join of invalid thread id %d", target)
-		}
-		// enabledness guaranteed the target is done
-	case ir.Assert:
-		if f.regs[in.A] == 0 {
-			s.failed = true
-		}
-	case ir.Print:
-		// no observable effect on final state
-	default:
-		return fail("cannot execute %s", in.Kind)
-	}
-
-	if advance {
-		t.top().idx++
+	if len(s.Threads) > MaxThreads {
+		return fmt.Errorf("mc: thread %d: spawn exceeds the %d-thread limit of the model checker", tid, MaxThreads)
 	}
 	return nil
-}
-
-// newFrame builds an entry frame with zeroed registers.
-func newFrame(fn *fnInfo) frm {
-	return frm{fn: fn, blk: fn.Entry(), idx: 0, regs: make([]int64, fn.NRegs), retDst: ir.NoReg}
-}
-
-// pushFrame appends a frame for callee to the thread's stack, reusing the
-// register file a recycled frm slot may still hold. Argument registers are
-// resolved through callerRegs — passed as a slice header so the values
-// stay reachable even when growing t.frames moves the stack.
-func (t *thr) pushFrame(callee *fnInfo, retDst ir.Reg, callerRegs []int64, argRegs []ir.Reg) {
-	if len(t.frames) < cap(t.frames) {
-		t.frames = t.frames[:len(t.frames)+1]
-	} else {
-		t.frames = append(t.frames, frm{})
-	}
-	nf := &t.frames[len(t.frames)-1]
-	regs := nf.regs
-	if cap(regs) < callee.NRegs {
-		regs = make([]int64, callee.NRegs)
-	} else {
-		regs = regs[:callee.NRegs]
-		clear(regs)
-	}
-	for i, a := range argRegs {
-		regs[i] = callerRegs[a]
-	}
-	*nf = frm{fn: callee, blk: callee.Entry(), idx: 0, regs: regs, retDst: retDst}
 }

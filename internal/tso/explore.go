@@ -25,7 +25,8 @@ type StateSet struct {
 }
 
 // Has reports whether the final state assigning the given scalar-global
-// values was reached. Globals not mentioned may hold anything.
+// values was reached. Globals not mentioned may hold anything; a name that
+// is no global of prog never matches.
 func (s *StateSet) Has(want map[string]int64, prog *ir.Program) bool {
 	idx := make(map[string]int, len(prog.Globals))
 	off := 0
@@ -36,7 +37,8 @@ func (s *StateSet) Has(want map[string]int64, prog *ir.Program) bool {
 	for _, vec := range s.Outcomes {
 		match := true
 		for name, v := range want {
-			if vec[idx[name]] != v {
+			off, ok := idx[name]
+			if !ok || vec[off] != v {
 				match = false
 				break
 			}
@@ -66,11 +68,14 @@ type exState struct {
 	threads []exThread
 }
 
+// exEntry is one buffered store of an exploration thread.
+type exEntry struct{ addr, val int64 }
+
 type exThread struct {
 	blk  *ir.Block
 	idx  int
 	regs []int64
-	buf  []bufEntry
+	buf  []exEntry
 	done bool
 }
 
@@ -81,7 +86,7 @@ func (s *exState) clone() *exState {
 		n.threads[i] = exThread{
 			blk: t.blk, idx: t.idx, done: t.done,
 			regs: append([]int64(nil), t.regs...),
-			buf:  append([]bufEntry(nil), t.buf...),
+			buf:  append([]exEntry(nil), t.buf...),
 		}
 	}
 	return n
@@ -233,7 +238,7 @@ func exStep(p *ir.Program, s *exState, ti int, base map[*ir.Global]int64, cfg Ex
 				t.buf = t.buf[1:]
 				s.mem[e.addr] = e.val
 			}
-			t.buf = append(t.buf, bufEntry{addr, val})
+			t.buf = append(t.buf, exEntry{addr, val})
 			return
 		}
 		s.mem[addr] = val
@@ -252,7 +257,7 @@ func exStep(p *ir.Program, s *exState, ti int, base map[*ir.Global]int64, cfg Ex
 	case ir.Move:
 		t.regs[in.Dst] = t.regs[in.A]
 	case ir.BinOp:
-		t.regs[in.Dst] = evalBinOp(in.Op, t.regs[in.A], t.regs[in.B])
+		t.regs[in.Dst] = ir.EvalBinOp(in.Op, t.regs[in.A], t.regs[in.B])
 	case ir.Load:
 		addr, err := addrOf(in.G, in.Idx)
 		if err != nil {

@@ -67,6 +67,23 @@ func TestSBReachableOnlyUnderUnfencedTSO(t *testing.T) {
 	}
 }
 
+// TestStateSetHasRejectsUnknownGlobals checks that a name that is no
+// global never matches, rather than standing for the first global: x, the
+// first global of SB, is 1 in every final state.
+func TestStateSetHasRejectsUnknownGlobals(t *testing.T) {
+	p := sb(false)
+	res, err := Explore(p, []string{"t0", "t1"}, ExploreConfig{Mode: TSO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Has(map[string]int64{"x": 1}, p) {
+		t.Fatalf("x=1 not reached (outcomes: %v)", res.Keys())
+	}
+	if res.Has(map[string]int64{"nosuch": 1}, p) {
+		t.Fatal("Has matched a global the program does not have")
+	}
+}
+
 // mpLitmus is MP without a spin loop: t1 reads flag then data; the non-SC
 // outcome is flag=1 observed but data=0. TSO forbids it (stores retire in
 // order, loads execute in order), matching the paper's claim that only w→r

@@ -6,12 +6,19 @@
 // free at run time, and atomic read-modify-writes behave like LOCK-prefixed
 // instructions (drain, then act on memory atomically).
 //
-// The simulator is faithful to TSO's relaxation surface: stores retire in
+// The machine is faithful to TSO's relaxation surface: stores retire in
 // order, loads execute in program order and forward from the local buffer,
 // so the only visible reordering is store→load — which is why, as in the
 // paper (§4.4), only w→r orderings ever need a full fence.
 //
-// Two schedulers are provided. MinTime (the default) always steps the
+// Machine.Step is the module's one per-instruction semantics. Run, the
+// simulator behind Figures 7–10, drives it with a scheduler and a cycle
+// cost model; package mc, the model checker behind every certification
+// verdict, drives it with an exhaustive explorer. Explore is a separate,
+// deliberately naive interpreter for flat litmus threads, kept as the
+// independent reference the model checker's tests compare against.
+//
+// Run provides two schedulers. MinTime (the default) always steps the
 // runnable thread with the smallest accumulated cycle count, which makes
 // the simulation a deterministic parallel-time model: the outcome's
 // MaxCycles is the simulated wall-clock of the run and is what the
@@ -120,7 +127,7 @@ type Config struct {
 	BufferCap    int   // store buffer capacity (default 16)
 	Seed         int64 // RNG seed for Random scheduling / DrainRandom
 	MaxSteps     int64 // livelock guard (default 20M)
-	MemoryCap    int   // arena limit in words (default 1<<22)
+	MemoryCap    int   // arena limit in words (0: DefaultMemoryCap; negative: uncapped)
 	Costs        CostModel
 	Tracer       Tracer // optional run observer
 }
@@ -134,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 20_000_000
-	}
-	if c.MemoryCap == 0 {
-		c.MemoryCap = 1 << 22
 	}
 	if c.Costs == (CostModel{}) {
 		c.Costs = DefaultCosts()
@@ -182,199 +186,129 @@ func (o *Outcome) Failed() bool {
 	return len(o.Failures) > 0 || o.Deadlock || o.Err != nil
 }
 
-type bufEntry struct {
-	addr int64
-	val  int64
-}
-
-type frame struct {
-	fn     *ir.Fn
-	blk    *ir.Block
-	idx    int
-	regs   []int64
-	retDst ir.Reg // caller register receiving the return value
-}
-
-type thread struct {
-	id      int
-	frames  []frame
-	buf     []bufEntry
+// clock is the scheduler's view of one thread, kept beside the machine
+// state's thread of the same id: its simulated cycles and the thread it
+// waits to join (-1 for none).
+type clock struct {
 	cycles  int64
-	done    bool
-	joining int // thread id being joined, or -1
+	joining int
 }
 
-type machine struct {
-	prog    *ir.Program
-	cfg     Config
-	mem     []int64
-	next    int64 // arena bump pointer
-	base    map[*ir.Global]int64
-	threads []*thread
-	rng     *rand.Rand
-	out     *Outcome
-	ready   []*thread // Random's per-step candidate list, reused
+type sim struct {
+	m      *Machine
+	cfg    Config
+	st     State
+	clocks []clock
+	rng    *rand.Rand
+	out    *Outcome
+	ready  []int // Random's per-step candidate list, reused
 }
 
 // Run executes the program's main function to completion (or failure).
 func Run(p *ir.Program, cfg Config) *Outcome {
 	cfg = cfg.withDefaults()
-	m := &machine{
-		prog: p,
-		cfg:  cfg,
-		base: make(map[*ir.Global]int64),
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		out:  &Outcome{Program: p.Name},
+	r := &sim{
+		m:   NewMachine(p, cfg.Mode, cfg.BufferCap, cfg.MemoryCap),
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
+		out: &Outcome{Program: p.Name},
 	}
-	m.layout()
-	mainFn := p.Fn(p.Main)
+	r.st = r.m.NewState()
+	mainFn := r.m.Func(p.Main)
 	if mainFn == nil {
-		m.out.Err = fmt.Errorf("tso: program %q has no main function %q", p.Name, p.Main)
-		return m.out
+		r.out.Err = fmt.Errorf("tso: program %q has no main function %q", p.Name, p.Main)
+		return r.out
 	}
-	m.startThread(mainFn)
-	m.loop()
-	for _, t := range m.threads {
-		m.out.SumCycles += t.cycles
+	r.m.StartThread(&r.st, mainFn)
+	r.clocks = append(r.clocks, clock{joining: -1})
+	r.loop()
+	for _, c := range r.clocks {
+		r.out.SumCycles += c.cycles
 	}
-	m.snapshot()
-	return m.out
+	r.out.globals = make(map[string][]int64, len(p.Globals))
+	for _, g := range p.Globals {
+		b := r.m.Base(g)
+		r.out.globals[g.Name] = append([]int64(nil), r.st.Mem[b:b+int64(g.Size)]...)
+	}
+	return r.out
 }
 
-// layout assigns each global a base address; address 0 stays unused so a
-// zero value is never a valid pointer.
-func (m *machine) layout() {
-	m.mem = make([]int64, 1)
-	for _, g := range m.prog.Globals {
-		m.base[g] = int64(len(m.mem))
-		cells := make([]int64, g.Size)
-		copy(cells, g.Init)
-		m.mem = append(m.mem, cells...)
-	}
-	m.next = int64(len(m.mem))
-}
-
-func (m *machine) snapshot() {
-	m.out.globals = make(map[string][]int64, len(m.prog.Globals))
-	for _, g := range m.prog.Globals {
-		b := m.base[g]
-		m.out.globals[g.Name] = append([]int64(nil), m.mem[b:b+int64(g.Size)]...)
-	}
-}
-
-// startThread creates a thread running fn; the caller fills the entry
-// frame's parameter registers. Under TSO the store buffer gets its full
-// capacity up front: storeWord never lets it grow past BufferCap.
-func (m *machine) startThread(fn *ir.Fn) *thread {
-	t := &thread{id: len(m.threads), joining: -1}
-	if m.cfg.Mode == TSO {
-		t.buf = make([]bufEntry, 0, m.cfg.BufferCap)
-	}
-	t.pushFrame(fn, ir.NoReg)
-	m.threads = append(m.threads, t)
-	return t
-}
-
-// pushFrame enters fn with zeroed registers and returns the new frame. A
-// returned-from frame leaves its register file behind the top of
-// t.frames, and the next call at that depth reuses it when it is large
-// enough, so a call in a loop allocates nothing.
-func (t *thread) pushFrame(fn *ir.Fn, retDst ir.Reg) *frame {
-	n := len(t.frames)
-	var regs []int64
-	if n < cap(t.frames) {
-		if old := t.frames[:n+1][n].regs; cap(old) >= fn.NRegs {
-			regs = old[:fn.NRegs]
-			clear(regs)
-		}
-	}
-	if regs == nil {
-		regs = make([]int64, fn.NRegs)
-	}
-	t.frames = append(t.frames, frame{fn: fn, blk: fn.Entry(), regs: regs, retDst: retDst})
-	return &t.frames[n]
-}
-
-func (m *machine) runnable(t *thread) bool {
-	if t.done {
-		return false
-	}
-	if t.joining >= 0 {
-		if !m.threads[t.joining].done {
-			return false
-		}
-		if m.cfg.Tracer != nil {
-			m.cfg.Tracer.Join(t.id, t.joining)
-		}
-		t.joining = -1
-	}
-	return true
-}
-
-func (m *machine) loop() {
+func (r *sim) loop() {
 	for {
-		if m.out.Err != nil {
+		if r.out.Err != nil {
 			return
 		}
-		if m.out.Steps >= m.cfg.MaxSteps {
-			m.out.Deadlock = true
-			m.out.Failures = append(m.out.Failures, "livelock: step limit exceeded")
+		if r.out.Steps >= r.cfg.MaxSteps {
+			r.out.Deadlock = true
+			r.out.Failures = append(r.out.Failures, "livelock: step limit exceeded")
 			return
 		}
-		t, alive := m.pick()
+		tid, alive := r.pick()
 		if !alive {
 			return // all threads finished
 		}
-		if t == nil {
-			m.out.Deadlock = true
-			m.out.Failures = append(m.out.Failures, "deadlock: threads blocked in join")
+		if tid < 0 {
+			r.out.Deadlock = true
+			r.out.Failures = append(r.out.Failures, "deadlock: threads blocked in join")
 			return
 		}
-		m.step(t)
-		m.out.Steps++
-		m.voluntaryDrain(t)
+		r.step(tid)
+		r.out.Steps++
+		r.voluntaryDrain(tid)
 	}
 }
 
-// pick chooses the thread to step next, or nil when no thread is
-// runnable; alive reports whether any thread has yet to finish. Every
-// thread goes through runnable, in id order, on every step: runnable
-// completes joins, which the Tracer observes. MinTime keeps the runnable
+// pick chooses the thread to step next, or -1 when no thread is runnable;
+// alive reports whether any thread has yet to finish. A thread is
+// runnable when it has not finished and the thread it joins, if any, has;
+// every thread is checked, in id order, on every step, because completing
+// a join is an event the Tracer observes. MinTime keeps the runnable
 // thread with the fewest cycles as it scans (the strict comparison breaks
 // ties to the lowest id); Random draws from the runnable threads in id
 // order, collected in a slice reused across steps.
-func (m *machine) pick() (best *thread, alive bool) {
-	random := m.cfg.Sched == Random
-	m.ready = m.ready[:0]
-	for _, t := range m.threads {
-		if !t.done {
-			alive = true
-		}
-		if !m.runnable(t) {
+func (r *sim) pick() (best int, alive bool) {
+	random := r.cfg.Sched == Random
+	r.ready = r.ready[:0]
+	best = -1
+	var bestCycles int64
+	threads, clocks := r.st.Threads, r.clocks[:len(r.st.Threads)]
+	for tid := range threads {
+		if threads[tid].Done {
 			continue
 		}
+		alive = true
+		c := &clocks[tid]
+		if c.joining >= 0 {
+			if !threads[c.joining].Done {
+				continue
+			}
+			if r.cfg.Tracer != nil {
+				r.cfg.Tracer.Join(tid, c.joining)
+			}
+			c.joining = -1
+		}
 		if random {
-			m.ready = append(m.ready, t)
-		} else if best == nil || t.cycles < best.cycles {
-			best = t
+			r.ready = append(r.ready, tid)
+		} else if best < 0 || c.cycles < bestCycles {
+			best, bestCycles = tid, c.cycles
 		}
 	}
-	if random && len(m.ready) > 0 {
-		best = m.ready[m.rng.Intn(len(m.ready))]
+	if random && len(r.ready) > 0 {
+		best = r.ready[r.rng.Intn(len(r.ready))]
 	}
 	return best, alive
 }
 
-func (m *machine) voluntaryDrain(t *thread) {
-	if m.cfg.Mode != TSO || len(t.buf) == 0 {
+func (r *sim) voluntaryDrain(tid int) {
+	if r.cfg.Mode != TSO || len(r.st.Threads[tid].Buf) == 0 {
 		return
 	}
-	switch m.cfg.Policy {
+	switch r.cfg.Policy {
 	case DrainEager:
-		m.drainAll(t)
+		r.st.DrainAll(tid)
 	case DrainRandom:
-		if m.rng.Intn(100) < m.cfg.DrainPercent {
-			m.drainOne(t)
+		if r.rng.Intn(100) < r.cfg.DrainPercent {
+			r.st.Drain(tid)
 		}
 	case DrainLazy:
 		// only forced drains
@@ -382,287 +316,75 @@ func (m *machine) voluntaryDrain(t *thread) {
 }
 
 // trace reports a memory access to the configured tracer, if any.
-func (m *machine) trace(t *thread, in *ir.Instr, addr int64, write bool) {
-	if m.cfg.Tracer != nil {
-		m.cfg.Tracer.Access(t.id, in, addr, write)
+func (r *sim) trace(tid int, in *ir.Instr, addr int64, write bool) {
+	if r.cfg.Tracer != nil {
+		r.cfg.Tracer.Access(tid, in, addr, write)
 	}
 }
 
-// drainOne retires the oldest buffered store. The remaining entries shift
-// down in place, as in mc.applyDrain: reslicing forward would bleed the
-// buffer's front capacity away and make storeWord's append reallocate.
-func (m *machine) drainOne(t *thread) {
-	e := t.buf[0]
-	copy(t.buf, t.buf[1:])
-	t.buf = t.buf[:len(t.buf)-1]
-	m.mem[e.addr] = e.val
-}
-
-func (m *machine) drainAll(t *thread) {
-	for len(t.buf) > 0 {
-		m.drainOne(t)
-	}
-}
-
-func (m *machine) fail(t *thread, format string, args ...any) {
-	m.out.Err = fmt.Errorf("tso: thread %d in %s: %s", t.id, t.frames[len(t.frames)-1].fn.Name, fmt.Sprintf(format, args...))
-}
-
-// addrOf computes and bounds-checks the address of a direct global access.
-func (m *machine) addrOf(t *thread, f *frame, g *ir.Global, idx ir.Reg) (int64, bool) {
-	off := int64(0)
-	if idx != ir.NoReg {
-		off = f.regs[idx]
-	}
-	if off < 0 || off >= int64(g.Size) {
-		m.fail(t, "index %d out of bounds for global %s[%d]", off, g.Name, g.Size)
-		return 0, false
-	}
-	return m.base[g] + off, true
-}
-
-func (m *machine) checkAddr(t *thread, addr int64) bool {
-	if addr <= 0 || addr >= int64(len(m.mem)) {
-		m.fail(t, "wild address %d (memory has %d words)", addr, len(m.mem))
-		return false
-	}
-	return true
-}
-
-// loadWord reads a word with TSO store-to-load forwarding.
-func (m *machine) loadWord(t *thread, addr int64) (val int64, forwarded bool) {
-	if m.cfg.Mode == TSO {
-		for i := len(t.buf) - 1; i >= 0; i-- {
-			if t.buf[i].addr == addr {
-				return t.buf[i].val, true
-			}
-		}
-	}
-	return m.mem[addr], false
-}
-
-// storeWord issues a store: buffered under TSO, direct under SC.
-func (m *machine) storeWord(t *thread, addr, val int64) {
-	if m.cfg.Mode == TSO {
-		if len(t.buf) >= m.cfg.BufferCap {
-			m.drainOne(t) // buffer pressure forces the oldest entry out
-		}
-		t.buf = append(t.buf, bufEntry{addr, val})
+// step executes one instruction of thread tid on the machine and charges
+// its cost, reports its accesses and records its outcome effects.
+func (r *sim) step(tid int) {
+	ev, err := r.m.Step(&r.st, tid)
+	if err != nil {
+		r.out.Err = fmt.Errorf("tso: %w", err)
 		return
 	}
-	m.mem[addr] = val
-}
-
-// alloc reserves n fresh words in the arena.
-func (m *machine) alloc(t *thread, n int64) (int64, bool) {
-	if int(m.next)+int(n) > m.cfg.MemoryCap {
-		m.fail(t, "arena exhausted (%d words requested at %d)", n, m.next)
-		return 0, false
-	}
-	addr := m.next
-	for i := int64(0); i < n; i++ {
-		m.mem = append(m.mem, 0)
-	}
-	m.next += n
-	return addr, true
-}
-
-// step executes one instruction of t.
-func (m *machine) step(t *thread) {
-	f := &t.frames[len(t.frames)-1]
-	in := f.blk.Instrs[f.idx]
-	c := &m.cfg.Costs
-	advance := true
-
+	in, c := ev.Instr, &r.cfg.Costs
+	var cost int64
 	switch in.Kind {
-	case ir.Const:
-		f.regs[in.Dst] = in.Imm
-		t.cycles += c.ALU
-	case ir.Move:
-		f.regs[in.Dst] = f.regs[in.A]
-		t.cycles += c.ALU
-	case ir.BinOp:
-		f.regs[in.Dst] = evalBinOp(in.Op, f.regs[in.A], f.regs[in.B])
-		t.cycles += c.ALU
-	case ir.Load:
-		addr, ok := m.addrOf(t, f, in.G, in.Idx)
-		if !ok {
-			return
+	case ir.Load, ir.LoadPtr:
+		cost = c.LoadMem
+		if ev.Hit {
+			cost = c.LoadFwd
 		}
-		v, fwd := m.loadWord(t, addr)
-		f.regs[in.Dst] = v
-		if fwd {
-			t.cycles += c.LoadFwd
-		} else {
-			t.cycles += c.LoadMem
+		r.trace(tid, in, ev.Addr, false)
+	case ir.Store, ir.StorePtr:
+		cost = c.Store
+		r.trace(tid, in, ev.Addr, true)
+	case ir.CAS, ir.FetchAdd:
+		r.trace(tid, in, ev.Addr, false)
+		if ev.Hit {
+			r.trace(tid, in, ev.Addr, true)
 		}
-		m.trace(t, in, addr, false)
-	case ir.Store:
-		addr, ok := m.addrOf(t, f, in.G, in.Idx)
-		if !ok {
-			return
-		}
-		m.storeWord(t, addr, f.regs[in.A])
-		t.cycles += c.Store
-		m.trace(t, in, addr, true)
-	case ir.LoadPtr:
-		addr := f.regs[in.Addr]
-		if !m.checkAddr(t, addr) {
-			return
-		}
-		v, fwd := m.loadWord(t, addr)
-		f.regs[in.Dst] = v
-		if fwd {
-			t.cycles += c.LoadFwd
-		} else {
-			t.cycles += c.LoadMem
-		}
-		m.trace(t, in, addr, false)
-	case ir.StorePtr:
-		addr := f.regs[in.Addr]
-		if !m.checkAddr(t, addr) {
-			return
-		}
-		m.storeWord(t, addr, f.regs[in.A])
-		t.cycles += c.Store
-		m.trace(t, in, addr, true)
-	case ir.AddrOf:
-		addr, ok := m.addrOf(t, f, in.G, in.Idx)
-		if !ok {
-			return
-		}
-		f.regs[in.Dst] = addr
-		t.cycles += c.ALU
-	case ir.Gep:
-		f.regs[in.Dst] = f.regs[in.A] + f.regs[in.B]
-		t.cycles += c.ALU
-	case ir.Alloca, ir.Malloc:
-		addr, ok := m.alloc(t, in.Imm)
-		if !ok {
-			return
-		}
-		f.regs[in.Dst] = addr
-		t.cycles += c.ALU
-	case ir.CAS:
-		addr := f.regs[in.Addr]
-		if !m.checkAddr(t, addr) {
-			return
-		}
-		m.drainAll(t) // LOCK prefix: full barrier
-		m.trace(t, in, addr, false)
-		if m.mem[addr] == f.regs[in.A] {
-			m.mem[addr] = f.regs[in.B]
-			f.regs[in.Dst] = 1
-			m.trace(t, in, addr, true)
-		} else {
-			f.regs[in.Dst] = 0
-		}
-		t.cycles += c.RMW
-		m.out.RMWs++
-	case ir.FetchAdd:
-		addr := f.regs[in.Addr]
-		if !m.checkAddr(t, addr) {
-			return
-		}
-		m.drainAll(t)
-		m.trace(t, in, addr, false)
-		f.regs[in.Dst] = m.mem[addr]
-		m.mem[addr] += f.regs[in.A]
-		m.trace(t, in, addr, true)
-		t.cycles += c.RMW
-		m.out.RMWs++
+		cost = c.RMW
+		r.out.RMWs++
 	case ir.Fence:
 		if ir.FenceKind(in.Imm) == ir.FenceFull {
-			t.cycles += c.FullFence + int64(len(t.buf))*c.FencePerSlot
-			m.drainAll(t)
-			m.out.FullFences++
+			cost = c.FullFence + int64(ev.N)*c.FencePerSlot
+			r.out.FullFences++
 		}
 		// compiler barriers cost nothing at run time
-	case ir.Br:
-		t.cycles += c.Branch
-		if f.regs[in.A] != 0 {
-			f.blk, f.idx = in.Then, 0
-		} else {
-			f.blk, f.idx = in.Else, 0
-		}
-		advance = false
-	case ir.Jmp:
-		t.cycles += c.Branch
-		f.blk, f.idx = in.Then, 0
-		advance = false
-	case ir.Ret:
-		t.cycles += c.Call
-		var val int64
-		if in.A != ir.NoReg {
-			val = f.regs[in.A]
-		}
-		retDst := f.retDst
-		t.frames = t.frames[:len(t.frames)-1]
-		if len(t.frames) == 0 {
-			t.done = true
-			m.drainAll(t) // a finished thread's stores become visible
-		} else if retDst != ir.NoReg {
-			t.frames[len(t.frames)-1].regs[retDst] = val
-		}
-		advance = false
-	case ir.Call:
-		t.cycles += c.Call
-		f.idx++ // return to the next instruction
-		caller := f.regs
-		nf := t.pushFrame(m.prog.Fn(in.Callee), in.Dst)
-		for i, a := range in.Args {
-			nf.regs[i] = caller[a]
-		}
-		advance = false
+	case ir.Br, ir.Jmp:
+		cost = c.Branch
+	case ir.Ret, ir.Call:
+		cost = c.Call
 	case ir.Spawn:
-		t.cycles += c.Call
-		// Thread creation synchronizes (pthread_create takes kernel locks):
-		// the parent's buffered stores are visible to the child.
-		m.drainAll(t)
-		child := m.startThread(m.prog.Fn(in.Callee))
-		for i, a := range in.Args {
-			child.frames[0].regs[i] = f.regs[a]
-		}
-		if in.Dst != ir.NoReg {
-			f.regs[in.Dst] = int64(child.id)
-		}
-		if m.cfg.Tracer != nil {
-			m.cfg.Tracer.Spawn(t.id, child.id)
+		cost = c.Call
+		r.clocks = append(r.clocks, clock{joining: -1})
+		if r.cfg.Tracer != nil {
+			r.cfg.Tracer.Spawn(tid, ev.N)
 		}
 	case ir.Join:
-		t.cycles += c.Call
-		target := f.regs[in.A]
-		if target < 0 || target >= int64(len(m.threads)) {
-			m.fail(t, "join of invalid thread id %d", target)
-			return
-		}
-		if !m.threads[target].done {
-			t.joining = int(target)
-			advance = false // retry after the target finishes
-		} else if m.cfg.Tracer != nil {
-			m.cfg.Tracer.Join(t.id, int(target))
+		cost = c.Call
+		if ev.Hit {
+			r.clocks[tid].joining = ev.N // blocked: retry after the target finishes
+		} else if r.cfg.Tracer != nil {
+			r.cfg.Tracer.Join(tid, ev.N)
 		}
 	case ir.Assert:
-		if f.regs[in.A] == 0 {
-			m.out.Failures = append(m.out.Failures,
-				fmt.Sprintf("assert failed in %s (thread %d): %s", f.fn.Name, t.id, in.Msg))
+		if ev.Hit {
+			r.out.Failures = append(r.out.Failures,
+				fmt.Sprintf("assert failed in %s (thread %d): %s", r.st.Threads[tid].Top().Fn.Name, tid, in.Msg))
 		}
 	case ir.Print:
-		m.out.Printed = append(m.out.Printed, f.regs[in.A])
-	default:
-		m.fail(t, "cannot execute %s", in.Kind)
-		return
+		r.out.Printed = append(r.out.Printed, r.st.Threads[tid].Top().Regs[in.A])
+	default: // register arithmetic, AddrOf, Alloca, Malloc
+		cost = c.ALU
 	}
-
-	if advance {
-		f = &t.frames[len(t.frames)-1]
-		f.idx++
-	}
-	if t.cycles > m.out.MaxCycles {
-		m.out.MaxCycles = t.cycles
+	cl := &r.clocks[tid]
+	cl.cycles += cost
+	if cl.cycles > r.out.MaxCycles {
+		r.out.MaxCycles = cl.cycles
 	}
 }
-
-// evalBinOp delegates to the IR's single arithmetic definition so the
-// simulator and the model checker can never diverge on pure operations.
-func evalBinOp(op ir.Op, a, b int64) int64 { return ir.EvalBinOp(op, a, b) }

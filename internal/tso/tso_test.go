@@ -351,6 +351,27 @@ func TestPrintAndAllocas(t *testing.T) {
 	}
 }
 
+// TestMemoryCapBoundsTheArena pins the MemoryCap rule the simulator shares
+// with the model checker: an Alloca past a positive cap fails the run, a
+// zero cap means DefaultMemoryCap and a negative one means uncapped.
+func TestMemoryCapBoundsTheArena(t *testing.T) {
+	pb := ir.NewProgram("arena")
+	pb.Global("g", 1)
+	main := pb.Func("main", 0)
+	main.Alloca(64)
+	main.RetVoid()
+	pb.SetMain("main")
+	p := pb.MustBuild()
+	if out := Run(p, Config{MemoryCap: 32}); out.Err == nil || !strings.Contains(out.Err.Error(), "arena exhausted") {
+		t.Fatalf("MemoryCap 32: err = %v, want arena exhausted", out.Err)
+	}
+	for _, memCap := range []int{0, -1} {
+		if out := Run(p, Config{MemoryCap: memCap}); out.Failed() {
+			t.Fatalf("MemoryCap %d: %v %v", memCap, out.Failures, out.Err)
+		}
+	}
+}
+
 func TestMinTimeSchedulerDeterministic(t *testing.T) {
 	p := mp(t)
 	a := Run(p, Config{Mode: TSO, Sched: MinTime, Policy: DrainLazy})
