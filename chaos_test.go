@@ -58,7 +58,8 @@ func chaosSeed(t *testing.T) int64 {
 // TestChaosCertificationExactUnderFaults replays seeded fault schedules
 // through the whole pipeline — exploration cache reads and writes,
 // quarantine cleanup — and requires the certification verdict to
-// match the fault-free run exactly on every schedule.
+// match the fault-free run exactly on every schedule, with the faulty
+// filesystem actually carrying the cache's I/O.
 func TestChaosCertificationExactUnderFaults(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "")
 	clean, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil)
@@ -84,6 +85,9 @@ func TestChaosCertificationExactUnderFaults(t *testing.T) {
 		if rep.Equivalent != clean.Equivalent ||
 			rep.SCOutcomes != clean.SCOutcomes || rep.TSOOutcomes != clean.TSOOutcomes {
 			t.Fatalf("seed %d: verdict drifted under faults:\nfaulty: %s\nclean:  %s", seed, rep, clean)
+		}
+		if ff.Ops() == 0 {
+			t.Fatalf("seed %d: the faulty filesystem saw no operation: WithFaultFS did not reach the store", seed)
 		}
 	}
 	store.ResetDegraded()

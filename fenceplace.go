@@ -453,9 +453,9 @@ func (a *Analyzer) CertifyProgramCtx(ctx context.Context, inst *Program, threads
 	}
 	cfg := c.mcConfig()
 	ctx = c.exploreCtx(ctx) // WithProgress streams every exploration below
-	base, err := a.sess.CertBaselineAtCtx(ctx, threads, cfg, c.cacheDir)
+	base, err := a.sess.CertBaselineAtCtx(ctx, threads, cfg, c.cache())
 	if err != nil {
 		return nil, err
 	}
-	return passes.CertifyAgainstCtx(ctx, base, inst, cfg, c.cacheDir)
+	return passes.CertifyAgainstCtx(ctx, base, inst, cfg, c.cache())
 }

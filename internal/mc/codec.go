@@ -56,11 +56,10 @@ const keySchema = 2
 // exploration), BufferCap (store buffers never engage under SC), Workers
 // and MaxStates (they shape the search, not the state space — a stored
 // baseline is always a complete exploration, valid under any budget),
-// FS/IORetries (how disk I/O is performed and retried can cost
-// re-exploration, never change the state space), and ExactSeen/NoPOR
-// (oracle switches that differential tests pin to identical outcome
-// sets). Excluding them maximizes warm hits across
-// machines with different core counts, budgets and disks.
+// and ExactSeen/NoPOR (oracle switches that differential tests pin to
+// identical outcome sets). Excluding them maximizes warm hits across
+// machines with different core counts and budgets. How the store itself
+// performs and retries its disk I/O is not part of Config at all.
 func BaselineKey(orig *ir.Program, threadFns []string, cfg Config) Key {
 	cfg = cfg.withDefaults()
 	return explorationKey("fpbase", orig, threadFns, int64(cfg.MemoryCap))
@@ -70,8 +69,8 @@ func BaselineKey(orig *ir.Program, threadFns []string, cfg Config) Key {
 // (p, threadFns) under cfg.Mode. An SC key is BaselineKey, bit for bit. A
 // TSO key hashes a distinct domain tag, so it can never equal an SC key,
 // and adds BufferCap, which decides how far stores may be delayed. It
-// excludes the same search-shaping and I/O knobs BaselineKey does:
-// Workers, MaxStates, FS, IORetries, ExactSeen and NoPOR.
+// excludes the same search-shaping knobs BaselineKey does: Workers,
+// MaxStates, ExactSeen and NoPOR.
 func ExplorationKey(p *ir.Program, threadFns []string, cfg Config) Key {
 	if cfg.Mode == tso.SC {
 		return BaselineKey(p, threadFns, cfg)

@@ -1,16 +1,13 @@
 package mc
 
-// Fault and panic tests for the model checker: a flaky disk in the
-// Config must never reach an exploration (the checker does no disk I/O;
-// Config.FS only carries the cache's filesystem to internal/passes), and
-// a worker panic must come back as a structured *InternalError with the
-// process and subsequent runs unharmed.
+// Fault tests for the model checker: a worker panic must come back as a
+// structured *InternalError with the process and subsequent runs
+// unharmed.
 
 import (
 	"errors"
 	"testing"
 
-	"fenceplace/internal/fsx"
 	"fenceplace/internal/tso"
 )
 
@@ -57,29 +54,4 @@ func TestWorkerPanicBecomesInternalError(t *testing.T) {
 		t.Fatalf("clean run after recovered panics: %v", err)
 	}
 	sameKeys(t, "post-panic clean run", keySet(got.Outcomes), keySet(exact.Outcomes))
-}
-
-// TestCertifyUnderStoreFaultsStaysExact runs the full certification of a
-// fenced program with a flaky disk in its Config: the exploration must not
-// touch it, and the verdict must match the fault-free certification.
-func TestCertifyUnderStoreFaultsStaysExact(t *testing.T) {
-	orig, inst := sb(false), sb(true)
-	threads := []string{"t0", "t1"}
-	clean, err := certify(orig, inst, threads, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff := fsx.NewFaultFS(nil, fsx.FaultConfig{Seed: 13, EIO: 0.3, ShortWrite: 0.1})
-	faulty, err := certify(orig, inst, threads, Config{
-		Workers: 1, FS: ff, IORetries: 2,
-	})
-	if err != nil {
-		t.Fatalf("certification failed under store faults: %v", err)
-	}
-	if faulty.Equivalent != clean.Equivalent {
-		t.Fatalf("verdict flipped under faults: %v vs clean %v", faulty.Equivalent, clean.Equivalent)
-	}
-	if ops := ff.Ops(); ops != 0 {
-		t.Fatalf("certification made %d disk operations, want none", ops)
-	}
 }

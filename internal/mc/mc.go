@@ -73,7 +73,6 @@ import (
 	"strconv"
 
 	"fenceplace/internal/cfg"
-	"fenceplace/internal/fsx"
 	"fenceplace/internal/ir"
 	"fenceplace/internal/tso"
 )
@@ -116,19 +115,6 @@ type Config struct {
 	// visited state; it exists as a cross-checking oracle for the
 	// fingerprint tables, not for production use.
 	ExactSeen bool
-
-	// FS overrides the filesystem the certification pipeline's exploration
-	// store (internal/passes opens it from this Config) routes through;
-	// nil means the real OS. It is the fault-injection seam of the chaos
-	// suite and cannot affect exploration results — it is not part of
-	// BaselineKey. Implementations must have a comparable dynamic type:
-	// normalized Configs are used as map keys by the pass session.
-	FS fsx.FS
-
-	// IORetries bounds the retry loop around transient store-I/O
-	// failures: 0 means the fsx default (2), negative disables retrying.
-	// Excluded from BaselineKey like every other I/O knob.
-	IORetries int
 }
 
 // Normalize returns the configuration with every unset field replaced by

@@ -406,6 +406,15 @@ func (s *Session) Instrumented(st Strategy) *ir.Program {
 	return inst
 }
 
+// Cache is where explorations persist: the store directory (empty: no
+// persistent store) and how the store performs and retries its disk I/O.
+// Neither can change an exploration's result, so neither is part of a
+// baseline's in-memory or on-disk key.
+type Cache struct {
+	Dir string
+	IO  store.Config
+}
+
 // CertBaselineAtCtx returns the memoized certification baseline of the
 // session's program: its reachable final-state set under sequential
 // consistency, explored once per (entry configuration, normalized
@@ -413,12 +422,12 @@ func (s *Session) Instrumented(st Strategy) *ir.Program {
 // certified against it. Concurrent callers with the same key block on one
 // exploration.
 //
-// The persistent store at cacheDir (empty: in-memory memoization only) is
+// The persistent store in cache (Dir empty: in-memory memoization only) is
 // consulted on an in-session miss before exploring — a warm entry skips
 // the SC exploration entirely — and a freshly explored baseline is written
 // back for future processes (see LoadOrExploreCtx). The in-memory key
-// ignores cacheDir, so the first caller's cache directory decides whether
-// the disk is involved.
+// ignores cache, so the first caller's cache decides whether and how the
+// disk is involved.
 //
 // Genuine exploration failures (truncation, bad programs) are memoized,
 // since retrying with an identical budget cannot succeed, but a
@@ -426,7 +435,7 @@ func (s *Session) Instrumented(st Strategy) *ir.Program {
 // is dropped from the session so a later call with a live context
 // explores afresh. Concurrent callers that were blocked on the cancelled
 // exploration observe the same ctx error for that attempt.
-func (s *Session) CertBaselineAtCtx(ctx context.Context, threadFns []string, cfg mc.Config, cacheDir string) (*mc.Baseline, error) {
+func (s *Session) CertBaselineAtCtx(ctx context.Context, threadFns []string, cfg mc.Config, cache Cache) (*mc.Baseline, error) {
 	ncfg := cfg.Normalize()
 	ncfg.Mode = tso.SC // the baseline side is always the SC exploration
 	key := baselineKey{threads: strings.Join(threadFns, ","), cfg: ncfg}
@@ -444,7 +453,7 @@ func (s *Session) CertBaselineAtCtx(ctx context.Context, threadFns []string, cfg
 
 	en.once.Do(func() {
 		start := time.Now()
-		sc, warm, err := LoadOrExploreCtx(ctx, s.prog, threadFns, ncfg, cacheDir)
+		sc, warm, err := LoadOrExploreCtx(ctx, s.prog, threadFns, ncfg, cache)
 		pass := "mc-baseline"
 		if warm {
 			pass = "mc-baseline/warm"
@@ -467,7 +476,7 @@ func (s *Session) CertBaselineAtCtx(ctx context.Context, threadFns []string, cfg
 
 // LoadOrExploreCtx produces the complete exploration of (p, threadFns)
 // under cfg.Mode — an SC baseline or a TSO outcome set — consulting the
-// persistent store at cacheDir (empty: none) first. A verified store entry
+// persistent store in cache (Dir empty: none) first. A verified store entry
 // is decoded and returned without exploring (warm = true), whatever
 // cfg.MaxStates is: a stored exploration is complete, so it answers any
 // budget. A miss falls back to a fresh exploration whose result is written
@@ -482,14 +491,14 @@ func (s *Session) CertBaselineAtCtx(ctx context.Context, threadFns []string, cfg
 //   - an unusable cache directory degrades to the uncached path:
 //     persistence is an optimization and must never fail a certification
 //     that exploration could complete.
-func LoadOrExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg mc.Config, cacheDir string) (ss *mc.StateSet, warm bool, err error) {
+func LoadOrExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg mc.Config, cache Cache) (ss *mc.StateSet, warm bool, err error) {
 	ncfg := cfg.Normalize()
 
 	var st *store.Store
 	var key string
-	if cacheDir != "" {
+	if cache.Dir != "" {
 		var serr error
-		st, serr = store.OpenConfig(cacheDir, store.Config{FS: ncfg.FS, Retries: ncfg.IORetries})
+		st, serr = store.OpenConfig(cache.Dir, cache.IO)
 		if serr != nil {
 			// The cache directory is unusable (unwritable, unreachable):
 			// the first rung of the degradation ladder — certify uncached.
@@ -529,12 +538,12 @@ func LoadOrExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cf
 
 // CertifyAgainstCtx certifies inst against base: the complete TSO
 // exploration of inst comes from LoadOrExploreCtx and mc.Compare decides
-// the verdict. With a warm store at cacheDir a repeated certification
-// costs a store read and an outcome-set comparison, no exploration.
-func CertifyAgainstCtx(ctx context.Context, base *mc.Baseline, inst *ir.Program, cfg mc.Config, cacheDir string) (*mc.Report, error) {
+// the verdict. With a warm store in cache a repeated certification costs
+// a store read and an outcome-set comparison, no exploration.
+func CertifyAgainstCtx(ctx context.Context, base *mc.Baseline, inst *ir.Program, cfg mc.Config, cache Cache) (*mc.Report, error) {
 	tcfg := cfg.Normalize()
 	tcfg.Mode = tso.TSO
-	ts, _, err := LoadOrExploreCtx(ctx, inst, base.ThreadFns, tcfg, cacheDir)
+	ts, _, err := LoadOrExploreCtx(ctx, inst, base.ThreadFns, tcfg, cache)
 	if err != nil {
 		return nil, err
 	}

@@ -224,7 +224,7 @@ func TestCertBaselineMemoized(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			b, err := s.CertBaselineAtCtx(context.Background(), nil, mc.Config{}, "")
+			b, err := s.CertBaselineAtCtx(context.Background(), nil, mc.Config{}, Cache{})
 			if err != nil {
 				t.Errorf("caller %d: %v", g, err)
 				return
@@ -239,7 +239,7 @@ func TestCertBaselineMemoized(t *testing.T) {
 		}
 	}
 	// Zero config and explicitly-defaulted config normalize to one key.
-	b, err := s.CertBaselineAtCtx(context.Background(), nil, mc.Config{}.Normalize(), "")
+	b, err := s.CertBaselineAtCtx(context.Background(), nil, mc.Config{}.Normalize(), Cache{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestCertBaselineMemoized(t *testing.T) {
 		t.Error("normalized config missed the memoized baseline")
 	}
 	// A different budget is a different baseline key.
-	b2, err := s.CertBaselineAtCtx(context.Background(), nil, mc.Config{MaxStates: 1 << 20}, "")
+	b2, err := s.CertBaselineAtCtx(context.Background(), nil, mc.Config{MaxStates: 1 << 20}, Cache{})
 	if err != nil {
 		t.Fatal(err)
 	}

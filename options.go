@@ -6,6 +6,8 @@ import (
 
 	"fenceplace/internal/fsx"
 	"fenceplace/internal/mc"
+	"fenceplace/internal/passes"
+	"fenceplace/internal/store"
 )
 
 // Option is the one configuration vocabulary of the public API: the same
@@ -66,9 +68,13 @@ func (c config) mcConfig() mc.Config {
 		Workers:   c.workers,
 		MemoryCap: c.memoryCap,
 		ExactSeen: c.exactSeen,
-		FS:        c.faultFS,
-		IORetries: c.ioRetries,
 	}
+}
+
+// cache maps the cache directory and the disk-I/O knobs onto the pass
+// session's exploration cache.
+func (c config) cache() passes.Cache {
+	return passes.Cache{Dir: c.cacheDir, IO: store.Config{FS: c.faultFS, Retries: c.ioRetries}}
 }
 
 // WithWorkers bounds the configured parallelism: the analyzer's
@@ -131,8 +137,7 @@ func WithSpillDir(string) Option {
 // is the fault-injection seam of the chaos test suite (see
 // internal/fsx.NewFaultFS); nil restores the OS. The filesystem cannot
 // affect certification verdicts, only whether the pipeline runs cached or
-// degraded; fs must have a comparable dynamic type (the pass session keys
-// baselines by configuration).
+// degraded.
 func WithFaultFS(fs fsx.FS) Option {
 	return func(c *config) { c.faultFS = fs }
 }
