@@ -259,6 +259,7 @@ func (e *engine) encode(s *state, buf []uint64) []uint64 {
 	if s.failed {
 		failed = 1
 	}
+	live := e.live
 	b := append(buf[:0], failed, uint64(len(s.Mem)), uint64(len(s.Threads)))
 	for _, v := range s.Mem {
 		b = append(b, uint64(v))
@@ -276,9 +277,9 @@ func (e *engine) encode(s *state, buf []uint64) []uint64 {
 		for j := range t.Frames {
 			f := &t.Frames[j]
 			blk, regs := f.Blk.ID(), f.Regs
-			live := e.live[f.Fn.ID][blk][f.Idx]
-			b = append(b, uint64(f.Fn.ID)<<32|uint64(blk), uint64(f.Idx)<<32|uint64(uint32(f.RetDst)))
-			for _, r := range live {
+			fid := f.Fn.ID
+			b = append(b, uint64(fid)<<32|uint64(blk), uint64(f.Idx)<<32|uint64(uint32(f.RetDst)))
+			for _, r := range live[fid][blk][f.Idx] {
 				b = append(b, uint64(regs[r]))
 			}
 		}
