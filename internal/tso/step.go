@@ -17,11 +17,10 @@ const DefaultMemoryCap = 1 << 22
 // table, the buffer and arena limits — and is safe for concurrent use;
 // every execution state lives in a State.
 type Machine struct {
-	Mode      Mode
-	BufferCap int // store-buffer entries per thread under TSO
-	MemoryCap int // arena limit in words; negative means uncapped
+	mode      Mode
+	bufferCap int // store-buffer entries per thread under TSO
+	memoryCap int // arena limit in words; negative means uncapped
 
-	prog  *ir.Program
 	base  map[*ir.Global]int64
 	funcs map[string]*Func
 	mem   []int64 // the initial memory: address 0, then every global
@@ -95,8 +94,7 @@ func NewMachine(p *ir.Program, mode Mode, bufferCap, memoryCap int) *Machine {
 		memoryCap = DefaultMemoryCap
 	}
 	m := &Machine{
-		Mode: mode, BufferCap: bufferCap, MemoryCap: memoryCap,
-		prog:  p,
+		mode: mode, bufferCap: bufferCap, memoryCap: memoryCap,
 		base:  make(map[*ir.Global]int64, len(p.Globals)),
 		funcs: make(map[string]*Func, len(p.Funcs)),
 	}
@@ -153,8 +151,8 @@ func (m *Machine) startThread(s *State, fn *Func, callerRegs []int64, args []ir.
 	t.Done = false
 	t.Frames = t.Frames[:0]
 	t.Buf = t.Buf[:0]
-	if m.Mode == TSO && cap(t.Buf) == 0 {
-		t.Buf = make([]BufEntry, 0, m.BufferCap)
+	if m.mode == TSO && cap(t.Buf) == 0 {
+		t.Buf = make([]BufEntry, 0, m.bufferCap)
 	}
 	t.push(fn, ir.NoReg, callerRegs, args)
 	return tid
@@ -287,7 +285,7 @@ func (m *Machine) Step(s *State, tid int) (Event, error) {
 		}
 		ev.Addr = addr
 		v, fwd := int64(0), false
-		if m.Mode == TSO {
+		if m.mode == TSO {
 			v, fwd = t.Forward(addr)
 		}
 		if !fwd {
@@ -300,8 +298,8 @@ func (m *Machine) Step(s *State, tid int) (Event, error) {
 			return ev, m.badAddr(s, tid, f, in, addr)
 		}
 		ev.Addr = addr
-		if m.Mode == TSO {
-			if len(t.Buf) >= m.BufferCap {
+		if m.mode == TSO {
+			if len(t.Buf) >= m.bufferCap {
 				s.Drain(tid) // buffer pressure forces the oldest entry out
 			}
 			t.Buf = append(t.Buf, BufEntry{addr, f.Regs[in.A]})
@@ -316,7 +314,7 @@ func (m *Machine) Step(s *State, tid int) (Event, error) {
 		f.Regs[in.Dst] = addr
 	case ir.Alloca, ir.Malloc:
 		n := in.Imm
-		if m.MemoryCap > 0 && len(s.Mem)+int(n) > m.MemoryCap {
+		if m.memoryCap > 0 && len(s.Mem)+int(n) > m.memoryCap {
 			return ev, fail(tid, f, "arena exhausted (%d words requested at %d)", n, len(s.Mem))
 		}
 		f.Regs[in.Dst] = int64(len(s.Mem))
