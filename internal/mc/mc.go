@@ -521,7 +521,7 @@ func (e *engine) step(s *state, tid int) error {
 	if err != nil {
 		return fmt.Errorf("mc: %w", err)
 	}
-	if ev.Instr.Kind == ir.Assert && ev.Hit {
+	if ev.Hit && ev.Instr.Kind == ir.Assert {
 		s.failed = true
 	}
 	if len(s.Threads) > MaxThreads {

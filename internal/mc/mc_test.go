@@ -454,6 +454,20 @@ func TestThreadLimit(t *testing.T) {
 	if _, err := Explore(pb.MustBuild(), names, Config{}); err == nil {
 		t.Fatal("17 thread functions accepted")
 	}
+
+	// A main that spawns MaxThreads workers reaches the limit by Spawn.
+	pb = ir.NewProgram("spawns")
+	w := pb.Func("w", 0)
+	w.RetVoid()
+	main := pb.Func("main", 0)
+	for i := 0; i < MaxThreads; i++ {
+		main.Spawn("w")
+	}
+	main.RetVoid()
+	pb.SetMain("main")
+	if _, err := Explore(pb.MustBuild(), nil, Config{}); err == nil || !strings.Contains(err.Error(), "thread limit") {
+		t.Fatalf("spawning a 17th thread: err = %v, want the thread limit", err)
+	}
 }
 
 // TestRMWAndPointerOps exercises CAS/FetchAdd/pointer access paths against
