@@ -320,7 +320,7 @@ func witness(ctx context.Context, p *ir.Program, threadFns []string, cfg Config,
 
 // outcomeKey renders a terminal state's printable outcome key.
 func (e *engine) outcomeKey(s *state, suffix string) string {
-	return string(appendOutcomeKey(nil, s.Mem[1:1+e.gwords], s.failed, suffix))
+	return string(appendOutcomeKey(nil, e.m.Globals(&s.State), s.failed, suffix))
 }
 
 // addrName maps a word address back to a printable global location.

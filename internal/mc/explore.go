@@ -48,11 +48,10 @@ type node struct {
 }
 
 type engine struct {
-	prog   *ir.Program
-	cfg    Config
-	m      *tso.Machine
-	live   [][][][]ir.Reg // liveTables(prog)
-	gwords int
+	prog *ir.Program
+	cfg  Config
+	m    *tso.Machine
+	live [][][][]ir.Reg // liveTables(prog)
 
 	shards [nShards]seenShard
 
@@ -193,7 +192,6 @@ func newEngine(p *ir.Program, threadFns []string, cfg Config) (*engine, *state, 
 		done:     make(chan struct{}),
 		outcomes: make(map[string][]int64),
 	}
-	e.gwords = e.m.GlobalWords()
 
 	init := &state{State: e.m.NewState()}
 	if len(threadFns) > 0 {
@@ -653,10 +651,11 @@ func (e *engine) detThread(w *workerCtx, s *state, from int) int {
 // probed before anything is copied, so duplicate terminal states — the
 // overwhelming majority — allocate nothing.
 func (e *engine) record(w *workerCtx, s *state, suffix string) {
-	w.keyBuf = appendOutcomeKey(w.keyBuf[:0], s.Mem[1:1+e.gwords], s.failed, suffix)
+	globals := e.m.Globals(&s.State)
+	w.keyBuf = appendOutcomeKey(w.keyBuf[:0], globals, s.failed, suffix)
 	e.outMu.Lock()
 	if _, ok := e.outcomes[string(w.keyBuf)]; !ok {
-		vec := append([]int64(nil), s.Mem[1:1+e.gwords]...)
+		vec := append([]int64(nil), globals...)
 		e.outcomes[string(w.keyBuf)] = vec
 	}
 	e.outMu.Unlock()

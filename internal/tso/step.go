@@ -120,9 +120,8 @@ func (m *Machine) Func(name string) *Func { return m.funcs[name] }
 // Base returns the address of g's first word.
 func (m *Machine) Base(g *ir.Global) int64 { return m.base[g] }
 
-// GlobalWords returns the number of words the globals occupy, from
-// address 1 on.
-func (m *Machine) GlobalWords() int { return len(m.mem) - 1 }
+// Globals returns the words s's globals occupy, in declaration order.
+func (m *Machine) Globals(s *State) []int64 { return s.Mem[1:len(m.mem)] }
 
 // NewState returns the initial state: globals at their initial values and
 // no threads.
