@@ -260,9 +260,9 @@ func fail(tid int, f *Frame, format string, args ...any) error {
 // address before memory; CAS and FetchAdd drain the buffer and then act on
 // memory atomically, like LOCK-prefixed instructions; a full fence, Spawn
 // and the thread's final Ret drain it too. A Join whose target has not
-// finished leaves the thread where it is. An error — an
+// finished leaves the thread where it is. A step that fails — an
 // out-of-bounds access, an exhausted arena, a Join of a thread that does
-// not exist — leaves s partly updated; drivers abandon it.
+// not exist — changes nothing and returns the error.
 func (m *Machine) Step(s *State, tid int) (Event, error) {
 	t := &s.Threads[tid]
 	f := &t.Frames[len(t.Frames)-1]
