@@ -198,5 +198,6 @@ func CertTable(rep *Report) string {
 	return "Certification: exhaustive SC-equivalence of the placed fences\n" +
 		"(model checker: TSO final states of the instrumented build vs SC final states\n" +
 		"of the legacy build; a VIOLATION on a pruned variant means the program is\n" +
-		"not DRF or the fences are insufficient)\n" + t.String()
+		"not DRF or the fences are insufficient; a certificate holds for x86-TSO with\n" +
+		"4-entry store buffers)\n" + t.String()
 }

@@ -427,14 +427,19 @@ func CertifyCtx(ctx context.Context, res *Result, threads []string, opts ...Opti
 // CertifyProgramCtx certifies an instrumented build of the analyzer's
 // program — a Result's, or an expert manual placement that no Result
 // carries — against the session's shared SC baseline, and is the one
-// certification path of the module. With no options given, the
-// analyzer's construction-time options apply; passing any option replaces
-// the configuration wholesale. With a cache directory in play
-// (WithCacheDir or $FENCEPLACE_CACHE_DIR) both explorations consult the
-// persistent exploration store first, for the SC baseline and for the
-// build's TSO outcome set, and write fresh explorations back, so a warm
-// store eliminates both explorations across processes. A stored
-// exploration is complete, so it answers any state budget.
+// certification path of the module. The session memoizes both
+// explorations (passes.Session.CertBaselineAtCtx and
+// Session.CertifyAgainstCtx): the SC baseline once per configuration and
+// the TSO side once per distinct build, so strategies that place the same
+// fences share one TSO exploration and re-certifying explores nothing.
+// With no options given, the analyzer's construction-time options apply;
+// passing any option replaces the configuration wholesale. With a cache
+// directory in play (WithCacheDir or $FENCEPLACE_CACHE_DIR) both
+// explorations consult the persistent exploration store first, for the SC
+// baseline and for the build's TSO outcome set, and write fresh
+// explorations back, so a warm store eliminates both explorations across
+// processes. A stored exploration is complete, so it answers any state
+// budget.
 //
 // Cancelling ctx abandons whichever exploration is in flight promptly and
 // returns ctx's error: exploration workers drain their frontiers instead
@@ -457,5 +462,5 @@ func (a *Analyzer) CertifyProgramCtx(ctx context.Context, inst *Program, threads
 	if err != nil {
 		return nil, err
 	}
-	return passes.CertifyAgainstCtx(ctx, base, inst, cfg, c.cache())
+	return a.sess.CertifyAgainstCtx(ctx, base, inst, cfg, c.cache())
 }

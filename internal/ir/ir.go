@@ -372,14 +372,17 @@ type Fn struct {
 func (f *Fn) Entry() *Block { return f.Blocks[0] }
 
 // renumber refreshes the back-references (owning block, position, block id)
-// that analyses rely on. It must run after any structural mutation.
+// that analyses rely on. It must run after any structural mutation. It
+// writes only the references that are stale.
 func (f *Fn) renumber() {
 	for bi, b := range f.Blocks {
-		b.fn = f
-		b.id = bi
+		if b.fn != f || b.id != bi {
+			b.fn, b.id = f, bi
+		}
 		for pi, in := range b.Instrs {
-			in.blk = b
-			in.pos = pi
+			if in.blk != b || in.pos != pi {
+				in.blk, in.pos = b, pi
+			}
 		}
 	}
 }
@@ -441,10 +444,33 @@ func (p *Program) index() {
 	}
 }
 
+// indexed reports whether the name indices are current: every function
+// and global, and nothing else, is found under its name.
+func (p *Program) indexed() bool {
+	if p.byName == nil || p.globals == nil || len(p.byName) != len(p.Funcs) || len(p.globals) != len(p.Globals) {
+		return false
+	}
+	for _, f := range p.Funcs {
+		if p.byName[f.Name] != f {
+			return false
+		}
+	}
+	for _, g := range p.Globals {
+		if p.globals[g.Name] != g {
+			return false
+		}
+	}
+	return true
+}
+
 // Finalize refreshes all derived indices and back-references. Call it after
 // construction and after any structural mutation (e.g. fence insertion).
+// On a program that is already finalized it only reads, so any number of
+// goroutines may finalize, hash and explore one finalized program at once.
 func (p *Program) Finalize() {
-	p.index()
+	if !p.indexed() {
+		p.index()
+	}
 	for _, f := range p.Funcs {
 		f.renumber()
 	}

@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -88,9 +89,9 @@ func (r *Report) Counterexample() string {
 // program certifies against the same SC state space, so exploring it once
 // per program — instead of once per variant — removes the dominant
 // redundant work of corpus certification. The pass session memoizes one
-// per entry configuration (passes.Session.CertBaselineAtCtx). Baselines
-// are immutable after construction and safe for concurrent use by any
-// number of Compare calls.
+// per entry configuration and exploration config
+// (passes.Session.CertBaselineAtCtx). Baselines are immutable after
+// construction and safe for concurrent use by any number of Compare calls.
 type Baseline struct {
 	Prog      *ir.Program // the original program the SC set belongs to
 	ThreadFns []string    // entry configuration the set was explored under
@@ -138,11 +139,13 @@ func truncatedErr(p *ir.Program, mode tso.Mode, visited int64) error {
 // CertifyAgainstCtx certifies one instrumented variant against a prebuilt
 // SC baseline: it explores inst under x86-TSO with the baseline's entry
 // configuration and hands the outcome set to Compare. The pipeline
-// certifies through passes.CertifyAgainstCtx instead, which serves the TSO
-// side from the exploration store when it can. Like NewBaselineCtx, this
-// store-less twin stays for the benchmark module's traced driver
-// (bench/direct.go, bench/measure.go) and for tests, until the ROADMAP's
-// benchmark item moves that driver onto passes.
+// certifies through passes.Session.CertifyAgainstCtx instead, which
+// explores each distinct build once per session and serves the TSO side
+// from the exploration store when it can. Like NewBaselineCtx, this
+// memo-less, store-less twin stays for the benchmark module's traced
+// driver (bench/direct.go, bench/measure.go) and for tests, until the
+// ROADMAP's benchmark item moves that driver onto passes; it explores on
+// every call.
 func CertifyAgainstCtx(ctx context.Context, base *Baseline, inst *ir.Program, cfg Config) (*Report, error) {
 	tsoCfg := cfg.withDefaults()
 	tsoCfg.Mode = tso.TSO
@@ -203,7 +206,7 @@ func Compare(ctx context.Context, base *Baseline, inst *ir.Program, ts *StateSet
 	for _, k := range keys {
 		r.Violations = append(r.Violations, Violation{
 			Key:      k,
-			Globals:  ts.Outcomes[k],
+			Globals:  slices.Clone(ts.Outcomes[k]), // ts may be a memoized set other reports share
 			Schedule: schedules[k],
 		})
 	}

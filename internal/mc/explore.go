@@ -230,8 +230,14 @@ func Explore(p *ir.Program, threadFns []string, cfg Config) (*StateSet, error) {
 // workers abandon the exploration promptly — every in-flight state stops
 // producing children, the frontier drains uncounted — and the call returns
 // ctx's error. Cancellation reuses the budget-exhaustion drain path, so no
-// per-state ctx polling taxes the hot loop.
+// per-state ctx polling taxes the hot loop. A context that is already done
+// starts no exploration (and counts none in mc.explore_runs): the call
+// returns ctx's error at once, where a started exploration of a small
+// state space could finish before its workers notice the cancellation.
 func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Config) (*StateSet, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	mExploreRuns.Inc(0)
 	if cfg.Mode == tso.SC {
 		mSCExploreRuns.Inc(0)

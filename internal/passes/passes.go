@@ -4,7 +4,9 @@
 // Pensieve ordering generation, acquire detection per variant, DRF pruning
 // and fence minimization per strategy — so the strategy-independent passes
 // (alias, escape, ordering generation, the shared indexes) run exactly
-// once no matter how many placement strategies are evaluated. Per-function
+// once no matter how many placement strategies are evaluated. It also
+// memoizes the model-checker explorations certification needs: the SC
+// baseline, and the TSO exploration of each distinct build. Per-function
 // work (CFG construction, slicing, ordering generation) fans out over a
 // bounded worker pool.
 //
@@ -19,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -111,28 +112,33 @@ type Session struct {
 	planM  [numStrategies]memo[*fence.Plan]
 	instM  [numStrategies]memo[applied]
 
-	bmu       sync.Mutex
-	baselines map[baselineKey]*baselineEntry
+	emu          sync.Mutex
+	explorations map[explorationKey]*exploration
 
 	tmu   sync.Mutex
 	spans []telemetry.Span // completed pass executions, in completion order
 	track int32            // the session's trace lane (one per Session)
 }
 
-// baselineKey identifies one certification baseline: the entry
-// configuration plus the normalized exploration config it was explored
-// under. Keying by the normalized form lets a zero-valued config and an
-// explicitly-defaulted one share the entry.
-type baselineKey struct {
-	threads string
-	cfg     mc.Config
+// explorationKey identifies one memoized complete exploration: the
+// structural identity of the explored build and its entry configuration
+// (mc.ExplorationKey, which the persistent store trusts across processes)
+// plus the full normalized config it ran under. Keying by the normalized
+// config gives a different budget or worker count its own entry and lets
+// a zero-valued config share the entry of an explicitly-defaulted one.
+type explorationKey struct {
+	id  mc.Key
+	cfg mc.Config
 }
 
-// baselineEntry is a once-per-key SC exploration; errors are memoized too
-// (a truncated baseline will not complete on retry with the same budget).
-type baselineEntry struct {
+// exploration is a once-per-key complete exploration. Errors are memoized
+// too: a truncated exploration will not complete on retry with the same
+// budget. base packages an SC exploration as a certification baseline,
+// once, so every caller shares one *mc.Baseline.
+type exploration struct {
 	once sync.Once
-	b    *mc.Baseline
+	ss   *mc.StateSet
+	base *mc.Baseline
 	err  error
 }
 
@@ -417,70 +423,101 @@ type Cache struct {
 
 // CertBaselineAtCtx returns the memoized certification baseline of the
 // session's program: its reachable final-state set under sequential
-// consistency, explored once per (entry configuration, normalized
-// exploration config) no matter how many placement strategies are
-// certified against it. Concurrent callers with the same key block on one
-// exploration.
-//
-// The persistent store in cache (Dir empty: in-memory memoization only) is
-// consulted on an in-session miss before exploring — a warm entry skips
-// the SC exploration entirely — and a freshly explored baseline is written
-// back for future processes (see LoadOrExploreCtx). The in-memory key
-// ignores cache, so the first caller's cache decides whether and how the
-// disk is involved.
-//
-// Genuine exploration failures (truncation, bad programs) are memoized,
-// since retrying with an identical budget cannot succeed, but a
-// cancellation is the caller's doing, not the key's: the cancelled entry
-// is dropped from the session so a later call with a live context
-// explores afresh. Concurrent callers that were blocked on the cancelled
-// exploration observe the same ctx error for that attempt.
+// consistency, explored at most once per session and normalized
+// exploration config (see explore) no matter how many placement
+// strategies are certified against it. Concurrent callers with the same
+// key block on one exploration and receive one *mc.Baseline.
 func (s *Session) CertBaselineAtCtx(ctx context.Context, threadFns []string, cfg mc.Config, cache Cache) (*mc.Baseline, error) {
 	ncfg := cfg.Normalize()
 	ncfg.Mode = tso.SC // the baseline side is always the SC exploration
-	key := baselineKey{threads: strings.Join(threadFns, ","), cfg: ncfg}
+	en := s.explore(ctx, s.prog, threadFns, ncfg, cache)
+	return en.base, en.err
+}
 
-	s.bmu.Lock()
-	if s.baselines == nil {
-		s.baselines = make(map[baselineKey]*baselineEntry)
+// CertifyAgainstCtx certifies inst, an instrumented build of the session's
+// program, against base: the complete TSO exploration of inst comes from
+// the session memo (see explore) and mc.Compare decides the verdict.
+// Builds that place the same fences share one exploration, so certifying
+// strategies that agree explores the build once; with a warm store in
+// cache a repeated certification costs a store read and an outcome-set
+// comparison, no exploration.
+func (s *Session) CertifyAgainstCtx(ctx context.Context, base *mc.Baseline, inst *ir.Program, cfg mc.Config, cache Cache) (*mc.Report, error) {
+	ncfg := cfg.Normalize()
+	ncfg.Mode = tso.TSO
+	en := s.explore(ctx, inst, base.ThreadFns, ncfg, cache)
+	if en.err != nil {
+		return nil, en.err
 	}
-	en := s.baselines[key]
+	return mc.Compare(ctx, base, inst, en.ss, cfg)
+}
+
+// explore returns the session's memoized complete exploration of (p,
+// threadFns) under ncfg, a normalized config whose Mode picks the side:
+// the SC baseline or a build's TSO outcome set. Entries are keyed by
+// explorationKey, so two structurally identical builds share one entry.
+// Each exploration is recorded as a pass ("mc-baseline" or "mc-tso",
+// with a "/warm" suffix when the store served it).
+//
+// The persistent store in cache (Dir empty: in-memory memoization only) is
+// consulted on an in-session miss before exploring — a warm entry skips
+// the exploration entirely — and a fresh exploration is written back for
+// future processes (see loadOrExplore). The in-memory key ignores cache,
+// so the first caller's cache decides whether and how the disk is
+// involved.
+//
+// Genuine exploration failures (truncation, bad programs) stay memoized,
+// but a cancellation is the caller's doing, not the key's: the cancelled
+// entry is dropped from the session so a later call with a live context
+// explores afresh. Concurrent callers that were blocked on the cancelled
+// exploration observe the same ctx error for that attempt.
+func (s *Session) explore(ctx context.Context, p *ir.Program, threadFns []string, ncfg mc.Config, cache Cache) *exploration {
+	key := explorationKey{id: mc.ExplorationKey(p, threadFns, ncfg), cfg: ncfg}
+
+	s.emu.Lock()
+	if s.explorations == nil {
+		s.explorations = make(map[explorationKey]*exploration)
+	}
+	en := s.explorations[key]
 	if en == nil {
-		en = &baselineEntry{}
-		s.baselines[key] = en
+		en = &exploration{}
+		s.explorations[key] = en
 	}
-	s.bmu.Unlock()
+	s.emu.Unlock()
 
 	en.once.Do(func() {
 		start := time.Now()
-		sc, warm, err := LoadOrExploreCtx(ctx, s.prog, threadFns, ncfg, cache)
-		pass := "mc-baseline"
+		ss, warm, err := loadOrExplore(ctx, p, threadFns, ncfg, key.id, cache)
+		pass := "mc-tso"
+		if ncfg.Mode == tso.SC {
+			pass = "mc-baseline"
+		}
 		if warm {
-			pass = "mc-baseline/warm"
+			pass += "/warm"
 		}
 		s.record(pass, start)
-		if err == nil {
-			en.b = &mc.Baseline{Prog: s.prog, ThreadFns: threadFns, Cfg: ncfg, SC: sc}
+		en.ss, en.err = ss, err
+		if err == nil && ncfg.Mode == tso.SC {
+			en.base = &mc.Baseline{Prog: p, ThreadFns: threadFns, Cfg: ncfg, SC: ss}
 		}
-		en.err = err
 	})
 	if en.err != nil && (errors.Is(en.err, context.Canceled) || errors.Is(en.err, context.DeadlineExceeded)) {
-		s.bmu.Lock()
-		if s.baselines[key] == en {
-			delete(s.baselines, key)
+		s.emu.Lock()
+		if s.explorations[key] == en {
+			delete(s.explorations, key)
 		}
-		s.bmu.Unlock()
+		s.emu.Unlock()
 	}
-	return en.b, en.err
+	return en
 }
 
-// LoadOrExploreCtx produces the complete exploration of (p, threadFns)
-// under cfg.Mode — an SC baseline or a TSO outcome set — consulting the
-// persistent store in cache (Dir empty: none) first. A verified store entry
-// is decoded and returned without exploring (warm = true), whatever
-// cfg.MaxStates is: a stored exploration is complete, so it answers any
-// budget. A miss falls back to a fresh exploration whose result is written
-// back. The rules:
+// loadOrExplore produces the complete exploration of (p, threadFns) under
+// ncfg.Mode — an SC baseline or a TSO outcome set — consulting the
+// persistent store in cache (Dir empty: none) first under key, which is
+// mc.ExplorationKey(p, threadFns, ncfg). A verified store entry is decoded
+// and returned without exploring (warm = true), whatever ncfg.MaxStates
+// is: a stored exploration is complete, so it answers any budget. A miss
+// falls back to a fresh exploration whose result is written back. The
+// rules:
 //
 //   - a corrupt or undecodable entry is quarantined and treated as a miss;
 //   - a truncated exploration is an error wrapping mc.ErrTruncated and is
@@ -491,11 +528,9 @@ func (s *Session) CertBaselineAtCtx(ctx context.Context, threadFns []string, cfg
 //   - an unusable cache directory degrades to the uncached path:
 //     persistence is an optimization and must never fail a certification
 //     that exploration could complete.
-func LoadOrExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg mc.Config, cache Cache) (ss *mc.StateSet, warm bool, err error) {
-	ncfg := cfg.Normalize()
-
+func loadOrExplore(ctx context.Context, p *ir.Program, threadFns []string, ncfg mc.Config, key mc.Key, cache Cache) (ss *mc.StateSet, warm bool, err error) {
 	var st *store.Store
-	var key string
+	var name string
 	if cache.Dir != "" {
 		var serr error
 		st, serr = store.OpenConfig(cache.Dir, cache.IO)
@@ -506,15 +541,15 @@ func LoadOrExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cf
 			st = nil
 		}
 		if st != nil {
-			key = mc.ExplorationKey(p, threadFns, ncfg).String()
-			if data, ok := st.GetCtx(ctx, key); ok {
+			name = key.String()
+			if data, ok := st.GetCtx(ctx, name); ok {
 				if ss, err := mc.UnmarshalExploration(ncfg.Mode, data); err == nil {
 					return ss, true, nil
 				}
 				// The framing verified but the record did not decode (e.g.
 				// an incompatible codec version): reclassify as a miss and
 				// quarantine.
-				st.Reject(key)
+				st.Reject(name)
 			}
 		}
 	}
@@ -528,24 +563,10 @@ func LoadOrExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cf
 			// Best-effort write-back; a failure on a live ctx means the
 			// cache could not absorb this exploration — the next run pays
 			// it again, so meter the uncached rung.
-			if perr := st.PutCtx(ctx, key, data); perr != nil && ctx.Err() == nil {
+			if perr := st.PutCtx(ctx, name, data); perr != nil && ctx.Err() == nil {
 				store.NoteUncached()
 			}
 		}
 	}
 	return ss, false, nil
-}
-
-// CertifyAgainstCtx certifies inst against base: the complete TSO
-// exploration of inst comes from LoadOrExploreCtx and mc.Compare decides
-// the verdict. With a warm store in cache a repeated certification costs
-// a store read and an outcome-set comparison, no exploration.
-func CertifyAgainstCtx(ctx context.Context, base *mc.Baseline, inst *ir.Program, cfg mc.Config, cache Cache) (*mc.Report, error) {
-	tcfg := cfg.Normalize()
-	tcfg.Mode = tso.TSO
-	ts, _, err := LoadOrExploreCtx(ctx, inst, base.ThreadFns, tcfg, cache)
-	if err != nil {
-		return nil, err
-	}
-	return mc.Compare(ctx, base, inst, ts, cfg)
 }

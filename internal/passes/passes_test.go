@@ -266,6 +266,50 @@ func TestCertBaselineMemoized(t *testing.T) {
 	}
 }
 
+// TestCertifyAgainstSharesExploration: concurrent certifications of
+// structurally identical builds (dekker's Control and Address+Control)
+// block on one TSO exploration, recorded once, and get equal reports.
+func TestCertifyAgainstSharesExploration(t *testing.T) {
+	m := progs.ByName("dekker")
+	pp := m.Defaults
+	pp.Threads = 2
+	pp.Size = 1
+	s := NewSession(m.Build(pp))
+	builds := []*ir.Program{s.Instrumented(Control), s.Instrumented(AddressControl)}
+
+	const callers = 8
+	reps := make([]*mc.Report, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			base, err := s.CertBaselineAtCtx(context.Background(), nil, mc.Config{}, Cache{})
+			if err == nil {
+				reps[g], err = s.CertifyAgainstCtx(context.Background(), base, builds[g%2], mc.Config{}, Cache{})
+			}
+			if err != nil {
+				t.Errorf("caller %d: %v", g, err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < callers; g++ {
+		if reps[g] == nil || reps[0] == nil || reps[g].String() != reps[0].String() {
+			t.Fatalf("caller %d: report %v, caller 0: %v", g, reps[g], reps[0])
+		}
+	}
+	n := 0
+	for _, tm := range s.Timings() {
+		if tm.Pass == "mc-tso" {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("mc-tso recorded %d times, want 1", n)
+	}
+}
+
 func TestStrategyNames(t *testing.T) {
 	want := map[Strategy]string{
 		PensieveOnly: "Pensieve", Control: "Control", AddressControl: "Address+Control",

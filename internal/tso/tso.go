@@ -261,11 +261,12 @@ func (r *sim) loop() {
 // pick chooses the thread to step next, or -1 when no thread is runnable;
 // alive reports whether any thread has yet to finish. A thread is
 // runnable when it has not finished and the thread it joins, if any, has;
-// every thread is checked, in id order, on every step, because completing
-// a join is an event the Tracer observes. MinTime keeps the runnable
-// thread with the fewest cycles as it scans (the strict comparison breaks
-// ties to the lowest id); Random draws from the runnable threads in id
-// order, collected in a slice reused across steps.
+// every thread is checked, in id order, on every step. Unblocking a join
+// is not itself traced: the Join instruction re-executes and reports the
+// completed join once. MinTime keeps the runnable thread with the fewest
+// cycles as it scans (the strict comparison breaks ties to the lowest
+// id); Random draws from the runnable threads in id order, collected in a
+// slice reused across steps.
 func (r *sim) pick() (best int, alive bool) {
 	random := r.cfg.Sched == Random
 	r.ready = r.ready[:0]
@@ -281,9 +282,6 @@ func (r *sim) pick() (best int, alive bool) {
 		if c.joining >= 0 {
 			if !threads[c.joining].Done {
 				continue
-			}
-			if r.cfg.Tracer != nil {
-				r.cfg.Tracer.Join(tid, c.joining)
 			}
 			c.joining = -1
 		}

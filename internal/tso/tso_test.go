@@ -544,3 +544,56 @@ func TestRunAllocsPerRunIndependentOfSteps(t *testing.T) {
 		}
 	}
 }
+
+// joinRecorder is a Tracer that records the Spawn and Join events of a run.
+type joinRecorder struct {
+	spawns, joins [][2]int
+}
+
+func (r *joinRecorder) Access(int, *ir.Instr, int64, bool) {}
+func (r *joinRecorder) Spawn(parent, child int)            { r.spawns = append(r.spawns, [2]int{parent, child}) }
+func (r *joinRecorder) Join(parent, child int)             { r.joins = append(r.joins, [2]int{parent, child}) }
+
+// TestJoinTracedOnce: each executed Join instruction reports one Join
+// event, whether it found its target finished or blocked until it was.
+// main joins a worker that is still running (its 200-iteration loop
+// cannot finish before main's next step: MinTime runs the worker until its
+// cycles pass main's, and Random would have to draw the worker every step
+// for hundreds of steps), then a short worker that has finished by then.
+func TestJoinTracedOnce(t *testing.T) {
+	pb := ir.NewProgram("join")
+	ctr := pb.Global("ctr", 1)
+	long := pb.Func("long", 0)
+	pc := long.AddrOf(ctr)
+	one := long.Const(1)
+	long.ForConst(0, 200, func(ir.Reg) { long.FetchAdd(pc, one) })
+	long.RetVoid()
+	short := pb.Func("short", 0)
+	short.RetVoid()
+	main := pb.Func("main", 0)
+	a := main.Spawn("long")
+	b := main.Spawn("short")
+	main.Join(a)
+	main.Join(b)
+	main.RetVoid()
+	pb.SetMain("main")
+	p := pb.MustBuild()
+
+	for _, cfg := range []Config{
+		{Mode: TSO, Sched: MinTime},
+		{Mode: TSO, Sched: Random, Seed: 1},
+		{Mode: TSO, Sched: Random, Seed: 2},
+		{Mode: SC, Sched: Random, Seed: 3},
+	} {
+		rec := &joinRecorder{}
+		cfg.Tracer = rec
+		if out := Run(p, cfg); out.Failed() {
+			t.Fatalf("sched %d seed %d: %v %v", cfg.Sched, cfg.Seed, out.Failures, out.Err)
+		}
+		want := [][2]int{{0, 1}, {0, 2}}
+		if !slices.Equal(rec.spawns, want) || !slices.Equal(rec.joins, want) {
+			t.Errorf("sched %d seed %d: spawns %v, joins %v; want %v for both",
+				cfg.Sched, cfg.Seed, rec.spawns, rec.joins, want)
+		}
+	}
+}
