@@ -26,6 +26,7 @@ import (
 	"fenceplace/internal/mc"
 	"fenceplace/internal/progs"
 	"fenceplace/internal/store"
+	"fenceplace/internal/telemetry"
 )
 
 // freshControlResult builds dekker from scratch in a brand-new analyzer
@@ -184,7 +185,9 @@ func unfencedDekker(t *testing.T, opts ...fenceplace.Option) (*fenceplace.CertRe
 // With a state budget too small for a cold run, the warm store still
 // answers (a stored exploration is complete, so it answers any budget):
 // the verdict and the violating outcomes are the same, but the schedule
-// is missing, because the witness search is bounded by the budget.
+// is missing, because the schedule search is bounded by the budget. That
+// search is no exploration: it counts in mc.witness_runs alone, and
+// running out of budget does not count as a truncated run.
 func TestWarmViolationEqualsCold(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "")
 	dir := t.TempDir()
@@ -219,9 +222,20 @@ func TestWarmViolationEqualsCold(t *testing.T) {
 		t.Fatalf("cold run at %d states returned %v, want ErrTruncated", small, err)
 	}
 	// ...warm, the stored explorations answer it.
+	counter := func(name string) int64 { return telemetry.Default().Counter(name).Value() }
+	runs, truncated, witness := explorations(), counter("mc.truncated_runs"), counter("mc.witness_runs")
 	tiny, err := unfencedDekker(t, fenceplace.WithCacheDir(dir), fenceplace.WithMaxStates(small), one)
 	if err != nil {
 		t.Fatalf("warm run at %d states: %v", small, err)
+	}
+	if d := explorations() - runs; d != 0 {
+		t.Errorf("warm small-budget run: mc.explore_runs +%d, want +0", d)
+	}
+	if d := counter("mc.truncated_runs") - truncated; d != 0 {
+		t.Errorf("warm small-budget run: mc.truncated_runs +%d, want +0", d)
+	}
+	if d := counter("mc.witness_runs") - witness; d != 1 {
+		t.Errorf("warm small-budget run: mc.witness_runs +%d, want +1", d)
 	}
 	if tiny.Equivalent != cold.Equivalent || tiny.VisitedTSO != cold.VisitedTSO || len(tiny.Violations) != len(cold.Violations) {
 		t.Fatalf("warm small-budget report %s disagrees with cold %s", tiny, cold)
@@ -231,8 +245,8 @@ func TestWarmViolationEqualsCold(t *testing.T) {
 			t.Errorf("violation %d: outcome %s, cold %s", i, v.Key, cold.Violations[i].Key)
 		}
 	}
-	// The witness search is a sequential DFS, so this is deterministic: 64
-	// states do not reach dekker's violating terminal.
+	// The schedule search runs at one worker, so this is deterministic: 64
+	// normal-form states do not reach dekker's violating terminal.
 	if ce := tiny.Counterexample(); !strings.Contains(ce, "schedule not reconstructed within the state budget") {
 		t.Errorf("small-budget counterexample claims a schedule:\n%s", ce)
 	}

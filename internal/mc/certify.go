@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"fenceplace/internal/ir"
 	"fenceplace/internal/tso"
@@ -159,12 +160,12 @@ func CertifyAgainstCtx(ctx context.Context, base *Baseline, inst *ir.Program, cf
 // Compare is the verdict half of every certification: it decides the
 // certification of inst from ts, the complete TSO exploration of inst
 // under the baseline's entry configuration, whether just explored or
-// loaded from the store. It diffs the outcome sets and, for every TSO-only
-// outcome, reconstructs a schedule by a witness search over inst. That
-// search is a sequential DFS bounded by cfg.MaxStates (counted in
-// mc.witness_runs, not mc.explore_runs), so a budget too small to find a
-// schedule leaves the violation without one but never changes the
-// verdict. A truncated ts is an error wrapping ErrTruncated.
+// loaded from the store. It diffs the outcome sets and, for the TSO-only
+// outcomes, explores inst again to find their schedules (see tracePaths).
+// A budget too small for that search leaves violations without a schedule
+// but never changes the verdict. A truncated ts is an error wrapping
+// ErrTruncated; a cancelled search returns ctx's error, and a schedule
+// that does not replay to its outcome an InternalError.
 func Compare(ctx context.Context, base *Baseline, inst *ir.Program, ts *StateSet, cfg Config) (*Report, error) {
 	if ts.Truncated {
 		return nil, truncatedErr(inst, tso.TSO, ts.Visited)
@@ -197,128 +198,92 @@ func Compare(ctx context.Context, base *Baseline, inst *ir.Program, ts *StateSet
 		return r, nil
 	}
 
-	schedules := witness(ctx, inst, base.ThreadFns, tsoCfg, targets)
+	e, root, err := tracePaths(ctx, inst, base.ThreadFns, tsoCfg, targets)
+	if err != nil {
+		return nil, err
+	}
 	keys := make([]string, 0, len(targets))
 	for k := range targets {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		r.Violations = append(r.Violations, Violation{
-			Key:      k,
-			Globals:  slices.Clone(ts.Outcomes[k]), // ts may be a memoized set other reports share
-			Schedule: schedules[k],
-		})
+		// ts may be a memoized set other reports share.
+		v := Violation{Key: k, Globals: slices.Clone(ts.Outcomes[k])}
+		if path, ok := e.paths[k]; ok {
+			if v.Schedule, err = e.replay(root, path, k); err != nil {
+				return nil, err
+			}
+		}
+		r.Violations = append(r.Violations, v)
 	}
 	return r, nil
 }
 
-// wframe is one level of the witness DFS: the state it entered with, the
-// step that produced it, and the enabled transitions left to try.
-type wframe struct {
-	s    *state
-	step Step
-	bits []int
-	i    int
-}
-
-// witness reconstructs, by sequential depth-first search over the
-// transition graph without partial-order reduction, one schedule per
-// target outcome key. The
-// search stops when every target has a schedule, the state budget runs
-// out, or ctx is cancelled (polled every 1024 states to keep the loop
-// cheap); missing entries stay nil.
-func witness(ctx context.Context, p *ir.Program, threadFns []string, cfg Config, targets map[string]bool) map[string][]Step {
+// tracePaths runs the schedule search: it explores p again with path
+// tracking on, at one worker so that a schedule depends on the program
+// and config alone, until every target has a path or cfg.MaxStates runs
+// out. It returns the engine, whose paths hold the first path that reached
+// each target, and the initial state to replay them from. It counts in
+// mc.witness_runs only.
+func tracePaths(ctx context.Context, p *ir.Program, threadFns []string, cfg Config, targets map[string]bool) (*engine, *state, error) {
 	mWitnessRuns.Inc(0)
+	cfg.Workers = 1
 	e, init, err := newEngine(p, threadFns, cfg)
 	if err != nil {
-		return nil
+		return nil, nil, err
 	}
-	out := make(map[string][]Step, len(targets))
-	remaining := len(targets)
-	seen := make(map[string]bool)
-	var enc []uint64
-	var seenKey []byte
-	// firstSight marks s seen, reporting whether it was new.
-	firstSight := func(s *state) bool {
-		enc = e.encode(s, enc)
-		seenKey = appendWordBytes(seenKey[:0], enc)
-		if seen[string(seenKey)] {
-			return false
-		}
-		seen[string(seenKey)] = true
-		return true
-	}
+	root := init.clone() // explore normalizes init in place
+	e.targets, e.paths = targets, make(map[string]*link, len(targets))
+	quiet := context.WithValue(ctx, progressCtxKey{}, nil) // no progress stream
+	_, err = e.explore(quiet, init, time.Now())
+	return e, root, err
+}
 
-	var an analysis
-	push := func(stack []*wframe, s *state, step Step) []*wframe {
-		f := &wframe{s: s, step: step}
-		e.analyze(s, &an)
-		for bit := 0; bit < 2*MaxThreads; bit++ {
-			if an.enabled&(1<<uint(bit)) != 0 {
-				f.bits = append(f.bits, bit)
-			}
+// replay re-executes path from root as printable steps. After each
+// transition, and before the first, it fires the det steps normalize
+// merged (none under NoPOR), lowest-numbered thread first: normalize's
+// scan hint never changes which thread fires. A replay that fails or
+// ends on another outcome than key is an engine bug: an InternalError.
+func (e *engine) replay(root *state, path *link, key string) (sched []Step, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = AsInternalError("mc: counterexample replay", r)
 		}
-		return append(stack, f)
+	}()
+	s, w := root.clone(), &workerCtx{}
+	fire := func(bit int) {
+		if tid := bit - MaxThreads; tid >= 0 {
+			en := s.Threads[tid].Buf[0]
+			sched = append(sched, Step{Thread: tid, Drain: true, Desc: fmt.Sprintf("%s = %d", e.addrName(en.Addr), en.Val)})
+			s.Drain(tid)
+			return
+		}
+		sched = append(sched, Step{Thread: bit, Desc: s.Threads[bit].Next().String()})
+		if err := e.step(s, bit); err != nil {
+			panic(err)
+		}
 	}
-
-	firstSight(init)
-	stack := push(nil, init, Step{})
-	var visited int64
-
-	for len(stack) > 0 && remaining > 0 {
-		top := stack[len(stack)-1]
-		if top.i == 0 {
-			visited++
-			if visited > e.cfg.MaxStates {
-				return out
-			}
-			if visited&1023 == 0 && ctx.Err() != nil {
-				return out
-			}
-			key := ""
-			if top.s.terminal() {
-				key = e.outcomeKey(top.s, "")
-			} else if len(top.bits) == 0 {
-				key = e.outcomeKey(top.s, "!deadlock")
-			}
-			if key != "" {
-				if targets[key] && out[key] == nil {
-					sched := make([]Step, 0, len(stack)-1)
-					for _, f := range stack[1:] {
-						sched = append(sched, f.step)
-					}
-					out[key] = sched
-					remaining--
-				}
-			}
+	var walk func(l *link)
+	walk = func(l *link) {
+		if l != nil {
+			walk(l.parent)
+			fire(int(l.bit))
 		}
-		if top.i >= len(top.bits) {
-			stack = stack[:len(stack)-1]
-			continue
+		for tid := e.detThread(w, s, 0); tid >= 0 && !e.cfg.NoPOR; tid = e.detThread(w, s, 0) {
+			fire(tid)
 		}
-		bit := top.bits[top.i]
-		top.i++
-		child := top.s.clone()
-		var step Step
-		if bit < MaxThreads {
-			in := child.Threads[bit].Next()
-			step = Step{Thread: bit, Desc: in.String()}
-			if err := e.step(child, bit); err != nil {
-				continue
-			}
-		} else {
-			tid := bit - MaxThreads
-			en := child.Threads[tid].Buf[0]
-			step = Step{Thread: tid, Drain: true, Desc: fmt.Sprintf("%s = %d", e.addrName(en.Addr), en.Val)}
-			child.Drain(tid)
-		}
-		if !firstSight(child) {
-			continue
-		}
-		stack = push(stack, child, step)
 	}
-	return out
+	walk(path)
+	e.analyze(s, &w.an)
+	suffix := "!deadlock"
+	if s.terminal() {
+		suffix = ""
+	}
+	if got := e.outcomeKey(s, suffix); w.an.enabled != 0 || got != key {
+		panic(fmt.Sprintf("path to %s ends on %s with transitions %#x enabled", key, got, w.an.enabled))
+	}
+	return sched, nil
 }
 
 // outcomeKey renders a terminal state's printable outcome key.

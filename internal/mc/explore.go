@@ -31,7 +31,7 @@ var (
 	mSeenStates    = telemetry.NewCounter("mc.seen_states")
 	mFreelistHits  = telemetry.NewCounter("mc.freelist_hits")
 	mTruncated     = telemetry.NewCounter("mc.truncated_runs")
-	mWitnessRuns   = telemetry.NewCounter("mc.witness_runs") // counterexample searches, not in explore_runs
+	mWitnessRuns   = telemetry.NewCounter("mc.witness_runs") // counterexample schedule searches, in no other mc metric
 	mFrontierDepth = telemetry.NewHistogram("mc.frontier_depth")
 	mMemHeadroom   = telemetry.NewGauge("mc.memcap_headroom")
 )
@@ -40,11 +40,19 @@ const nShards = 64 // seen-set shards; fine-grained locking for the pool
 
 // node is one frontier entry: a state plus the sleep-set context it was
 // reached with. revisit != 0 marks a re-expansion restricted to that
-// transition mask.
+// transition mask. path, kept only by the schedule search, leads to s.
 type node struct {
 	s       *state
 	sleep   uint32
 	revisit uint32
+	path    *link
+}
+
+// link ends a path from the root with one transition bit. Links are
+// immutable, so siblings share their parent's.
+type link struct {
+	parent *link
+	bit    uint8
 }
 
 type engine struct {
@@ -67,6 +75,12 @@ type engine struct {
 	outMu    sync.Mutex
 	outcomes map[string][]int64
 	err      error
+	workers  []*workerCtx // set by explore; each keeps its statistics
+
+	// Path tracking, on for the schedule search only (paths != nil):
+	// record saves the path that first reaches each targets key.
+	targets map[string]bool
+	paths   map[string]*link
 }
 
 // workerCtx is the worker-local scratch that keeps the steady state of an
@@ -137,7 +151,7 @@ func (w *workerCtx) newState() *state {
 
 func (w *workerCtx) putState(s *state) { w.freeStates = append(w.freeStates, s) }
 
-func (w *workerCtx) newNode(s *state, sleep, revisit uint32) *node {
+func (w *workerCtx) newNode(s *state, sleep, revisit uint32, path *link) *node {
 	var n *node
 	if l := len(w.freeNodes); l > 0 {
 		n = w.freeNodes[l-1]
@@ -146,12 +160,12 @@ func (w *workerCtx) newNode(s *state, sleep, revisit uint32) *node {
 	} else {
 		n = nodePool.Get().(*node)
 	}
-	*n = node{s: s, sleep: sleep, revisit: revisit}
+	*n = node{s: s, sleep: sleep, revisit: revisit, path: path}
 	return n
 }
 
 func (w *workerCtx) putNode(n *node) {
-	n.s = nil
+	*n = node{}
 	w.freeNodes = append(w.freeNodes, n)
 }
 
@@ -234,6 +248,8 @@ func Explore(p *ir.Program, threadFns []string, cfg Config) (*StateSet, error) {
 // starts no exploration (and counts none in mc.explore_runs): the call
 // returns ctx's error at once, where a started exploration of a small
 // state space could finish before its workers notice the cancellation.
+// ExploreCtx also does an exploration's accounting: the mc metrics, the
+// degradation note of a truncated run and the trace span.
 func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Config) (*StateSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -247,22 +263,63 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 	if err != nil {
 		return nil, err
 	}
-	return e.explore(ctx, init, start)
+	res, err := e.explore(ctx, init, start)
+	var maxMem int64
+	for shard, w := range e.workers {
+		w.stats.flush(shard)
+		maxMem = max(maxMem, w.stats.maxMem)
+	}
+	mSeenStates.Add(0, e.seen.Load())
+	// Always write the gauge: an uncapped run must not leave a stale
+	// headroom value from an earlier capped run in the same process.
+	headroom := int64(-1)
+	if e.cfg.MemoryCap > 0 {
+		headroom = int64(e.cfg.MemoryCap) - maxMem
+	}
+	mMemHeadroom.Set(0, headroom)
+	if err != nil {
+		return nil, err
+	}
+	if res.Truncated {
+		mTruncated.Inc(0)
+		// The last rung of the degradation ladder: the budget is truly
+		// exhausted and the verdict is explicitly three-valued.
+		store.NoteDegraded(store.DegradeTruncated)
+	}
+	if telemetry.TraceEnabled() {
+		telemetry.Emit(telemetry.Span{
+			Name:  "explore " + p.Name + "/" + e.cfg.Mode.String(),
+			Cat:   "mc",
+			Track: telemetry.NextTrack(),
+			Start: start,
+			Dur:   time.Since(start),
+			Args: []telemetry.Arg{
+				{Key: "visited", Val: res.Visited},
+				{Key: "outcomes", Val: int64(len(res.Outcomes))},
+				{Key: "workers", Val: int64(e.cfg.Workers)},
+			},
+		})
+	}
+	return res, nil
 }
 
 // explore runs the worker pool over the states reachable from init and
-// collects the result; start is when the exploration began, for the trace
-// span and the progress events.
+// collects the result, streaming progress when ctx carries a sink; start
+// is when the exploration began. It leaves the workers' statistics in
+// e.workers for ExploreCtx to account, so the schedule search, which
+// calls explore directly, stays out of the metrics.
 func (e *engine) explore(ctx context.Context, init *state, start time.Time) (*StateSet, error) {
 	p, cfg := e.prog, e.cfg
-	root := &workerCtx{}
-	if _, ok := e.normalize(root, init, 0, 0); ok {
+	e.workers = make([]*workerCtx, cfg.Workers)
+	for w := range e.workers {
+		e.workers[w] = &workerCtx{encBuf: make([]uint64, 0, 64)}
+	}
+	if _, ok := e.normalize(e.workers[0], init, 0, 0); ok {
 		e.inflight.Store(1)
 		e.handoff <- &node{s: init}
 	} else {
 		e.closeOnce.Do(func() { close(e.done) })
 	}
-	root.stats.flush(0)
 
 	// The watcher turns a ctx firing into an engine failure: e.fail sets
 	// the drain flag every worker polls, so the frontier empties within one
@@ -293,33 +350,16 @@ func (e *engine) explore(ctx context.Context, init *state, start time.Time) (*St
 	}
 
 	var wg sync.WaitGroup
-	var maxMem atomic.Int64
-	for w := 0; w < cfg.Workers; w++ {
+	for _, w := range e.workers {
 		wg.Add(1)
-		go func(shard int) {
+		go func() {
 			defer wg.Done()
-			wctx := &workerCtx{encBuf: make([]uint64, 0, 64)}
-			e.worker(wctx)
-			wctx.stats.flush(shard)
-			for m := wctx.stats.maxMem; ; {
-				cur := maxMem.Load()
-				if m <= cur || maxMem.CompareAndSwap(cur, m) {
-					break
-				}
-			}
-			wctx.release()
-		}(w)
+			e.worker(w)
+			w.release()
+		}()
 	}
 	wg.Wait()
 	<-watchDone
-	mSeenStates.Add(0, e.seen.Load())
-	if e.cfg.MemoryCap > 0 {
-		mMemHeadroom.Set(0, int64(e.cfg.MemoryCap)-maxMem.Load())
-	} else {
-		// Always write the gauge: an uncapped run must not leave a stale
-		// headroom value from an earlier capped run in the same process.
-		mMemHeadroom.Set(0, -1)
-	}
 
 	if e.err != nil {
 		if hbDone != nil {
@@ -331,26 +371,6 @@ func (e *engine) explore(ctx context.Context, init *state, start time.Time) (*St
 		Outcomes:  e.outcomes,
 		Visited:   e.visited.Load(),
 		Truncated: e.truncated.Load(),
-	}
-	if res.Truncated {
-		mTruncated.Inc(0)
-		// The last rung of the degradation ladder: the budget is truly
-		// exhausted and the verdict is explicitly three-valued.
-		store.NoteDegraded(store.DegradeTruncated)
-	}
-	if telemetry.TraceEnabled() {
-		telemetry.Emit(telemetry.Span{
-			Name:  "explore " + p.Name + "/" + cfg.Mode.String(),
-			Cat:   "mc",
-			Track: telemetry.NextTrack(),
-			Start: start,
-			Dur:   time.Since(start),
-			Args: []telemetry.Arg{
-				{Key: "visited", Val: res.Visited},
-				{Key: "outcomes", Val: int64(len(res.Outcomes))},
-				{Key: "workers", Val: int64(cfg.Workers)},
-			},
-		})
 	}
 	if hasProgress {
 		<-hbDone
@@ -468,13 +488,13 @@ func (e *engine) expand(w *workerCtx, n *node) {
 		w.stats.maxFrontier = d
 	}
 	if s.terminal() {
-		e.record(w, s, "")
+		e.record(w, n, "")
 		return
 	}
 	a := &w.an
 	e.analyze(s, a)
 	if a.enabled == 0 {
-		e.record(w, s, "!deadlock")
+		e.record(w, n, "!deadlock")
 		return
 	}
 
@@ -515,7 +535,11 @@ func (e *engine) expand(w *workerCtx, n *node) {
 				childSleep |= 1 << uint(sb)
 			}
 		}
-		e.enqueue(w, child, childSleep, resumeFrom(child, bit%MaxThreads))
+		var path *link
+		if e.paths != nil {
+			path = &link{parent: n.path, bit: uint8(bit)}
+		}
+		e.enqueue(w, child, childSleep, resumeFrom(child, bit%MaxThreads), path)
 		cur |= tb
 	}
 }
@@ -523,8 +547,9 @@ func (e *engine) expand(w *workerCtx, n *node) {
 // enqueue brings a freshly produced state into normal form, runs the
 // seen-set protocol on it and, if it needs (re-)expansion, pushes it on
 // the worker's frontier; pruned and dropped states go back on the
-// worker's freelist. Threads below from have no det step in s.
-func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, from int) {
+// worker's freelist. Threads below from have no det step in s; path is
+// the node's path from the root.
+func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, from int, path *link) {
 	if e.truncated.Load() {
 		w.putState(s)
 		return
@@ -574,7 +599,7 @@ func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, from int) {
 			e.seen.Add(1) // first sighting: the table grew by one state
 		}
 		e.inflight.Add(1)
-		w.local = append(w.local, w.newNode(s, sleep, revisit))
+		w.local = append(w.local, w.newNode(s, sleep, revisit, path))
 	} else {
 		w.stats.sleepPrunes++
 		w.putState(s)
@@ -652,17 +677,25 @@ func (e *engine) detThread(w *workerCtx, s *state, from int) int {
 	return -1
 }
 
-// record registers a terminal (or deadlocked) state's global values. The
-// outcome key is rendered into the worker's scratch buffer and the map is
-// probed before anything is copied, so duplicate terminal states — the
-// overwhelming majority — allocate nothing.
-func (e *engine) record(w *workerCtx, s *state, suffix string) {
-	globals := e.m.Globals(&s.State)
-	w.keyBuf = appendOutcomeKey(w.keyBuf[:0], globals, s.failed, suffix)
+// record registers the global values of n's terminal (or deadlocked)
+// state. The outcome key is rendered into the worker's scratch buffer and
+// the map is probed before anything is copied, so duplicate terminal
+// states — the overwhelming majority — allocate nothing. When tracking,
+// a target's first sighting saves n's path, and the last target found
+// drains the frontier.
+func (e *engine) record(w *workerCtx, n *node, suffix string) {
+	globals := e.m.Globals(&n.s.State)
+	w.keyBuf = appendOutcomeKey(w.keyBuf[:0], globals, n.s.failed, suffix)
 	e.outMu.Lock()
 	if _, ok := e.outcomes[string(w.keyBuf)]; !ok {
-		vec := append([]int64(nil), globals...)
-		e.outcomes[string(w.keyBuf)] = vec
+		key := string(w.keyBuf)
+		e.outcomes[key] = append([]int64(nil), globals...)
+		if e.targets[key] {
+			e.paths[key] = n.path
+			if len(e.paths) == len(e.targets) {
+				e.truncated.Store(true)
+			}
+		}
 	}
 	e.outMu.Unlock()
 }
