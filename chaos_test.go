@@ -76,7 +76,6 @@ func TestChaosCertificationExactUnderFaults(t *testing.T) {
 		})
 		rep, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil,
 			fenceplace.WithFaultFS(ff),
-			fenceplace.WithIORetries(2),
 			fenceplace.WithCacheDir(t.TempDir()),
 		)
 		if err != nil {
@@ -111,7 +110,6 @@ func TestChaosCorpusRunUnderFaults(t *testing.T) {
 	})
 	runner.Options = []fenceplace.Option{
 		fenceplace.WithFaultFS(ff),
-		fenceplace.WithIORetries(2),
 		fenceplace.WithCacheDir(t.TempDir()),
 	}
 	faultRep, err := runner.Run(context.Background(), corpus.SingleSource("dekker", mustProg(t, "dekker"), nil))
@@ -160,6 +158,24 @@ func TestChaosUnwritableCacheDegradesToUncached(t *testing.T) {
 	}
 	if rung := store.DegradedMode(); rung < store.DegradeUncached {
 		t.Fatalf("degraded rung = %d, want at least DegradeUncached", rung)
+	}
+}
+
+// TestChaosTruncatedCertificationRaisesTruncatedRung pins the ladder's
+// last rung: a certification whose state budget runs out fails with
+// ErrTruncated through the facade and raises degraded_mode to
+// DegradeTruncated.
+func TestChaosTruncatedCertificationRaisesTruncatedRung(t *testing.T) {
+	t.Setenv("FENCEPLACE_CACHE_DIR", "")
+	store.ResetDegraded()
+	defer store.ResetDegraded()
+	_, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil,
+		fenceplace.WithMaxStates(100), fenceplace.WithWorkers(1))
+	if !errors.Is(err, fenceplace.ErrTruncated) {
+		t.Fatalf("certification under a 100-state budget returned %v, want ErrTruncated", err)
+	}
+	if rung := store.DegradedMode(); rung != store.DegradeTruncated {
+		t.Fatalf("degraded rung = %d, want DegradeTruncated (%d)", rung, store.DegradeTruncated)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -50,30 +51,18 @@ func MustParse(src string) *Program { return ir.MustParse(src) }
 func Format(p *Program) string { return ir.Format(p) }
 
 // Strategy selects the fence-placement variant.
-type Strategy int
+type Strategy = passes.Strategy
 
 const (
 	// PensieveOnly places fences for every generated ordering (the
 	// baseline the paper compares against).
-	PensieveOnly Strategy = iota
+	PensieveOnly = passes.PensieveOnly
 	// Control prunes orderings using control acquires only (Listing 1).
-	Control
+	Control = passes.Control
 	// AddressControl prunes using control and address acquires
 	// (Listing 3) — the conservative variant.
-	AddressControl
+	AddressControl = passes.AddressControl
 )
-
-func (s Strategy) String() string {
-	switch s {
-	case PensieveOnly:
-		return "Pensieve"
-	case Control:
-		return "Control"
-	case AddressControl:
-		return "Address+Control"
-	}
-	return fmt.Sprintf("strategy(%d)", int(s))
-}
 
 // ParseStrategies reads a strategy word the way the command-line tools
 // and the service accept it, ignoring case and surrounding space:
@@ -163,22 +152,12 @@ func NewAnalyzer(p *Program, opts ...Option) *Analyzer {
 	return a
 }
 
-// strategyOf maps the public Strategy onto the pass manager's.
-func strategyOf(s Strategy) passes.Strategy {
-	switch s {
-	case Control:
-		return passes.Control
-	case AddressControl:
-		return passes.AddressControl
-	}
-	return passes.PensieveOnly
-}
-
 // Analyze evaluates one strategy on the shared session: only the pruning,
 // minimization and instrumentation specific to the strategy run anew;
-// everything else is served from the session cache.
+// everything else is served from the session cache. It returns nil where
+// AnalyzeCtx returns an error: an unknown strategy or an internal error.
 func (a *Analyzer) Analyze(s Strategy) *Result {
-	res, _ := a.AnalyzeCtx(context.Background(), s) // cannot fail: the ctx never fires
+	res, _ := a.AnalyzeCtx(context.Background(), s)
 	return res
 }
 
@@ -195,16 +174,18 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, s Strategy) (res *Result, err
 			res, err = nil, mc.AsInternalError("fenceplace: analyze", r)
 		}
 	}()
+	if !slices.Contains(passes.Strategies[:], s) {
+		return nil, fmt.Errorf("fenceplace: unknown strategy %v", s)
+	}
 	sess := a.sess
-	st := strategyOf(s)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	kept := sess.Kept(st)
+	kept := sess.Kept(s)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan := sess.Plan(st)
+	plan := sess.Plan(s)
 
 	res = &Result{
 		Strategy:           s,
@@ -215,7 +196,7 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, s Strategy) (res *Result, err
 		kept:               kept,
 		plan:               plan,
 	}
-	if acq := sess.Acquires(st); acq != nil {
+	if acq := sess.Acquires(s); acq != nil {
 		for _, f := range sess.Program().Funcs {
 			res.Acquires = append(res.Acquires, acq.SyncReads(f)...)
 		}
@@ -225,11 +206,11 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, s Strategy) (res *Result, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res.Instrumented, res.imap = sess.Applied(st)
+	res.Instrumented, res.imap = sess.Applied(s)
 	res.applied = plan
 	res.az = a
 	if a.cfg.timing {
-		res.Timings = a.passTimings(s, st)
+		res.Timings = a.passTimings(s)
 	}
 	return res, nil
 }
@@ -239,16 +220,16 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, s Strategy) (res *Result, err
 // time Analyze reads the session (they are dependencies of the plan), so
 // the result is deterministic even when sibling strategies are still
 // recording theirs.
-func (a *Analyzer) passTimings(s Strategy, st passes.Strategy) []PassTiming {
+func (a *Analyzer) passTimings(s Strategy) []PassTiming {
 	byName := make(map[string]time.Duration)
 	for _, t := range a.sess.Timings() {
 		byName[t.Pass] = t.Duration
 	}
 	names := []string{"alias", "escape", "cfg", "orders"}
 	if s != PensieveOnly {
-		names = append(names, "slice-index", "acquire/"+st.String(), "prune/"+st.String())
+		names = append(names, "slice-index", "acquire/"+s.String(), "prune/"+s.String())
 	}
-	names = append(names, "minimize/"+st.String(), "apply/"+st.String())
+	names = append(names, "minimize/"+s.String(), "apply/"+s.String())
 	var out []PassTiming
 	for _, n := range names {
 		if d, ok := byName[n]; ok {

@@ -345,6 +345,16 @@ func TestStrategyNames(t *testing.T) {
 	}
 }
 
+// TestAnalyzeUnknownStrategy checks that a Strategy value outside the
+// three placements is an input error, not a panic or a silent fallback.
+func TestAnalyzeUnknownStrategy(t *testing.T) {
+	_, err := NewAnalyzer(MustParse(mpSrc)).AnalyzeCtx(context.Background(), Strategy(7))
+	var ie *InternalError
+	if err == nil || errors.As(err, &ie) {
+		t.Fatalf("AnalyzeCtx(Strategy(7)) = %v, want an unknown-strategy error", err)
+	}
+}
+
 // TestParseStrategies pins the one strategy-word parser the CLIs and the
 // service share: every accepted spelling, the "all" order, and an error
 // naming the valid choices for anything else.

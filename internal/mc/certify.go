@@ -227,7 +227,7 @@ func Compare(ctx context.Context, base *Baseline, inst *ir.Program, ts *StateSet
 // each target, and the initial state to replay them from. It counts in
 // mc.witness_runs only.
 func tracePaths(ctx context.Context, p *ir.Program, threadFns []string, cfg Config, targets map[string]bool) (*engine, *state, error) {
-	mWitnessRuns.Inc(0)
+	mWitnessRuns.Inc()
 	cfg.Workers = 1
 	e, init, err := newEngine(p, threadFns, cfg)
 	if err != nil {

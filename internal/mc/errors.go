@@ -42,7 +42,7 @@ func AsInternalError(op string, r any) *InternalError {
 	if ie, ok := r.(*InternalError); ok {
 		return ie
 	}
-	mWorkerPanics.Inc(0)
+	mWorkerPanics.Inc()
 	if pe, ok := r.(*par.PanicError); ok {
 		return &InternalError{Op: op, Panic: pe.Value, Stack: pe.Stack}
 	}

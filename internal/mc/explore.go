@@ -9,16 +9,15 @@ import (
 	"time"
 
 	"fenceplace/internal/ir"
-	"fenceplace/internal/store"
 	"fenceplace/internal/telemetry"
 	"fenceplace/internal/tso"
 )
 
 // Registry metrics of the model checker. Workers accumulate plain local
-// counts (workerStats) and flush them once per exploration on their own
-// shard, so the hot loop stays free of atomics and allocations; only the
-// counters the heartbeat samples live (visited, inflight, seen) are shared
-// engine atomics.
+// counts (workerStats) and flush them once per exploration, so the hot
+// loop stays free of atomics and allocations; only the counters the
+// heartbeat samples live (visited, inflight, seen) are shared engine
+// atomics.
 var (
 	mExploreRuns   = telemetry.NewCounter("mc.explore_runs")
 	mSCExploreRuns = telemetry.NewCounter("mc.sc_explore_runs")
@@ -102,8 +101,7 @@ type workerCtx struct {
 
 // workerStats is the worker-local metric accumulator: plain integers
 // bumped in the hot loop (no atomics, no sharing) and flushed to the
-// registry counters once, on the worker's own shard, when the worker
-// retires.
+// registry counters once, after the exploration.
 type workerStats struct {
 	states       int64 // states expanded (mirrors engine.visited)
 	transitions  int64 // children produced by expand
@@ -116,17 +114,16 @@ type workerStats struct {
 	maxMem       int64 // peak state arena size in words
 }
 
-// flush adds the accumulated statistics to the registry on the given
-// shard (the worker's index, so concurrent workers never contend).
-func (st *workerStats) flush(shard int) {
-	mStates.Add(shard, st.states)
-	mTransitions.Add(shard, st.transitions)
-	mMergedSteps.Add(shard, st.mergedSteps)
-	mSleepPrunes.Add(shard, st.sleepPrunes)
-	mSteals.Add(shard, st.steals)
-	mSeenProbes.Add(shard, st.seenProbes)
-	mFreelistHits.Add(shard, st.freelistHits)
-	mFrontierDepth.Observe(shard, st.maxFrontier)
+// flush adds the accumulated statistics to the registry.
+func (st *workerStats) flush() {
+	mStates.Add(st.states)
+	mTransitions.Add(st.transitions)
+	mMergedSteps.Add(st.mergedSteps)
+	mSleepPrunes.Add(st.sleepPrunes)
+	mSteals.Add(st.steals)
+	mSeenProbes.Add(st.seenProbes)
+	mFreelistHits.Add(st.freelistHits)
+	mFrontierDepth.Observe(st.maxFrontier)
 }
 
 // statePool and nodePool recycle shells across explorations: a worker's
@@ -254,9 +251,9 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	mExploreRuns.Inc(0)
+	mExploreRuns.Inc()
 	if cfg.Mode == tso.SC {
-		mSCExploreRuns.Inc(0)
+		mSCExploreRuns.Inc()
 	}
 	start := time.Now()
 	e, init, err := newEngine(p, threadFns, cfg)
@@ -265,26 +262,23 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 	}
 	res, err := e.explore(ctx, init, start)
 	var maxMem int64
-	for shard, w := range e.workers {
-		w.stats.flush(shard)
+	for _, w := range e.workers {
+		w.stats.flush()
 		maxMem = max(maxMem, w.stats.maxMem)
 	}
-	mSeenStates.Add(0, e.seen.Load())
+	mSeenStates.Add(e.seen.Load())
 	// Always write the gauge: an uncapped run must not leave a stale
 	// headroom value from an earlier capped run in the same process.
 	headroom := int64(-1)
 	if e.cfg.MemoryCap > 0 {
 		headroom = int64(e.cfg.MemoryCap) - maxMem
 	}
-	mMemHeadroom.Set(0, headroom)
+	mMemHeadroom.Set(headroom)
 	if err != nil {
 		return nil, err
 	}
 	if res.Truncated {
-		mTruncated.Inc(0)
-		// The last rung of the degradation ladder: the budget is truly
-		// exhausted and the verdict is explicitly three-valued.
-		store.NoteDegraded(store.DegradeTruncated)
+		mTruncated.Inc()
 	}
 	if telemetry.TraceEnabled() {
 		telemetry.Emit(telemetry.Span{

@@ -234,11 +234,11 @@ func TestTwoLevelSeenMatchesExactSeenRandom(t *testing.T) {
 	}
 }
 
-// TestTwoLevelSeenSpillsConcurrently re-runs one differential with the
-// full worker pool and one-slot starting tables: outcome sets (visit
-// counts are schedule-dependent under >1 workers) must survive tables
-// growing while other workers probe their neighbours.
-func TestTwoLevelSeenSpillsConcurrently(t *testing.T) {
+// TestSeenGrowsConcurrently re-runs one differential with the full
+// worker pool and one-slot starting tables: outcome sets (visit counts are
+// schedule-dependent under >1 workers) must survive tables growing while
+// other workers probe their neighbours.
+func TestSeenGrowsConcurrently(t *testing.T) {
 	p := medium3()
 	exact, err := Explore(p, []string{"t0", "t1", "t2"}, Config{Mode: tso.TSO, Workers: 1, ExactSeen: true})
 	if err != nil {
@@ -398,12 +398,11 @@ func TestHotProbeAllocFree(t *testing.T) {
 	}
 }
 
-// TestSealPreservesSleepMasks drives the mask-narrowing protocol directly
-// (there is no seal step any more; the table keeps every mask in place): a
-// state first seen with a permissive sleep mask, then revisited with a
+// TestSeenNarrowsSleepMasks drives the mask-narrowing protocol directly:
+// a state first seen with a permissive sleep mask, then revisited with a
 // narrower one, must wake exactly the previously slept transitions and
 // store the narrowed mask.
-func TestSealPreservesSleepMasks(t *testing.T) {
+func TestSeenNarrowsSleepMasks(t *testing.T) {
 	var sh seenShard
 	h := testFP(42)
 	sh.mu.Lock()

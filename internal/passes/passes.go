@@ -39,9 +39,8 @@ import (
 	"fenceplace/internal/tso"
 )
 
-// Strategy selects a fence-placement variant. It mirrors the public
-// fenceplace.Strategy (same values, same order); the facade maps between
-// the two so this package stays import-cycle-free.
+// Strategy selects a fence-placement variant; the public
+// fenceplace.Strategy is an alias of it.
 type Strategy int
 
 const (
@@ -556,6 +555,11 @@ func loadOrExplore(ctx context.Context, p *ir.Program, threadFns []string, ncfg 
 
 	ss, err = mc.ExploreCompleteCtx(ctx, p, threadFns, ncfg)
 	if err != nil {
+		if errors.Is(err, mc.ErrTruncated) {
+			// The last rung of the degradation ladder: the budget is truly
+			// exhausted and the verdict is explicitly three-valued.
+			store.NoteDegraded(store.DegradeTruncated)
+		}
 		return nil, false, err
 	}
 	if st != nil {

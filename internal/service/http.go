@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -40,18 +39,18 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	// RetryAfter is the hint returned with 429 when the admission queue is
-	// full (default 1s).
-	RetryAfter time.Duration
-
 	// CacheDir, when non-empty, lets /statusz include the baseline store's
 	// snapshot for that directory.
 	CacheDir string
 }
 
+// retryAfter is the Retry-After hint, in seconds, returned with 429 when
+// the admission queue is full.
+const retryAfter = "1"
+
 // NewServer wraps a manager with the HTTP surface.
 func NewServer(m *Manager) *Server {
-	s := &Server{m: m, mux: http.NewServeMux(), start: time.Now(), RetryAfter: time.Second}
+	s := &Server{m: m, mux: http.NewServeMux(), start: time.Now()}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleWatch)
@@ -121,7 +120,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	switch {
 	case err == ErrQueueFull:
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusTooManyRequests, errorDoc{Error: err.Error()})
 	case err == ErrDraining:
 		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: err.Error()})

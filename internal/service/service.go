@@ -77,21 +77,20 @@ type Config struct {
 	// oversubscribing the cores.
 	JobWorkers int
 
-	MaxStatesCap     int64         // ceiling for per-job max_states (default 1<<21)
-	DefaultMaxStates int64         // when the request names none (default the ceiling)
-	MemoryCapCeil    int           // ceiling for per-job memory_cap words (default 1<<22)
-	MaxDeadline      time.Duration // ceiling for per-job deadlines (default 2m)
-	DefaultDeadline  time.Duration // when the request names none (default 30s)
-
-	// Retain bounds how many finished jobs stay queryable through Job()
-	// for status polling before the oldest are forgotten (default 256).
-	Retain int
+	MaxStatesCap    int64         // ceiling and default for per-job max_states (default 1<<21)
+	MemoryCapCeil   int           // ceiling for per-job memory_cap words (default 1<<22)
+	MaxDeadline     time.Duration // ceiling for per-job deadlines (default 2m)
+	DefaultDeadline time.Duration // when the request names none (default 30s)
 
 	// Options is the base option set every job runs under — the cache
 	// directory, progress interval and similar process-wide
 	// configuration. Per-job budgets are appended after it and win.
 	Options []fenceplace.Option
 }
+
+// retainJobs bounds how many finished jobs stay queryable through Job()
+// for status polling before the oldest are forgotten.
+const retainJobs = 256
 
 // withDefaults resolves the zero-value fields.
 func (c Config) withDefaults() Config {
@@ -104,9 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxStatesCap <= 0 {
 		c.MaxStatesCap = 1 << 21
 	}
-	if c.DefaultMaxStates <= 0 || c.DefaultMaxStates > c.MaxStatesCap {
-		c.DefaultMaxStates = c.MaxStatesCap
-	}
 	if c.MemoryCapCeil <= 0 {
 		c.MemoryCapCeil = 1 << 22
 	}
@@ -118,9 +114,6 @@ func (c Config) withDefaults() Config {
 		if c.DefaultDeadline > c.MaxDeadline {
 			c.DefaultDeadline = c.MaxDeadline
 		}
-	}
-	if c.Retain <= 0 {
-		c.Retain = 256
 	}
 	return c
 }
@@ -305,7 +298,7 @@ type Manager struct {
 	mu       sync.Mutex
 	byKey    map[string]*Job // queued + running jobs, by coalescing key
 	byID     map[string]*Job // every retained job
-	retained []string        // finished job IDs, oldest first, len <= cfg.Retain
+	retained []string        // finished job IDs, oldest first, len <= retainJobs
 	seq      int64
 	draining bool
 	closed   bool
@@ -397,9 +390,7 @@ func (m *Manager) buildSpec(req *Request) (*jobSpec, error) {
 
 	// Clamp, never reject: the server's ceilings are the contract.
 	spec.maxStates = req.Budget.MaxStates
-	if spec.maxStates <= 0 {
-		spec.maxStates = m.cfg.DefaultMaxStates
-	} else if spec.maxStates > m.cfg.MaxStatesCap {
+	if spec.maxStates <= 0 || spec.maxStates > m.cfg.MaxStatesCap {
 		spec.maxStates = m.cfg.MaxStatesCap
 	}
 	spec.memoryCap = req.Budget.MemoryCap
@@ -467,8 +458,8 @@ func (m *Manager) Submit(req *Request) (claim *Claim, coalesced bool, err error)
 	if j := m.byKey[key]; j != nil && j.ctx.Err() == nil {
 		j.claims++
 		m.mu.Unlock()
-		mCoalesced.Inc(0)
-		mSubmitted.Inc(0)
+		mCoalesced.Inc()
+		mSubmitted.Inc()
 		return &Claim{job: j}, true, nil
 	}
 	m.seq++
@@ -488,15 +479,15 @@ func (m *Manager) Submit(req *Request) (claim *Claim, coalesced bool, err error)
 	default:
 		m.mu.Unlock()
 		j.cancel()
-		mRejected.Inc(0)
+		mRejected.Inc()
 		return nil, false, ErrQueueFull
 	}
 	m.byKey[key] = j
 	m.byID[j.id] = j
-	gQueueDepth.Set(0, int64(len(m.queue)))
-	gInflight.Add(0, 1)
+	gQueueDepth.Set(int64(len(m.queue)))
+	gInflight.Add(1)
 	m.mu.Unlock()
-	mSubmitted.Inc(0)
+	mSubmitted.Inc()
 	return &Claim{job: j}, false, nil
 }
 
@@ -548,9 +539,9 @@ func (m *Manager) runJob(j *Job) {
 	m.mu.Lock()
 	j.state = StateRunning
 	j.started = time.Now()
-	gQueueDepth.Set(0, int64(len(m.queue)))
+	gQueueDepth.Set(int64(len(m.queue)))
 	m.mu.Unlock()
-	mStarted.Inc(0)
+	mStarted.Inc()
 
 	ctx, cancelTimeout := context.WithTimeout(j.ctx, j.spec.deadline)
 	defer cancelTimeout()
@@ -598,9 +589,9 @@ func (m *Manager) finish(j *Job, rep *corpus.Report, err error) {
 	if m.byKey[j.key] == j {
 		delete(m.byKey, j.key)
 	}
-	gInflight.Add(0, -1)
+	gInflight.Add(-1)
 	m.retained = append(m.retained, j.id)
-	for len(m.retained) > m.cfg.Retain {
+	for len(m.retained) > retainJobs {
 		delete(m.byID, m.retained[0])
 		m.retained = m.retained[1:]
 	}
@@ -609,12 +600,12 @@ func (m *Manager) finish(j *Job, rep *corpus.Report, err error) {
 
 	switch state {
 	case StateDone:
-		mDone.Inc(0)
+		mDone.Inc()
 		countVerdicts(rep)
 	case StateCancelled:
-		mCancelled.Inc(0)
+		mCancelled.Inc()
 	default:
-		mFailed.Inc(0)
+		mFailed.Inc()
 	}
 	j.cancel() // release the job context's resources
 	close(j.done)
@@ -630,13 +621,13 @@ func countVerdicts(rep *corpus.Report) {
 			}
 			switch v.Cert.Status {
 			case corpus.CertCertified:
-				mVerdictCert.Inc(0)
+				mVerdictCert.Inc()
 			case corpus.CertViolation:
-				mVerdictViol.Inc(0)
+				mVerdictViol.Inc()
 			case corpus.CertBudget:
-				mVerdictBudg.Inc(0)
+				mVerdictBudg.Inc()
 			default:
-				mVerdictErr.Inc(0)
+				mVerdictErr.Inc()
 			}
 		}
 	}

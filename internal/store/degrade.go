@@ -37,10 +37,8 @@ var (
 	gDegUncached  = telemetry.NewCounter("store.degraded_uncached")
 )
 
-var (
-	degMu   sync.Mutex
-	degRung int
-)
+// degMu serializes the read-compare-set of the degraded_mode gauge.
+var degMu sync.Mutex
 
 // NoteDegraded records that the pipeline fell to the given rung. The
 // degraded_mode gauge keeps the maximum rung seen so far; lower or equal
@@ -48,32 +46,26 @@ var (
 func NoteDegraded(rung int) {
 	degMu.Lock()
 	defer degMu.Unlock()
-	if rung > degRung {
-		degRung = rung
-		gDegradedMode.Set(0, int64(rung))
+	if int64(rung) > gDegradedMode.Value() {
+		gDegradedMode.Set(int64(rung))
 	}
 }
 
 // NoteUncached records one fall to the certify-uncached rung: the
 // baseline cache could not be opened, read back, or written.
 func NoteUncached() {
-	gDegUncached.Inc(0)
+	gDegUncached.Inc()
 	NoteDegraded(DegradeUncached)
 }
 
 // DegradedMode returns the highest rung recorded since process start (or
 // the last ResetDegraded).
-func DegradedMode() int {
-	degMu.Lock()
-	defer degMu.Unlock()
-	return degRung
-}
+func DegradedMode() int { return int(gDegradedMode.Value()) }
 
 // ResetDegraded clears the recorded rung — a test seam, so each chaos
 // schedule observes its own ladder.
 func ResetDegraded() {
 	degMu.Lock()
 	defer degMu.Unlock()
-	degRung = 0
-	gDegradedMode.Set(0, 0)
+	gDegradedMode.Set(0)
 }

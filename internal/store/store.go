@@ -40,7 +40,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fenceplace/internal/fsx"
@@ -128,19 +127,17 @@ type Entry struct {
 type Store struct {
 	dir     string
 	fs      fsx.FS
-	retries atomic.Int32 // configured retry bound; 0 = fsx default
+	retries int // configured retry bound; 0 = fsx default
 
 	reg                                      *telemetry.Registry
 	hits, misses, puts, evicted, quarantined *telemetry.Counter
 	cleanupErrors, ioRetries, ioGiveups      *telemetry.Counter
 }
 
-// count bumps a per-store counter and its process-wide mirror. Counter
-// writes land on shard 0: store operations are I/O-bound and serialized
-// around the filesystem, so shard fan-out would buy nothing here.
+// count bumps a per-store counter and its process-wide mirror.
 func count(local, global *telemetry.Counter, d int64) {
-	local.Add(0, d)
-	global.Add(0, d)
+	local.Add(d)
+	global.Add(d)
 }
 
 var (
@@ -154,12 +151,12 @@ var (
 func Open(dir string) (*Store, error) { return OpenConfig(dir, Config{}) }
 
 // OpenConfig is Open with disk-access configuration. With a nil cfg.FS it
-// returns the memoized per-directory handle (creating it on first use,
-// and adopting a non-zero cfg.Retries onto the shared handle so later
-// openers see the tuned bound). With a non-nil cfg.FS it returns a fresh
-// private handle every call: fault-injecting filesystems must not leak
-// into the process-shared handle, and a private handle is exactly how a
-// test models a second process on the same directory.
+// returns the memoized per-directory handle, creating it on first use
+// (cfg.Retries applies only to that first open). With a non-nil cfg.FS
+// it returns a fresh private handle every call: fault-injecting
+// filesystems must not leak into the process-shared handle, and a private
+// handle is exactly how a test models a second process on the same
+// directory.
 func OpenConfig(dir string, cfg Config) (*Store, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -171,9 +168,6 @@ func OpenConfig(dir string, cfg Config) (*Store, error) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if s := registry[abs]; s != nil {
-		if cfg.Retries != 0 {
-			s.retries.Store(int32(cfg.Retries))
-		}
 		return s, nil
 	}
 	s, err := newStore(abs, cfg)
@@ -189,6 +183,7 @@ func newStore(abs string, cfg Config) (*Store, error) {
 	s := &Store{
 		dir:           abs,
 		fs:            fsx.Or(cfg.FS),
+		retries:       cfg.Retries,
 		reg:           reg,
 		hits:          reg.Counter("store.hits"),
 		misses:        reg.Counter("store.misses"),
@@ -199,7 +194,6 @@ func newStore(abs string, cfg Config) (*Store, error) {
 		ioRetries:     reg.Counter("store.io_retries"),
 		ioGiveups:     reg.Counter("store.io_giveups"),
 	}
-	s.retries.Store(int32(cfg.Retries))
 	for _, sub := range []string{tmpDirName, quarDirName} {
 		err := s.do(context.Background(), func() error {
 			return s.fs.MkdirAll(filepath.Join(abs, sub), 0o755)
@@ -213,7 +207,7 @@ func newStore(abs string, cfg Config) (*Store, error) {
 
 // policy is the store's retry policy under its configured bound.
 func (s *Store) policy() fsx.RetryPolicy {
-	return fsx.RetryPolicy{Retries: int(s.retries.Load())}
+	return fsx.RetryPolicy{Retries: s.retries}
 }
 
 // do runs op under the retry policy and meters the outcome: io_retries
@@ -403,7 +397,7 @@ func (s *Store) put(ctx context.Context, key string, payload []byte) error {
 		return fmt.Errorf("store: put %s: %w", key, err)
 	}
 	count(s.puts, gPuts, 1)
-	gEntryBytes.Observe(0, int64(len(payload)))
+	gEntryBytes.Observe(int64(len(payload)))
 	return nil
 }
 

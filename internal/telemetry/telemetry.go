@@ -3,12 +3,12 @@
 // pprof/expvar serving surfaces the commands mount.
 //
 // The registry holds counters, gauges and histograms registered once by
-// name. Every metric fans its writes out over NumShards cache-line-padded
-// atomic cells, so the model checker's hot loop can record per-worker
-// statistics with zero allocations and no cross-core contention: a worker
-// writes its own shard, and only Snapshot sums across shards. Metric
-// handles are package-level vars in the instrumented packages — lookup
-// cost is paid at init, never per event.
+// name. Each counter and gauge is one atomic word and each histogram one
+// row of atomic buckets, so every write is allocation-free. Hot loops do
+// not write metrics per event: the model checker's workers count in
+// worker-local ints and flush them once per exploration. Metric handles
+// are package-level vars in the instrumented packages — lookup cost is
+// paid at init, never per event.
 //
 // Snapshot aggregates the registry into plain, JSON-marshalable data; the
 // expvar export (Publish/Serve) and the commands' -metrics dumps are both
@@ -23,89 +23,51 @@ import (
 	"sync/atomic"
 )
 
-// NumShards is the number of padded cells each metric spreads over. It
-// matches the model checker's seen-set shard count and comfortably exceeds
-// mc.MaxThreads, so per-worker shard indexes never collide modulo it.
-const NumShards = 64
-
-// cell is one shard of a metric: an atomic word padded to a full 64-byte
-// cache line so adjacent shards never false-share.
-type cell struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonic sharded counter. Writers pick a shard — their
-// worker index, or 0 for serialized paths — and Add/Inc touch only that
-// shard's cache line; Value sums all shards.
+// Counter is a monotonic counter.
 type Counter struct {
-	name  string
-	cells [NumShards]cell
+	name string
+	v    atomic.Int64
 }
 
 // Name returns the counter's registered name.
 func (c *Counter) Name() string { return c.name }
 
-// Add adds d to the counter on the given shard. Shards out of range wrap,
-// so any non-negative worker index is a valid shard.
-func (c *Counter) Add(shard int, d int64) {
-	c.cells[uint(shard)%NumShards].v.Add(d)
-}
+// Add adds d to the counter.
+func (c *Counter) Add(d int64) { c.v.Add(d) }
 
-// Inc is Add(shard, 1).
-func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
+// Inc is Add(1).
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// Value sums the counter across shards.
-func (c *Counter) Value() int64 {
-	var v int64
-	for i := range c.cells {
-		v += c.cells[i].v.Load()
-	}
-	return v
-}
+// Value returns the counter's current value.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a sharded last-value metric. Each shard holds the value its
-// writer last Set; Value sums the shards, so per-worker gauges (frontier
-// sizes, arena words) aggregate to the process-wide figure. Single-writer
-// gauges use shard 0 and the sum degenerates to the last set value.
+// Gauge is a last-value metric.
 type Gauge struct {
-	name  string
-	cells [NumShards]cell
+	name string
+	v    atomic.Int64
 }
 
 // Name returns the gauge's registered name.
 func (g *Gauge) Name() string { return g.name }
 
-// Set stores v into the given shard.
-func (g *Gauge) Set(shard int, v int64) {
-	g.cells[uint(shard)%NumShards].v.Store(v)
-}
+// Set stores v.
+func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the given shard by d.
-func (g *Gauge) Add(shard int, d int64) {
-	g.cells[uint(shard)%NumShards].v.Add(d)
-}
+// Add adjusts the gauge by d.
+func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
-// Value sums the gauge across shards.
-func (g *Gauge) Value() int64 {
-	var v int64
-	for i := range g.cells {
-		v += g.cells[i].v.Load()
-	}
-	return v
-}
+// Value returns the gauge's current value.
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets is the histogram resolution: power-of-two buckets, bucket i
 // counting values in [2^(i-1), 2^i) (bucket 0 counts zero and negatives),
 // with the last bucket absorbing everything ≥ 2^(histBuckets-2).
 const histBuckets = 32
 
-// Histogram is a sharded power-of-two histogram. Each shard owns a full
-// bucket row (a multiple of the cache-line size), so concurrent observers
-// on distinct shards never share a line; Snapshot sums rows across shards.
+// Histogram is a power-of-two histogram: one row of atomic bucket counts.
 type Histogram struct {
-	name string
-	rows [NumShards][histBuckets]atomic.Int64
+	name    string
+	buckets [histBuckets]atomic.Int64
 }
 
 // Name returns the histogram's registered name.
@@ -123,25 +85,19 @@ func bucketOf(v int64) int {
 	return b
 }
 
-// Observe records v into the given shard's row.
-func (h *Histogram) Observe(shard int, v int64) {
-	h.rows[uint(shard)%NumShards][bucketOf(v)].Add(1)
-}
+// Observe records v.
+func (h *Histogram) Observe(v int64) { h.buckets[bucketOf(v)].Add(1) }
 
-// Snapshot sums the histogram across shards.
+// Snapshot reads the histogram's buckets.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	top := 0
 	var buckets [histBuckets]int64
-	for r := range h.rows {
-		for b := range h.rows[r] {
-			if n := h.rows[r][b].Load(); n != 0 {
-				buckets[b] += n
-				s.Count += n
-				if b > top {
-					top = b
-				}
-			}
+	for b := range h.buckets {
+		if n := h.buckets[b].Load(); n != 0 {
+			buckets[b] = n
+			s.Count += n
+			top = b
 		}
 	}
 	if s.Count == 0 {
@@ -159,8 +115,8 @@ type HistogramSnapshot struct {
 	Buckets []int64 `json:"buckets,omitempty"`
 }
 
-// Snapshot is a point-in-time aggregation of a registry: every metric
-// summed across its shards, keyed by registered name. It is plain data —
+// Snapshot is a point-in-time aggregation of a registry: every metric's
+// value, keyed by registered name. It is plain data —
 // JSON-marshalable as-is (map keys marshal sorted), comparable across
 // processes.
 type Snapshot struct {
@@ -269,8 +225,8 @@ func (r *Registry) Names() []string {
 }
 
 // Snapshot aggregates every registered metric. Writers may race the
-// aggregation; each cell read is atomic, so the snapshot is a consistent
-// set of per-shard values even if not a single instant.
+// aggregation; each read is atomic, so every value in the snapshot is one
+// a writer stored, though not all from a single instant.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	counters := make([]*Counter, 0, len(r.counters))

@@ -6,31 +6,28 @@ import (
 	"testing"
 )
 
-// TestCounterShardedSum checks that writes land per shard (including
-// out-of-range shards, which wrap) and Value sums them all.
-func TestCounterShardedSum(t *testing.T) {
+// TestCounterAdd checks that Add and Inc accumulate into one value.
+func TestCounterAdd(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test.counter")
-	c.Add(0, 5)
-	c.Inc(1)
-	c.Add(NumShards, 3) // wraps onto shard 0
-	c.Add(-1, 2)        // negative shards wrap too
-	if got := c.Value(); got != 11 {
-		t.Fatalf("Value = %d, want 11", got)
+	c.Add(5)
+	c.Inc()
+	c.Add(3)
+	if got := c.Value(); got != 9 {
+		t.Fatalf("Value = %d, want 9", got)
 	}
 }
 
-// TestGaugePerShardLastValue checks the gauge contract: per-shard last
-// value, summed across shards.
-func TestGaugePerShardLastValue(t *testing.T) {
+// TestGaugeSetAdd checks the gauge contract: Set overwrites, Add adjusts
+// the last value.
+func TestGaugeSetAdd(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("test.gauge")
-	g.Set(0, 10)
-	g.Set(0, 7) // overwrites
-	g.Set(3, 5)
-	g.Add(3, 1)
-	if got := g.Value(); got != 13 {
-		t.Fatalf("Value = %d, want 13", got)
+	g.Set(10)
+	g.Set(7) // overwrites
+	g.Add(-2)
+	if got := g.Value(); got != 5 {
+		t.Fatalf("Value = %d, want 5", got)
 	}
 }
 
@@ -41,7 +38,7 @@ func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("test.hist")
 	for _, v := range []int64{-3, 0, 1, 2, 3, 4, 1 << 40, 1 << 62} {
-		h.Observe(0, v)
+		h.Observe(v)
 	}
 	s := h.Snapshot()
 	if s.Count != 8 {
@@ -89,28 +86,28 @@ func TestRegistryConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(shard int) {
+		go func() {
 			defer wg.Done()
 			c := r.Counter("conc.counter")
 			gg := r.Gauge("conc.gauge")
 			h := r.Histogram("conc.hist")
 			for i := 0; i < perG; i++ {
-				c.Inc(shard)
-				gg.Set(shard, int64(i))
-				h.Observe(shard, int64(i))
+				c.Inc()
+				gg.Add(1)
+				h.Observe(int64(i))
 				if i%100 == 0 {
 					_ = r.Snapshot() // aggregation races the writers by design
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	s := r.Snapshot()
 	if got := s.Counters["conc.counter"]; got != goroutines*perG {
 		t.Errorf("counter = %d, want %d", got, goroutines*perG)
 	}
-	if got := s.Gauges["conc.gauge"]; got != goroutines*(perG-1) {
-		t.Errorf("gauge = %d, want %d", got, goroutines*(perG-1))
+	if got := s.Gauges["conc.gauge"]; got != goroutines*perG {
+		t.Errorf("gauge = %d, want %d", got, goroutines*perG)
 	}
 	if got := s.Histograms["conc.hist"].Count; got != goroutines*perG {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*perG)
@@ -118,17 +115,18 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 // TestHotPathAllocationFree asserts the zero-allocation contract of the
-// write paths — the whole point of the sharded design.
+// write paths.
 func TestHotPathAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("alloc.counter")
 	g := r.Gauge("alloc.gauge")
 	h := r.Histogram("alloc.hist")
 	if n := testing.AllocsPerRun(100, func() {
-		c.Inc(3)
-		c.Add(3, 5)
-		g.Set(3, 42)
-		h.Observe(3, 42)
+		c.Inc()
+		c.Add(5)
+		g.Set(42)
+		g.Add(1)
+		h.Observe(42)
 	}); n != 0 {
 		t.Errorf("metric writes allocated %.1f times per run, want 0", n)
 	}
@@ -143,9 +141,9 @@ func TestHotPathAllocationFree(t *testing.T) {
 // plain-data contract the -metrics dumps and expvar export rely on.
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a.count").Add(0, 7)
-	r.Gauge("b.gauge").Set(0, -2)
-	r.Histogram("c.hist").Observe(0, 9)
+	r.Counter("a.count").Add(7)
+	r.Gauge("b.gauge").Set(-2)
+	r.Histogram("c.hist").Observe(9)
 	data, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ func TestNextTrackMonotonic(t *testing.T) {
 // TestServeExportsRegistry binds the diagnostics server to an ephemeral
 // port and checks /debug/vars carries the published registry snapshot.
 func TestServeExportsRegistry(t *testing.T) {
-	NewCounter("serve.test").Inc(0)
+	NewCounter("serve.test").Inc()
 	addr, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -36,8 +36,7 @@ type config struct {
 	progress      func(ProgressEvent) // streaming progress sink (nil = none)
 	progressEvery time.Duration       // heartbeat interval (0 = default 250ms)
 
-	faultFS   fsx.FS // filesystem override for cache I/O (nil = the OS)
-	ioRetries int    // transient-I/O retry bound (0 = default, <0 = none)
+	faultFS fsx.FS // filesystem override for cache I/O (nil = the OS)
 }
 
 // resolve folds an option list into a configuration. The baseline-store
@@ -74,7 +73,7 @@ func (c config) mcConfig() mc.Config {
 // cache maps the cache directory and the disk-I/O knobs onto the pass
 // session's exploration cache.
 func (c config) cache() passes.Cache {
-	return passes.Cache{Dir: c.cacheDir, IO: store.Config{FS: c.faultFS, Retries: c.ioRetries}}
+	return passes.Cache{Dir: c.cacheDir, IO: store.Config{FS: c.faultFS}}
 }
 
 // WithWorkers bounds the configured parallelism: the analyzer's
@@ -140,15 +139,6 @@ func WithSpillDir(string) Option {
 // degraded.
 func WithFaultFS(fs fsx.FS) Option {
 	return func(c *config) { c.faultFS = fs }
-}
-
-// WithIORetries bounds how many times a transiently failing disk
-// operation (EIO, interrupted syscall, short write) is re-attempted with
-// exponential backoff before the pipeline degrades: 0 keeps the default
-// (2 retries), negative disables retrying. Permanent failures — missing
-// files, permission errors, no space — are never retried.
-func WithIORetries(n int) Option {
-	return func(c *config) { c.ioRetries = n }
 }
 
 // Resolved returns an option list equivalent to opts with every
