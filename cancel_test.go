@@ -7,6 +7,7 @@ package fenceplace_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,10 +18,10 @@ import (
 )
 
 // TestCertifyCtxCancelPromptly is the acceptance check for cancellation:
-// certifying a large kernel (msqueue at threads=3/size=4 explores about
-// half a million states) and cancelling mid-exploration must return
-// context.Canceled within 100ms and must not write a baseline entry to the
-// store.
+// certifying a large kernel (msqueue at threads=3/size=6 explores about
+// 130k SC states) and cancelling at the SC exploration's first heartbeat
+// must return context.Canceled within 100ms and must not write a baseline
+// entry to the store.
 func TestCertifyCtxCancelPromptly(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "")
 	dir := t.TempDir()
@@ -28,19 +29,33 @@ func TestCertifyCtxCancelPromptly(t *testing.T) {
 	m := progs.ByName("msqueue")
 	pp := m.Defaults
 	pp.Threads = 3
-	pp.Size = 4
+	pp.Size = 6
 	res := fenceplace.Analyze(m.Build(pp), fenceplace.Control)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
+	started := make(chan struct{})
+	var once sync.Once
 	go func() {
 		_, err := fenceplace.CertifyCtx(ctx, res, nil,
-			fenceplace.WithCacheDir(dir), fenceplace.WithMaxStates(1<<26))
+			fenceplace.WithCacheDir(dir), fenceplace.WithMaxStates(1<<26),
+			fenceplace.WithProgressInterval(time.Millisecond),
+			fenceplace.WithProgress(func(ev fenceplace.ProgressEvent) {
+				if ev.Kind == fenceplace.ProgressExplore && ev.Mode == "SC" && !ev.Final {
+					once.Do(func() { close(started) })
+				}
+			}))
 		errCh <- err
 	}()
 
 	// Let the SC exploration get going, then pull the plug.
-	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-started:
+	case err := <-errCh:
+		t.Fatalf("certification returned %v before its first heartbeat", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("certification never started exploring")
+	}
 	cancel()
 	cancelled := time.Now()
 

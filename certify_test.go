@@ -149,9 +149,20 @@ func TestAnalyzerExploresEachBuildOnce(t *testing.T) {
 	}
 
 	// A truncated TSO exploration is memoized for its budget: the SC side
-	// fits in 400 states, the TSO side does not, and asking again — for
-	// either build that places these fences — explores nothing.
-	budget := []fenceplace.Option{fenceplace.WithMaxStates(400), fenceplace.WithWorkers(1)}
+	// fits in the budget, the TSO side does not, and asking again — for
+	// either build that places these fences — explores nothing. The
+	// budget comes from a full one-worker run.
+	full, err := fenceplace.CertifyCtx(ctx, fenceplace.NewAnalyzer(build()).Analyze(fenceplace.Control), nil,
+		fenceplace.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := (full.VisitedSC + full.VisitedTSO) / 2
+	if full.VisitedSC > n || full.VisitedTSO <= n {
+		t.Fatalf("dekker explores %d SC / %d TSO states at one worker: no budget closes the SC side only",
+			full.VisitedSC, full.VisitedTSO)
+	}
+	budget := []fenceplace.Option{fenceplace.WithMaxStates(n), fenceplace.WithWorkers(1)}
 	az = fenceplace.NewAnalyzer(build())
 	ctl, ac = az.Analyze(fenceplace.Control), az.Analyze(fenceplace.AddressControl)
 	for i, res := range []*fenceplace.Result{ctl, ac, ctl} {
@@ -160,8 +171,8 @@ func TestAnalyzerExploresEachBuildOnce(t *testing.T) {
 			want = 2 // the SC baseline under this budget, then the truncated TSO side
 		}
 		if _, d, err := certify(ctx, res, budget...); !errors.Is(err, fenceplace.ErrTruncated) || d != want {
-			t.Errorf("call %d (%s) under a 400-state budget: %d explorations, err %v; want %d and ErrTruncated",
-				i, res.Strategy, d, err, want)
+			t.Errorf("call %d (%s) under a %d-state budget: %d explorations, err %v; want %d and ErrTruncated",
+				i, res.Strategy, n, d, err, want)
 		}
 	}
 }

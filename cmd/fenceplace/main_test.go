@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -181,7 +183,8 @@ func TestBadInputExitCode(t *testing.T) {
 
 // TestExitCodes pins each subcommand's exit status: certify's three-valued
 // verdict code, litmus's 0 when every outcome matches its model, and 2
-// for usage and input errors.
+// for usage and input errors. TestTruncatedCertifyExitCode pins the code
+// of a truncated certification.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		args   []string
@@ -190,7 +193,6 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{[]string{"certify", "-prog", "dekker"}, 0, "SC-equivalent"},
 		{[]string{"certify", "-prog", "dekker", "-unfenced"}, 1, "non-SC outcome"},
-		{[]string{"certify", "-prog", "szymanski", "-budget", "1000"}, 2, ""},
 		{[]string{"certify", "-prog", "dekker", "-budget", "-5"}, 0, "SC-equivalent"}, // <= 0 means the default
 		{[]string{"certify", "-prog", "nosuch"}, 2, ""},
 		{[]string{"analyze", "-prog", "nosuch"}, 2, ""},
@@ -212,6 +214,44 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("stdout does not contain %q:\n%s", tc.stdout, stdout)
 			}
 		})
+	}
+}
+
+// TestTruncatedCertifyExitCode: a certification whose state budget runs
+// out is inconclusive, never a verdict, so it exits 2 like an error. The
+// budget comes from a full one-worker run of szymanski and closes the SC
+// side but not the TSO side: the SC baseline completes and the TSO
+// exploration, whose outcomes decide the verdict, is cut.
+func TestTruncatedCertifyExitCode(t *testing.T) {
+	stdout, stderr, code := runMain(t, "certify", "-prog", "szymanski", "-workers", "1", "-json")
+	if code != 0 {
+		t.Fatalf("full run: exit code = %d, want 0\n%s", code, stderr)
+	}
+	var full struct {
+		Rows []struct {
+			Variants []struct {
+				Cert struct {
+					VisitedSC  int64 `json:"visited_sc"`
+					VisitedTSO int64 `json:"visited_tso"`
+				} `json:"cert"`
+			} `json:"variants"`
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &full); err != nil || len(full.Rows) != 1 || len(full.Rows[0].Variants) != 1 {
+		t.Fatalf("full run: want one certified variant, got %v:\n%s", err, stdout)
+	}
+	c := full.Rows[0].Variants[0].Cert
+	budget := (c.VisitedSC + c.VisitedTSO) / 2
+	if c.VisitedSC > budget || budget >= c.VisitedTSO {
+		t.Fatalf("szymanski explores %d SC / %d TSO states at one worker: no budget closes the SC side only",
+			c.VisitedSC, c.VisitedTSO)
+	}
+	_, stderr, code = runMain(t, "certify", "-prog", "szymanski", "-workers", "1", "-budget", strconv.FormatInt(budget, 10))
+	if code != 2 {
+		t.Fatalf("budget %d: exit code = %d, want 2\n%s", budget, code, stderr)
+	}
+	if !strings.Contains(stderr, "TSO exploration") || !strings.Contains(stderr, "raise -budget") {
+		t.Errorf("budget %d: stderr does not report a truncated TSO exploration:\n%s", budget, stderr)
 	}
 }
 

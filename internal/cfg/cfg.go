@@ -3,7 +3,7 @@
 // Pensieve-style ordering generation (paper §4.3) — a reachability lookup
 // table answering "can access v occur after access u on some execution
 // path?" — plus the register liveness the model checker's state encoding
-// runs on.
+// runs on and the retreating branches its reduction must keep.
 package cfg
 
 import (
@@ -33,7 +33,7 @@ func New(fn *ir.Fn) *Graph {
 		}
 	}
 	g.computeReach()
-	g.computeRPO()
+	g.rpo = reversePostorder(fn)
 	return g
 }
 
@@ -69,25 +69,26 @@ func (g *Graph) computeReach() {
 	}
 }
 
-func (g *Graph) computeRPO() {
-	seen := make(map[*ir.Block]bool, len(g.fn.Blocks))
+// reversePostorder returns the blocks reachable from fn's entry in the
+// reverse postorder of a depth-first search that visits successors in
+// Succs order.
+func reversePostorder(fn *ir.Fn) []*ir.Block {
+	seen := make([]bool, len(fn.Blocks))
 	var post []*ir.Block
 	var dfs func(b *ir.Block)
 	dfs = func(b *ir.Block) {
-		if seen[b] {
+		if seen[b.ID()] {
 			return
 		}
-		seen[b] = true
+		seen[b.ID()] = true
 		for _, s := range b.Succs() {
 			dfs(s)
 		}
 		post = append(post, b)
 	}
-	dfs(g.fn.Entry())
-	g.rpo = make([]*ir.Block, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		g.rpo = append(g.rpo, post[i])
-	}
+	dfs(fn.Entry())
+	slices.Reverse(post)
+	return post
 }
 
 // RPO returns the blocks reachable from entry in reverse postorder.
@@ -201,4 +202,34 @@ func LiveRegs(fn *ir.Fn) [][][]ir.Reg {
 		table[bi], lists = lists[:len(b.Instrs)], lists[len(b.Instrs):]
 	}
 	return table
+}
+
+// RetreatingBlocks reports, for every block of fn indexed by block ID,
+// whether it has a retreating successor: one at or before it in reverse
+// postorder (RPO). Along the tree, forward and cross edges of the
+// depth-first search behind RPO the RPO index strictly increases, so
+// every closed walk of the CFG, reducible or not, takes a retreating
+// edge; the model checker may therefore merge a branch out of any other
+// block into the step before it without losing a cycle's stored state.
+// Blocks unreachable from the entry never execute and are reported
+// retreating, the conservative answer.
+func RetreatingBlocks(fn *ir.Fn) []bool {
+	pos := make([]int, len(fn.Blocks))
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, b := range reversePostorder(fn) {
+		pos[b.ID()] = i
+	}
+	retreat := make([]bool, len(fn.Blocks))
+	for _, b := range fn.Blocks {
+		i := pos[b.ID()]
+		retreat[b.ID()] = i < 0
+		for _, s := range b.Succs() {
+			if pos[s.ID()] <= i {
+				retreat[b.ID()] = true
+			}
+		}
+	}
+	return retreat
 }

@@ -312,3 +312,112 @@ func TestLiveRegs(t *testing.T) {
 		}
 	}
 }
+
+// retreatSrc holds the shapes RetreatingBlocks must classify: a counted
+// loop, a diamond, a self-loop, an irreducible cycle entered at both of
+// its blocks and a block the entry cannot reach.
+const retreatSrc = `
+program retreat
+global g 1
+
+func loop params=1 regs=3 {
+entry:
+  r1 = const 0
+  jmp head
+head:
+  r2 = lt r1, r0
+  br r2, body, done
+body:
+  r2 = const 1
+  r1 = add r1, r2
+  jmp head
+done:
+  ret
+}
+
+func diamond params=1 regs=2 {
+entry:
+  br r0, a, b
+a:
+  r1 = const 1
+  jmp join
+b:
+  r1 = const 2
+  jmp join
+join:
+  store g, r1
+  ret
+}
+
+func spin params=0 regs=1 {
+entry:
+  jmp spin
+spin:
+  r0 = load g
+  br r0, spin, out
+out:
+  ret
+}
+
+func irreducible params=1 regs=1 {
+entry:
+  br r0, a, b
+a:
+  br r0, b, done
+b:
+  br r0, a, done
+done:
+  ret
+dead:
+  jmp done
+}
+`
+
+// TestRetreatingBlocks pins which blocks end in a retreating branch and
+// checks the property the model checker relies on: with the out-edges of
+// those blocks removed, no CFG cycle is left.
+func TestRetreatingBlocks(t *testing.T) {
+	p, err := ir.Parse(retreatSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		"loop":        {"body"},
+		"diamond":     nil,
+		"spin":        {"spin"},
+		"irreducible": {"b", "dead"}, // RPO visits a first, so b -> a retreats
+	}
+	for _, f := range p.Funcs {
+		retreat := RetreatingBlocks(f)
+		var got []string
+		for _, b := range f.Blocks {
+			if retreat[b.ID()] {
+				got = append(got, b.Name)
+			}
+		}
+		if !slices.Equal(got, want[f.Name]) {
+			t.Errorf("%s: retreating blocks %q, want %q", f.Name, got, want[f.Name])
+		}
+		// Depth-first from every block along the edges that remain; a
+		// block met again on the current path closes a cycle.
+		onPath := make([]bool, len(f.Blocks))
+		var walk func(b *ir.Block)
+		walk = func(b *ir.Block) {
+			if onPath[b.ID()] {
+				t.Errorf("%s: cycle through %s avoids every retreating block", f.Name, b.Name)
+				return
+			}
+			if retreat[b.ID()] {
+				return
+			}
+			onPath[b.ID()] = true
+			for _, s := range b.Succs() {
+				walk(s)
+			}
+			onPath[b.ID()] = false
+		}
+		for _, b := range f.Blocks {
+			walk(b)
+		}
+	}
+}

@@ -40,6 +40,16 @@ func (k Key) String() string { return fmt.Sprintf("%016x%016x", k.Hi, k.Lo) }
 // where allocations fail, so schema-1 entries must not be served.
 const keySchema = 2
 
+// tsoSchema versions TSO exploration keys on top of keySchema, so stale TSO
+// records can be retired while SC baselines stay warm. TSO schema 1:
+// earlier binaries merged a load forwarded from the store buffer into the
+// step before it, which loses the schedules where the buffered value
+// drains and another thread's store lands first (the forward-race case of
+// TestBufferedStepsAgreeWithLegacyExplorer), so the TSO outcome sets they
+// stored may be incomplete. SC explorations have no store buffers, so
+// their keys stay as they were.
+const tsoSchema = 1
+
 // BaselineKey derives the canonical key of the SC baseline of (orig,
 // threadFns, cfg). The preimage covers every input that can change the
 // reachable SC final-state set:
@@ -68,15 +78,15 @@ func BaselineKey(orig *ir.Program, threadFns []string, cfg Config) Key {
 // ExplorationKey derives the canonical key of the complete exploration of
 // (p, threadFns) under cfg.Mode. An SC key is BaselineKey, bit for bit. A
 // TSO key hashes a distinct domain tag, so it can never equal an SC key,
-// and adds BufferCap, which decides how far stores may be delayed. It
-// excludes the same search-shaping knobs BaselineKey does: Workers,
-// MaxStates, ExactSeen and NoPOR.
+// and adds tsoSchema and BufferCap, which decides how far stores may be
+// delayed. It excludes the same search-shaping knobs BaselineKey does:
+// Workers, MaxStates, ExactSeen and NoPOR.
 func ExplorationKey(p *ir.Program, threadFns []string, cfg Config) Key {
 	if cfg.Mode == tso.SC {
 		return BaselineKey(p, threadFns, cfg)
 	}
 	cfg = cfg.withDefaults()
-	return explorationKey("fptso", p, threadFns, int64(cfg.MemoryCap), int64(cfg.BufferCap))
+	return explorationKey("fptso", p, threadFns, tsoSchema, int64(cfg.MemoryCap), int64(cfg.BufferCap))
 }
 
 // explorationKey hashes the domain tag, the key schema, the semantic

@@ -55,10 +55,11 @@ type link struct {
 }
 
 type engine struct {
-	prog *ir.Program
-	cfg  Config
-	m    *tso.Machine
-	live [][][][]ir.Reg // liveTables(prog)
+	prog    *ir.Program
+	cfg     Config
+	m       *tso.Machine
+	live    [][][][]ir.Reg // liveTables(prog)
+	retreat [][]bool       // retreatTables(prog)
 
 	shards [nShards]seenShard
 
@@ -199,6 +200,7 @@ func newEngine(p *ir.Program, threadFns []string, cfg Config) (*engine, *state, 
 		cfg:      cfg,
 		m:        tso.NewMachine(p, cfg.Mode, cfg.BufferCap, cfg.MemoryCap),
 		live:     liveTables(p),
+		retreat:  retreatTables(p),
 		handoff:  make(chan *node, 4096),
 		done:     make(chan struct{}),
 		outcomes: make(map[string][]int64),
@@ -309,8 +311,11 @@ func (e *engine) explore(ctx context.Context, init *state, start time.Time) (*St
 		e.workers[w] = &workerCtx{encBuf: make([]uint64, 0, 64)}
 	}
 	if _, ok := e.normalize(e.workers[0], init, 0, 0); ok {
+		// The root starts on worker 0's own frontier, not the handoff
+		// channel, so mc.steals counts only nodes one worker passed to
+		// another.
 		e.inflight.Store(1)
-		e.handoff <- &node{s: init}
+		e.workers[0].local = append(e.workers[0].local, &node{s: init})
 	} else {
 		e.closeOnce.Do(func() { close(e.done) })
 	}
@@ -604,18 +609,27 @@ func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, from int, path *l
 // it fires the lowest-numbered such thread in place, so only the state
 // where the chain ends is encoded, stored and expanded. A det step is an
 // enabled step with no effect on shared memory (stepFP reports it local)
-// that is not a Br or Jmp: it commutes with every transition of every
-// other thread, so firing it alone loses no final state, and it cannot
-// wake or disable anyone, so it leaves the other threads' sleep bits as
-// they are and clears only its own thread's. Br/Jmp are never det: every
-// cycle of the state graph passes one, so every cycle keeps a
-// fully-expanded state (the cycle proviso) and a spinning thread cannot
-// starve its peers out of the reduced graph. Without branches a chain
-// ends unless it recurses forever, growing frames; a chain longer than
-// cfg.MaxStates truncates the exploration like the state budget does.
-// NoPOR states stay as produced. The caller promises that no thread
-// below from has a det step in s. ok is false when the state must be
-// dropped: the chain hit the budget or a step failed.
+// that is neither a load forwarded from its thread's store buffer nor a
+// retreating branch (see detThread): it commutes with every transition of
+// every other thread, so firing it alone loses no final state, and it
+// cannot wake or disable anyone, so it leaves the other threads' sleep
+// bits as they are and clears only its own thread's. A forwarded load is
+// local but would not commute with its own thread's drain followed by
+// another thread's store. A retreating branch — a Br or Jmp whose block
+// has a successor at or before it in reverse postorder — is never det:
+// along the tree, forward and cross edges of a depth-first search the
+// reverse-postorder index strictly increases, so every closed walk of a
+// CFG takes a retreating edge. Every cycle of the state graph, and every
+// endless register-only loop, therefore keeps a stored, fully expanded
+// state (the cycle proviso), and a spinning thread cannot starve its
+// peers out of the reduced graph. Forward branches (if/else arms, loop
+// exits, early returns) merge like any other local step. A chain still
+// ends unless a thread recurses forever without taking a retreating
+// branch, growing frames; a chain longer than cfg.MaxStates truncates
+// the exploration like the state budget does. NoPOR states stay as
+// produced. The caller promises that no thread below from has a det step
+// in s. ok is false when the state must be dropped: the chain hit the
+// budget or a step failed.
 func (e *engine) normalize(w *workerCtx, s *state, sleep uint32, from int) (_ uint32, ok bool) {
 	if e.cfg.NoPOR {
 		return sleep, true
@@ -653,15 +667,21 @@ func resumeFrom(s *state, tid int) int {
 }
 
 // detThread returns the lowest-numbered thread, from from on, whose next
-// step is det in s, or -1 when there is none.
+// step is det in s (as normalize defines it), or -1 when there is none.
 func (e *engine) detThread(w *workerCtx, s *state, from int) int {
 	for tid := from; tid < len(s.Threads); tid++ {
 		if !stepEnabled(s, tid) {
 			continue
 		}
-		in := s.Threads[tid].Next()
-		if in.Kind == ir.Br || in.Kind == ir.Jmp {
-			continue
+		f := s.Threads[tid].Top()
+		in := f.Blk.Instrs[f.Idx]
+		switch in.Kind {
+		case ir.Br, ir.Jmp:
+			if e.retreat[f.Fn.ID][f.Blk.ID()] {
+				continue
+			}
+		case ir.Load, ir.LoadPtr:
+			continue // local only when forwarded, and a forwarded load is not det
 		}
 		w.detAn.addrs = w.detAn.addrs[:0]
 		if e.stepFP(&w.detAn, s, tid, in).local {

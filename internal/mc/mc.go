@@ -20,13 +20,15 @@
 //     stacks), so structurally identical states met along different
 //     interleavings are explored once;
 //
-//   - partial-order reduction: invisible, non-branching steps (register
-//     ops, buffered stores, forwarded loads, frame pushes/pops) are merged
-//     into the transition that precedes them, so only states with no such
-//     step enabled are stored (normalize), and sleep sets prune commuting
-//     interleavings of the remaining visible transitions. Reduction
-//     preserves the reachable final-state set, which is the property
-//     certification compares;
+//   - partial-order reduction: invisible steps (register ops, buffered
+//     stores, frame pushes/pops, forward branches) are merged into the
+//     transition that precedes them, so only states with no such step
+//     enabled are stored (normalize). Retreating branches, which close
+//     every CFG cycle (cfg.RetreatingBlocks), and loads forwarded from a
+//     store buffer, which race with their own thread's drain, are never
+//     merged. Sleep sets prune commuting interleavings of the remaining
+//     visible transitions. Reduction preserves the reachable final-state
+//     set, which is the property certification compares;
 //
 //   - dead-register reduction: a frame's encoding holds only the
 //     registers live at its program point (cfg.LiveRegs, a backward
@@ -243,6 +245,17 @@ func liveTables(p *ir.Program) [][][][]ir.Reg {
 		live[i] = cfg.LiveRegs(f)
 	}
 	return live
+}
+
+// retreatTables returns every function's cfg.RetreatingBlocks, indexed
+// [tso.Func.ID][block ID]: whether the branch ending that block may close
+// a CFG cycle, which keeps it out of normalize's det steps.
+func retreatTables(p *ir.Program) [][]bool {
+	retreat := make([][]bool, len(p.Funcs))
+	for i, f := range p.Funcs {
+		retreat[i] = cfg.RetreatingBlocks(f)
+	}
+	return retreat
 }
 
 // encode renders the state into its canonical form, a string of words

@@ -541,24 +541,52 @@ func twoStoresThenLoad() *ir.Program {
 	return pb.MustBuild()
 }
 
+// storeLoadRace stores 1 to y and loads y back while t1 stores 2 to y.
+// Under TSO the load forwards 1 from the store buffer, unless the buffered
+// 1 drains and t1's 2 lands first: then it reads 2 (final y = 2, o = 2).
+// The forwarded load touches no shared memory, yet merging it into the
+// store before it would lose that schedule.
+func storeLoadRace() *ir.Program {
+	pb := ir.NewProgram("forward-race")
+	y := pb.Global("y", 1)
+	o := pb.Global("o", 1)
+	t0 := pb.Func("t0", 0)
+	t0.Store(y, t0.Const(1))
+	t0.Store(o, t0.Load(y))
+	t0.RetVoid()
+	t1 := pb.Func("t1", 0)
+	t1.Store(y, t1.Const(2))
+	t1.RetVoid()
+	return pb.MustBuild()
+}
+
 // TestBufferedStepsAgreeWithLegacyExplorer cross-checks the engine's step
 // against tso.Explore, which interprets flat threads on its own, on the
-// two buffer interactions the litmus corpus does not reach: an RMW after a
-// buffered store (the RMW must drain it) and a load after two buffered
-// stores to one address (it must forward the newest).
+// buffer interactions the litmus corpus does not reach: an RMW after a
+// buffered store (the RMW must drain it), a load after two buffered
+// stores to one address (it must forward the newest) and a forwarded load
+// racing another thread's store (the reduction must keep the drain before
+// it).
 func TestBufferedStepsAgreeWithLegacyExplorer(t *testing.T) {
-	progs := []*ir.Program{storeThenRMW(false), storeThenRMW(true), twoStoresThenLoad()}
+	progs := []*ir.Program{storeThenRMW(false), storeThenRMW(true), twoStoresThenLoad(), storeLoadRace()}
 	for _, p := range progs {
 		for _, mode := range []tso.Mode{tso.TSO, tso.SC} {
 			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", p.Name, mode, workers), func(t *testing.T) {
 					por, _ := crossCheck(t, p, []string{"t0", "t1"}, mode, workers)
-					if p.Name == "store+store+load" {
+					switch p.Name {
+					case "store+store+load":
 						if por.Has(map[string]int64{"o0": 1}, p) {
 							t.Errorf("the load forwarded the older store: %v", por.Keys())
 						}
-					} else if por.Has(map[string]int64{"o1": 1, "o2": 0}, p) {
-						t.Errorf("a reader saw the RMW but not the store before it: %v", por.Keys())
+					case "forward-race":
+						if !por.Has(map[string]int64{"y": 2, "o": 2}, p) {
+							t.Errorf("the load never read the other thread's store: %v", por.Keys())
+						}
+					default:
+						if por.Has(map[string]int64{"o1": 1, "o2": 0}, p) {
+							t.Errorf("a reader saw the RMW but not the store before it: %v", por.Keys())
+						}
 					}
 				})
 			}

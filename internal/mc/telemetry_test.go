@@ -68,6 +68,21 @@ func TestExploreMetricsMatchResult(t *testing.T) {
 	}
 }
 
+// TestOneWorkerStealsNothing: a lone worker has nobody to steal from, so
+// its exploration must leave mc.steals where it was — the root included.
+func TestOneWorkerStealsNothing(t *testing.T) {
+	p := medium3()
+	for _, mode := range []tso.Mode{tso.TSO, tso.SC} {
+		steals0 := mSteals.Value()
+		if _, err := Explore(p, []string{"t0", "t1", "t2"}, Config{Mode: mode, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if d := mSteals.Value() - steals0; d != 0 {
+			t.Errorf("%s: one-worker exploration advanced mc.steals by %d, want 0", mode, d)
+		}
+	}
+}
+
 // TestProgressHeartbeat streams progress from an exploration at a tiny
 // interval and checks the event protocol: sequential delivery per
 // exploration, monotone visited counts, and a Final event whose totals

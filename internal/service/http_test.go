@@ -21,6 +21,16 @@ import (
 	"fenceplace/corpus"
 )
 
+// blockerJSON is blockerRequest as a request body.
+func blockerJSON(t *testing.T) []byte {
+	t.Helper()
+	b, err := json.Marshal(blockerRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	m := newTestManager(t, cfg)
@@ -193,7 +203,7 @@ func TestHTTPStreamDisconnectCancels(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, MaxStatesCap: 1 << 26})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/jobs?stream=1",
-		strings.NewReader(`{"corpus":"msqueue","threads":3,"size":4,"budget":{"max_states":67108864},"progress_ms":10}`))
+		bytes.NewReader(blockerJSON(t)))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +242,7 @@ func TestHTTPCoalescedWaiters(t *testing.T) {
 
 	blockCtx, unblock := context.WithCancel(context.Background())
 	blockReq, _ := http.NewRequestWithContext(blockCtx, "POST", ts.URL+"/v1/jobs?stream=1",
-		strings.NewReader(`{"corpus":"msqueue","threads":3,"size":4,"budget":{"max_states":67108864},"progress_ms":10}`))
+		bytes.NewReader(blockerJSON(t)))
 	blockResp, err := http.DefaultClient.Do(blockReq)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +333,7 @@ func TestHTTPBackpressure(t *testing.T) {
 	blockCtx, unblock := context.WithCancel(context.Background())
 	defer unblock()
 	blockReq, _ := http.NewRequestWithContext(blockCtx, "POST", ts.URL+"/v1/jobs?stream=1",
-		strings.NewReader(`{"corpus":"msqueue","threads":3,"size":4,"budget":{"max_states":67108864},"progress_ms":10}`))
+		bytes.NewReader(blockerJSON(t)))
 	blockResp, err := http.DefaultClient.Do(blockReq)
 	if err != nil {
 		t.Fatal(err)

@@ -37,15 +37,36 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	return m
 }
 
-// blockerRequest is a deliberately heavy job (msqueue at threads=3/size=4
-// explores about half a million states) used to occupy a one-worker pool while
-// the interesting submissions queue up behind it.
+// blockerSrc counts a global up forever: every state is new, so its
+// exploration never closes and runs until the state budget truncates it.
+// How long that takes does not depend on how well the model checker
+// reduces any real program's state space.
+const blockerSrc = `
+program blocker
+global g 1
+main main
+
+func main params=0 regs=2 {
+entry:
+  jmp loop
+loop:
+  r0 = load g
+  r1 = const 1
+  r0 = add r0, r1
+  store g, r0
+  jmp loop
+}
+`
+
+// blockerRequest is a deliberately endless job used to occupy a
+// one-worker pool while the interesting submissions queue up behind it.
+// Its budget of 4M states keeps it busy for seconds (its one thread
+// leaves the exploration nothing to run in parallel) and bounds the
+// memory it can take if a test never releases it.
 func blockerRequest() *Request {
 	return &Request{
-		Corpus:     "msqueue",
-		Threads:    3,
-		Size:       4,
-		Budget:     Budget{MaxStates: 1 << 26},
+		Program:    blockerSrc,
+		Budget:     Budget{MaxStates: 1 << 22},
 		ProgressMS: 10,
 	}
 }
