@@ -237,6 +237,7 @@ func tracePaths(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 	e.targets, e.paths = targets, make(map[string]*link, len(targets))
 	quiet := context.WithValue(ctx, progressCtxKey{}, nil) // no progress stream
 	_, err = e.explore(quiet, init, time.Now())
+	e.releaseSeen()
 	return e, root, err
 }
 

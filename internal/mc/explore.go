@@ -67,8 +67,8 @@ type engine struct {
 	seen      atomic.Int64 // distinct states inserted into the seen set
 	truncated atomic.Bool
 	inflight  atomic.Int64
-	hungry    atomic.Int32
-	handoff   chan *node
+	hungry    atomic.Int32 // workers waiting on handoff
+	handoff   chan *node   // one slot per worker: nodes for waiting workers only
 	done      chan struct{}
 	closeOnce sync.Once
 
@@ -201,7 +201,7 @@ func newEngine(p *ir.Program, threadFns []string, cfg Config) (*engine, *state, 
 		m:        tso.NewMachine(p, cfg.Mode, cfg.BufferCap, cfg.MemoryCap),
 		live:     liveTables(p),
 		retreat:  retreatTables(p),
-		handoff:  make(chan *node, 4096),
+		handoff:  make(chan *node, cfg.Workers),
 		done:     make(chan struct{}),
 		outcomes: make(map[string][]int64),
 	}
@@ -263,6 +263,7 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 		return nil, err
 	}
 	res, err := e.explore(ctx, init, start)
+	e.releaseSeen()
 	var maxMem int64
 	for _, w := range e.workers {
 		w.stats.flush()
@@ -417,10 +418,12 @@ func (e *engine) worker(w *workerCtx) {
 		if e.inflight.Add(-1) == 0 {
 			e.closeOnce.Do(func() { close(e.done) })
 		}
-		// Feed hungry workers from the cold (root-near) end of the stack:
-		// those nodes head the largest unexplored subtrees.
+		// Feed waiting workers from the cold (root-near) end of the stack,
+		// one node per worker waiting on the channel: those nodes head the
+		// largest unexplored subtrees, and the rest stay here, where their
+		// states are hot.
 	offload:
-		for len(w.local) > 1 && e.hungry.Load() > 0 {
+		for len(w.local) > 1 && int(e.hungry.Load()) > len(e.handoff) {
 			select {
 			case e.handoff <- w.local[0]:
 				w.local = w.local[1:]

@@ -38,10 +38,13 @@
 //     value cannot reach memory, a branch or an outcome, so the reachable
 //     final-state set is unchanged;
 //
-//   - a sharded work-stealing worker pool: every worker owns a frontier
-//     stack and a shard of the seen set; surplus states are handed off to
-//     hungry workers over a channel, so exploration scales with GOMAXPROCS
-//     instead of dying at a fixed sequential budget.
+//   - a worker pool over a sharded seen set: every worker owns a
+//     frontier stack, and all of them probe one seen set split into 64
+//     shards, each behind its own lock. A worker whose stack runs dry
+//     waits on a handoff channel, and a busy worker hands it one node from
+//     the cold, root-near end of its stack: one node per waiting worker,
+//     never more. Exploration so scales with GOMAXPROCS instead of dying
+//     at a fixed sequential budget.
 //
 // Three slower explorers stay in the tree as cross-check oracles, each
 // kept because tests compare the engine against it:

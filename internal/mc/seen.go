@@ -9,11 +9,35 @@ package mc
 // insert would push its load past 3/4. Nothing else bounds it: the state
 // budget (Config.MaxStates) caps how many states an exploration stores.
 // A slot costs 26 bytes (2-byte tag, 24-byte entry).
+//
+// Tables outlive their exploration: once it ends, each shard's table is
+// emptied and handed to tablePool, and the next exploration's first probe
+// of a shard takes a pooled table before it allocates one. A small state
+// space therefore pays for its set-up in states, not in 64 fresh tables.
 
 import "sync"
 
-// minSlots is the size a shard's table starts at, on its first probe.
+// minSlots is the size a shard's table starts at, on its first probe,
+// when tablePool has none to give.
 const minSlots = 128
+
+// maxPooledSlots is the largest table release hands back to tablePool:
+// 1<<10 slots, 26 KiB, so a pooled 64-shard set holds at most 1.7 MB
+// however large the exploration that released it. Bigger tables are left
+// to the garbage collector.
+const maxPooledSlots = 1 << 10
+
+// fpTable boxes a released table so that tablePool can hold it; a shard
+// keeps the box it took, emptied, to put its table back without
+// allocating.
+type fpTable struct {
+	tags    []uint16
+	entries []fpEntry
+}
+
+// tablePool recycles emptied tables across explorations and engines; any
+// pooled size works, since a table grows from whatever size it starts at.
+var tablePool sync.Pool
 
 // seenShard is one shard of the global seen set. The value stored per
 // state is the sleep mask the state has been covered for: a state needs
@@ -30,7 +54,8 @@ type seenShard struct {
 	// 0); entries[i] is live iff tags[i]!=0.
 	tags    []uint16
 	entries []fpEntry
-	n       int // live slots
+	n       int      // live slots
+	box     *fpTable // the box the table came in from tablePool, if any
 
 	m map[string]uint32 // ExactSeen oracle
 }
@@ -51,7 +76,12 @@ func slotTag(h h128) uint16 {
 // sh.mu held.
 func (sh *seenShard) visit(h h128, sleep uint32) (need bool, revisit uint32) {
 	if sh.tags == nil {
-		sh.grow(minSlots)
+		if b, _ := tablePool.Get().(*fpTable); b != nil {
+			sh.tags, sh.entries, sh.box = b.tags, b.entries, b
+			*b = fpTable{} // the shard owns the table now
+		} else {
+			sh.grow(minSlots)
+		}
 	}
 	tag := slotTag(h)
 	mask := uint64(len(sh.tags) - 1)
@@ -104,5 +134,32 @@ func (sh *seenShard) grow(n int) {
 		}
 		sh.tags[i] = t
 		sh.entries[i] = en
+	}
+}
+
+// release empties the shard and hands its table to tablePool, emptied by
+// clearing its tags (an entry is live only under a nonzero tag), unless
+// the table has outgrown maxPooledSlots. The caller owns the shard: no
+// worker probes it any more.
+func (sh *seenShard) release() {
+	if n := len(sh.tags); n > 0 && n <= maxPooledSlots {
+		clear(sh.tags)
+		b := sh.box
+		if b == nil {
+			b = new(fpTable)
+		}
+		b.tags, b.entries = sh.tags, sh.entries
+		tablePool.Put(b)
+	}
+	sh.tags, sh.entries, sh.n, sh.box, sh.m = nil, nil, 0, nil, nil
+}
+
+// releaseSeen releases every shard's table (see release) once the
+// exploration's workers have returned. ExploreCtx and tracePaths call it
+// after explore, never explore itself, so tests can inspect the tables an
+// exploration left.
+func (e *engine) releaseSeen() {
+	for i := range e.shards {
+		e.shards[i].release()
 	}
 }

@@ -348,11 +348,13 @@ func testFP(i int) h128 {
 // TestHotProbeAllocFree pins the seen-set probe at zero allocations: a hit
 // on a present fingerprint and a miss that inserts an absent one. The
 // fill before the probes grows the table at least three times, and every
-// fingerprint inserted across those growths must still be found.
+// fingerprint inserted across those growths must still be found. The
+// shard starts from a fresh minSlots table, not one tablePool recycled.
 func TestHotProbeAllocFree(t *testing.T) {
 	var sh seenShard
 	const n = 1000
 	sh.mu.Lock()
+	sh.grow(minSlots)
 	for i := 0; i < n; i++ {
 		if need, _ := sh.visit(testFP(i), 0); !need {
 			t.Fatalf("fresh fingerprint %d reported seen", i)
