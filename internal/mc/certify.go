@@ -271,7 +271,7 @@ func (e *engine) replay(root *state, path *link, key string) (sched []Step, err 
 			walk(l.parent)
 			fire(int(l.bit))
 		}
-		for tid := e.detThread(w, s, 0); tid >= 0 && !e.cfg.NoPOR; tid = e.detThread(w, s, 0) {
+		for tid := e.detThread(s, 0); tid >= 0 && !e.cfg.NoPOR; tid = e.detThread(s, 0) {
 			fire(tid)
 		}
 	}

@@ -3,6 +3,8 @@ package mc
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,6 +74,13 @@ type engine struct {
 	done      chan struct{}
 	closeOnce sync.Once
 
+	// yield, set while a progress sink is installed, makes every worker
+	// call runtime.Gosched every 1,024 states. On a single P the heartbeat
+	// otherwise runs only when the runtime preempts a worker, after 10 ms
+	// at the earliest, and a short exploration could end before it
+	// streams one heartbeat.
+	yield bool
+
 	outMu    sync.Mutex
 	outcomes map[string][]int64
 	err      error
@@ -84,8 +93,9 @@ type engine struct {
 }
 
 // workerCtx is the worker-local scratch that keeps the steady state of an
-// exploration allocation-free: the frontier stack, reusable encode and
-// outcome-key buffers, a reusable transition-analysis record (with its
+// exploration allocation-free: the frontier stack, reusable word buffer
+// (thread components, and encodings for the ExactSeen oracle) and
+// outcome-key buffer, a reusable transition-analysis record (with its
 // address arena), and freelists recycling the states and nodes the worker
 // retires. Nodes handed off to other workers are recycled by the receiving
 // worker; freelists never cross workers, so no locking is involved.
@@ -94,7 +104,6 @@ type workerCtx struct {
 	encBuf     []uint64
 	keyBuf     []byte
 	an         analysis
-	detAn      analysis // normalize's footprint scratch; an is live across it
 	freeStates []*state
 	freeNodes  []*node
 	stats      workerStats
@@ -311,12 +320,14 @@ func (e *engine) explore(ctx context.Context, init *state, start time.Time) (*St
 	for w := range e.workers {
 		e.workers[w] = &workerCtx{encBuf: make([]uint64, 0, 64)}
 	}
-	if _, ok := e.normalize(e.workers[0], init, 0, 0); ok {
+	w0 := e.workers[0]
+	if _, _, ok := e.normalize(w0, init, 0, 0); ok {
+		w0.encBuf = e.components(init, w0.encBuf)
 		// The root starts on worker 0's own frontier, not the handoff
 		// channel, so mc.steals counts only nodes one worker passed to
 		// another.
 		e.inflight.Store(1)
-		e.workers[0].local = append(e.workers[0].local, &node{s: init})
+		w0.local = append(w0.local, &node{s: init})
 	} else {
 		e.closeOnce.Do(func() { close(e.done) })
 	}
@@ -340,6 +351,7 @@ func (e *engine) explore(ctx context.Context, init *state, start time.Time) (*St
 	// after wg.Wait cannot deadlock and the final (synchronous) event below
 	// never races a ticker-driven one.
 	pc, hasProgress := progressFrom(ctx)
+	e.yield = hasProgress
 	var hbDone chan struct{}
 	if hasProgress {
 		hbDone = make(chan struct{})
@@ -411,6 +423,9 @@ func (e *engine) worker(w *workerCtx) {
 			}
 		}
 		e.expandSafe(w, n)
+		if e.yield && w.stats.states%1024 == 0 {
+			runtime.Gosched()
+		}
 		// The node and its state are dead once expanded (children are
 		// cloned, outcomes copied): recycle both.
 		w.putState(n.s)
@@ -513,55 +528,72 @@ func (e *engine) expand(w *workerCtx, n *node) {
 	}
 
 	cur := sleep
-	for bit := 0; bit < 2*MaxThreads; bit++ {
-		tb := uint32(1) << uint(bit)
-		if T&tb == 0 {
-			continue
+	for todo := T; todo != 0; todo &= todo - 1 {
+		bit := bits.TrailingZeros32(todo)
+		// The child sleeps on every already-covered transition that
+		// commutes with the one fired.
+		var childSleep uint32
+		for c := cur; c != 0; c &= c - 1 {
+			if sb := bits.TrailingZeros32(c); indep(a, sb, bit) {
+				childSleep |= 1 << uint(sb)
+			}
 		}
 		child := w.newState()
 		w.stats.transitions++
-		cloneInto(child, s)
-		if bit < MaxThreads {
-			if err := e.step(child, bit); err != nil {
-				e.fail(err)
-				return
-			}
-		} else {
-			child.Drain(bit - MaxThreads)
-		}
-		// The child sleeps on every already-covered transition that
-		// commutes with the one just fired.
-		var childSleep uint32
-		for sb := 0; sb < 2*MaxThreads; sb++ {
-			if cur&(1<<uint(sb)) != 0 && indep(a, sb, bit) {
-				childSleep |= 1 << uint(sb)
-			}
+		childSleep, ok := e.fire(w, a, s, child, bit, childSleep)
+		if !ok {
+			// The exploration failed or ran out of budget: the frontier
+			// drains.
+			w.putState(child)
+			return
 		}
 		var path *link
 		if e.paths != nil {
 			path = &link{parent: n.path, bit: uint8(bit)}
 		}
-		e.enqueue(w, child, childSleep, resumeFrom(child, bit%MaxThreads), path)
-		cur |= tb
+		e.enqueue(w, child, childSleep, path)
+		cur |= 1 << uint(bit)
 	}
 }
 
-// enqueue brings a freshly produced state into normal form, runs the
-// seen-set protocol on it and, if it needs (re-)expansion, pushes it on
-// the worker's frontier; pruned and dropped states go back on the
-// worker's freelist. Threads below from have no det step in s; path is
-// the node's path from the root.
-func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, from int, path *link) {
+// fire produces in child the successor of s by transition bit, one that
+// a, s's analysis, enables: it copies s into child, executes the
+// transition, brings the copy into normal form and updates the
+// fingerprint components the copy carries. The memory delta comes from
+// the transition's write set, and the threads recomputed are the one that
+// fired, every one normalize stepped and any spawned. sleep is the
+// child's sleep set, returned as normalize leaves it. ok is false when
+// the child must be dropped: a step failed, or the exploration is over.
+func (e *engine) fire(w *workerCtx, a *analysis, s, child *state, bit int, sleep uint32) (_ uint32, ok bool) {
+	cloneInto(child, s)
+	writes := a.writes(bit)
+	child.memDelta(writes, false)
+	tid := bit % MaxThreads
+	if bit < MaxThreads {
+		if err := e.step(child, tid); err != nil {
+			e.fail(err)
+			return 0, false
+		}
+	} else {
+		child.Drain(tid)
+	}
+	child.memDelta(writes, true)
 	if e.truncated.Load() {
-		w.putState(s)
-		return
+		return 0, false
 	}
-	sleep, ok := e.normalize(w, s, sleep, from)
+	sleep, dirty, ok := e.normalize(w, child, sleep, resumeFrom(child, tid))
 	if !ok {
-		w.putState(s)
-		return
+		return 0, false
 	}
-	w.encBuf = e.encode(s, w.encBuf)
+	w.encBuf = e.rehash(child, dirty|stepBit(tid), w.encBuf)
+	return sleep, true
+}
+
+// enqueue runs the seen-set protocol on a state fire produced and, if it
+// needs (re-)expansion, pushes it on the worker's frontier; a pruned state
+// goes back on the worker's freelist. path is the node's path from the
+// root.
+func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, path *link) {
 	w.stats.seenProbes++
 
 	var need bool
@@ -569,6 +601,7 @@ func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, from int, path *l
 	if e.cfg.ExactSeen {
 		// The oracle keys by the encoding's bytes; keyBuf is free scratch
 		// until record renders the next outcome key into it.
+		w.encBuf = e.encode(s, w.encBuf)
 		w.keyBuf = appendWordBytes(w.keyBuf[:0], w.encBuf)
 		sh := &e.shards[fnv1a(w.keyBuf)%nShards]
 		sh.mu.Lock()
@@ -589,7 +622,7 @@ func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, from int, path *l
 		}
 		sh.mu.Unlock()
 	} else {
-		h := hash128w(w.encBuf)
+		h := fingerprint(s)
 		sh := &e.shards[h.hi%nShards]
 		sh.mu.Lock()
 		need, revisit = sh.visit(h, sleep)
@@ -610,11 +643,11 @@ func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, from int, path *l
 
 // normalize merges invisible steps: while some thread's next step is det,
 // it fires the lowest-numbered such thread in place, so only the state
-// where the chain ends is encoded, stored and expanded. A det step is an
-// enabled step with no effect on shared memory (stepFP reports it local)
-// that is neither a load forwarded from its thread's store buffer nor a
-// retreating branch (see detThread): it commutes with every transition of
-// every other thread, so firing it alone loses no final state, and it
+// where the chain ends is fingerprinted, stored and expanded. A det step
+// is an enabled step with no effect on shared memory (stepFP reports it
+// local) that is neither a load forwarded from its thread's store buffer
+// nor a retreating branch (see detStep): it commutes with every transition
+// of every other thread, so firing it alone loses no final state, and it
 // cannot wake or disable anyone, so it leaves the other threads' sleep
 // bits as they are and clears only its own thread's. A forwarded load is
 // local but would not commute with its own thread's drain followed by
@@ -624,33 +657,36 @@ func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, from int, path *l
 // reverse-postorder index strictly increases, so every closed walk of a
 // CFG takes a retreating edge. Every cycle of the state graph, and every
 // endless register-only loop, therefore keeps a stored, fully expanded
-// state (the cycle proviso), and a spinning thread cannot starve its
-// peers out of the reduced graph. Forward branches (if/else arms, loop
-// exits, early returns) merge like any other local step. A chain still
-// ends unless a thread recurses forever without taking a retreating
-// branch, growing frames; a chain longer than cfg.MaxStates truncates
-// the exploration like the state budget does. NoPOR states stay as
-// produced. The caller promises that no thread below from has a det step
-// in s. ok is false when the state must be dropped: the chain hit the
-// budget or a step failed.
-func (e *engine) normalize(w *workerCtx, s *state, sleep uint32, from int) (_ uint32, ok bool) {
+// state (the cycle proviso), and a spinning thread cannot starve its peers
+// out of the reduced graph. Forward branches (if/else arms, loop exits,
+// early returns) merge like any other local step. A chain still ends
+// unless a thread recurses forever without taking a retreating branch,
+// growing frames; a chain longer than cfg.MaxStates truncates the
+// exploration like the state budget does. NoPOR states stay as produced.
+// The caller promises that no thread below from has a det step in s. It
+// returns the sleep set and, in dirty, the step bits of the threads it
+// stepped (a det step writes no memory, so those threads hold everything
+// it changed). ok is false when the state must be dropped: the chain hit
+// the budget or a step failed.
+func (e *engine) normalize(w *workerCtx, s *state, sleep uint32, from int) (_, dirty uint32, ok bool) {
 	if e.cfg.NoPOR {
-		return sleep, true
+		return sleep, 0, true
 	}
 	for chain := int64(0); ; chain++ {
-		tid := e.detThread(w, s, from)
+		tid := e.detThread(s, from)
 		if tid < 0 {
-			return sleep, true
+			return sleep, dirty, true
 		}
 		if chain == e.cfg.MaxStates {
 			e.truncated.Store(true)
-			return 0, false
+			return 0, 0, false
 		}
 		if err := e.step(s, tid); err != nil {
 			e.fail(err)
-			return 0, false
+			return 0, 0, false
 		}
 		sleep &^= stepBit(tid) | drainBit(tid)
+		dirty |= stepBit(tid)
 		w.stats.mergedSteps++
 		from = resumeFrom(s, tid)
 	}
@@ -671,27 +707,39 @@ func resumeFrom(s *state, tid int) int {
 
 // detThread returns the lowest-numbered thread, from from on, whose next
 // step is det in s (as normalize defines it), or -1 when there is none.
-func (e *engine) detThread(w *workerCtx, s *state, from int) int {
+func (e *engine) detThread(s *state, from int) int {
 	for tid := from; tid < len(s.Threads); tid++ {
-		if !stepEnabled(s, tid) {
-			continue
-		}
-		f := s.Threads[tid].Top()
-		in := f.Blk.Instrs[f.Idx]
-		switch in.Kind {
-		case ir.Br, ir.Jmp:
-			if e.retreat[f.Fn.ID][f.Blk.ID()] {
-				continue
-			}
-		case ir.Load, ir.LoadPtr:
-			continue // local only when forwarded, and a forwarded load is not det
-		}
-		w.detAn.addrs = w.detAn.addrs[:0]
-		if e.stepFP(&w.detAn, s, tid, in).local {
+		if stepEnabled(s, tid) && e.detStep(&s.Threads[tid]) {
 			return tid
 		}
 	}
 	return -1
+}
+
+// detStep reports whether the next step of t, a thread whose step is
+// enabled, is det. It decides from the instruction kind, the retreat table
+// and t's own buffer alone, where stepFP would build a footprint: the
+// steps stepFP reports local, less loads (local only when forwarded, and
+// a forwarded load is not det) and retreating branches.
+func (e *engine) detStep(t *tso.Thread) bool {
+	f := t.Top()
+	in := f.Blk.Instrs[f.Idx]
+	switch in.Kind {
+	case ir.Const, ir.Move, ir.BinOp, ir.AddrOf, ir.Gep, ir.Assert, ir.Print, ir.Call, ir.Join:
+		return true
+	case ir.Br, ir.Jmp:
+		return !e.retreat[f.Fn.ID][f.Blk.ID()]
+	case ir.Ret:
+		// Thread exit publishes the store buffer, which is empty under SC.
+		return len(t.Frames) > 1 || len(t.Buf) == 0
+	case ir.Store, ir.StorePtr:
+		// The store lands in the buffer, unless it is full and forces the
+		// oldest entry out; under SC it writes memory.
+		return e.cfg.Mode == tso.TSO && len(t.Buf) < e.cfg.BufferCap
+	case ir.Fence:
+		return ir.FenceKind(in.Imm) != ir.FenceFull || len(t.Buf) == 0
+	}
+	return false // loads, CAS, FetchAdd, Alloca, Malloc, Spawn
 }
 
 // record registers the global values of n's terminal (or deadlocked)

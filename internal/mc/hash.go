@@ -2,16 +2,44 @@ package mc
 
 import "encoding/binary"
 
-// The fingerprint seen set: instead of keying visited states by their full
-// canonical encoding (one string allocation per state), the engine keys
-// them by a 128-bit hash of that encoding stored in open-addressed tables.
-// States are encoded as fixed-width words (see engine.encode) and hashed
-// by hash128w, which reads the words directly; hash128 is the same
-// function over bytes and keys the persistent stores (ExplorationKey,
-// BaselineKey). At the engine's state budgets (≤2^21 states per
-// exploration) the collision probability of a 128-bit fingerprint is
-// below 2^-85, far under the odds of a hardware fault; Config.ExactSeen
-// retains the exact string-keyed mode as a cross-checking oracle.
+// The fingerprint seen set keys visited states by a 128-bit fingerprint
+// stored in open-addressed tables instead of their full canonical encoding
+// (one string allocation per state). The fingerprint is a sum, so a
+// transition updates it by what it changed instead of re-encoding and
+// rehashing the whole state (incremental hashing: Nguyen and Ruys,
+// "Incremental Hashing for SPIN", SPIN 2008).
+//
+// Each state carries position-keyed components, all 128-bit hashes by
+// hash128w of fixed-width words:
+//
+//   - each nonzero memory word contributes memComp(addr, val), the hash
+//     of its address and value; a zero word contributes nothing, so
+//     Alloca and Malloc growth changes no component;
+//   - each thread contributes the hash of its id followed by the words
+//     engine.encode gives the thread (done flag, buffer length and frame
+//     count; buffered pairs; per frame its positions and live registers).
+//
+// The state keeps their sum, lane by lane mod 2^64. A transition subtracts
+// the components of the words in its write set before it fires and adds
+// them back after, and recomputes the components of the threads that
+// moved: the one that fired, the ones normalize stepped, any it spawned.
+// The fingerprint is hash128w of four words: the failed flag with the
+// memory size, the thread count, and the two lanes of the sum.
+//
+// Collisions. Header, memory and threads together determine the state,
+// since every component is keyed by its position, so two distinct states
+// with the same header differ in at least one component. Modelling
+// hash128w as a random function, each lane of the difference of their
+// sums is then uniform, and the sums agree with probability 2^-128; the
+// final hash of the four words collides with probability 2^-128 more. At
+// the engine's state budgets (≤2^21 states per exploration, so under 2^41
+// pairs) the probability of any collision is below 2^41 · 2^-127 = 2^-86,
+// far under the odds of a hardware fault. A position appears at most once
+// in a sum, so no component can cancel itself, as it would under XOR.
+// Config.ExactSeen retains the exact string-keyed mode, keyed by
+// engine.encode, as a cross-checking oracle. hash128 is hash128w over bytes
+// and keys the persistent stores (ExplorationKey, BaselineKey); the
+// fingerprint itself is never persisted.
 
 // h128 is a 128-bit state fingerprint.
 type h128 struct{ hi, lo uint64 }
@@ -86,6 +114,16 @@ func hash128w(w []uint64) h128 {
 	}
 	return finish(h1, h2, n)
 }
+
+// memComp is the fingerprint component of memory word addr holding v.
+func memComp(addr, v int64) h128 {
+	w := [2]uint64{uint64(addr), uint64(v)}
+	return hash128w(w[:])
+}
+
+// add and sub are lane-wise sums and differences mod 2^64.
+func (h h128) add(o h128) h128 { return h128{hi: h.hi + o.hi, lo: h.lo + o.lo} }
+func (h h128) sub(o h128) h128 { return h128{hi: h.hi - o.hi, lo: h.lo - o.lo} }
 
 // appendWordBytes appends the little-endian bytes of w to dst: the bytes
 // hash128w hashes, and the key the exact seen sets store.

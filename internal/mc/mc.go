@@ -15,10 +15,15 @@
 // every final state the simulator reaches is one the engine enumerates.
 // Around the step the engine adds four things:
 //
-//   - canonical state hashing: states are encoded into a canonical string
-//     of fixed-width words (memory, per-thread store buffers and frame
-//     stacks), so structurally identical states met along different
-//     interleavings are explored once;
+//   - incremental state fingerprints: every state carries the lane-wise
+//     sum of 128-bit components keyed by position — one per nonzero
+//     memory word (its address and value), one per thread (its id, store
+//     buffer and frame stack) — and a transition updates the sum by what
+//     it changed: the words in its write set and the threads that moved
+//     (see hash.go). The 128-bit hash of the sum, the thread count, the
+//     memory size and the failed flag keys the seen set, so structurally
+//     identical states met along different interleavings are explored
+//     once;
 //
 //   - partial-order reduction: invisible steps (register ops, buffered
 //     stores, frame pushes/pops, forward branches) are merged into the
@@ -30,10 +35,11 @@
 //     visible transitions. Reduction preserves the reachable final-state
 //     set, which is the property certification compares;
 //
-//   - dead-register reduction: a frame's encoding holds only the
-//     registers live at its program point (cfg.LiveRegs, a backward
-//     liveness pass per function), so states that differ only in values
-//     no path reads before overwriting hash alike and are explored once.
+//   - dead-register reduction: a thread's fingerprint component, like its
+//     canonical encoding (encode), holds per frame only the registers live
+//     at the frame's program point (cfg.LiveRegs, a backward liveness pass
+//     per function), so states that differ only in values no path reads
+//     before overwriting hash alike and are explored once.
 //     Dead registers keep whatever stale value they last held; a dead
 //     value cannot reach memory, a branch or an outcome, so the reachable
 //     final-state set is unchanged;
@@ -73,6 +79,7 @@ package mc
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strconv"
@@ -182,11 +189,17 @@ func (s *StateSet) Has(want map[string]int64, prog *ir.Program) bool {
 
 // --- machine state -----------------------------------------------------------
 
-// state is a machine state of tso's step semantics plus the engine's one
-// addition: whether an Assert failed on the path to it.
+// state is a machine state of tso's step semantics plus the engine's
+// additions: whether an Assert failed on the path to it, and the
+// fingerprint components it carries (see hash.go). sum is the lane-wise
+// sum of the components of every nonzero memory word and every thread;
+// thr holds each thread's component, indexed by thread id. fire keeps
+// both up to date, and components computes them from scratch.
 type state struct {
 	tso.State
 	failed bool
+	sum    h128
+	thr    []h128
 }
 
 func (s *state) clone() *state {
@@ -201,6 +214,8 @@ func (s *state) clone() *state {
 // only shape growth beyond a recycled state's capacity allocates.
 func cloneInto(dst, src *state) {
 	dst.failed = src.failed
+	dst.sum = src.sum
+	dst.thr = append(dst.thr[:0], src.thr...)
 	dst.Mem = append(dst.Mem[:0], src.Mem...)
 	n := len(src.Threads)
 	if cap(dst.Threads) >= n {
@@ -270,6 +285,8 @@ func retreatTables(p *ir.Program) [][]bool {
 // and (instruction index, retDst), stable across workers — followed by
 // the registers live at that position only. Position determines the live
 // set, so the string stays injective on everything a future step can read.
+// It keys the ExactSeen oracle's seen set; a thread's words are also what
+// its fingerprint component hashes.
 func (e *engine) encode(s *state, buf []uint64) []uint64 {
 	failed := uint64(0)
 	if s.failed {
@@ -281,26 +298,101 @@ func (e *engine) encode(s *state, buf []uint64) []uint64 {
 		b = append(b, uint64(v))
 	}
 	for i := range s.Threads {
-		t := &s.Threads[i]
-		done := uint64(0)
-		if t.Done {
-			done = 1
-		}
-		b = append(b, done|uint64(len(t.Buf))<<1|uint64(len(t.Frames))<<32)
-		for _, en := range t.Buf {
-			b = append(b, uint64(en.Addr), uint64(en.Val))
-		}
-		for j := range t.Frames {
-			f := &t.Frames[j]
-			blk, regs := f.Blk.ID(), f.Regs
-			fid := f.Fn.ID
-			b = append(b, uint64(fid)<<32|uint64(blk), uint64(f.Idx)<<32|uint64(uint32(f.RetDst)))
-			for _, r := range live[fid][blk][f.Idx] {
-				b = append(b, uint64(regs[r]))
-			}
+		b = appendThread(b, &s.Threads[i], live)
+	}
+	return b
+}
+
+// appendThread appends thread t's words of the canonical form to b.
+func appendThread(b []uint64, t *tso.Thread, live [][][][]ir.Reg) []uint64 {
+	done := uint64(0)
+	if t.Done {
+		done = 1
+	}
+	b = append(b, done|uint64(len(t.Buf))<<1|uint64(len(t.Frames))<<32)
+	for _, en := range t.Buf {
+		b = append(b, uint64(en.Addr), uint64(en.Val))
+	}
+	for j := range t.Frames {
+		f := &t.Frames[j]
+		blk, regs := f.Blk.ID(), f.Regs
+		fid := f.Fn.ID
+		b = append(b, uint64(fid)<<32|uint64(blk), uint64(f.Idx)<<32|uint64(uint32(f.RetDst)))
+		for _, r := range live[fid][blk][f.Idx] {
+			b = append(b, uint64(regs[r]))
 		}
 	}
 	return b
+}
+
+// threadComp is thread tid's fingerprint component: hash128w of its id
+// followed by its words of the canonical form, built in buf, which it
+// returns for reuse.
+func (e *engine) threadComp(s *state, tid int, buf []uint64) (h128, []uint64) {
+	buf = appendThread(append(buf[:0], uint64(tid)), &s.Threads[tid], e.live)
+	return hash128w(buf), buf
+}
+
+// components computes s's fingerprint components from scratch.
+func (e *engine) components(s *state, buf []uint64) []uint64 {
+	s.sum = h128{}
+	for addr, v := range s.Mem {
+		if v != 0 {
+			s.sum = s.sum.add(memComp(int64(addr), v))
+		}
+	}
+	s.thr = s.thr[:0]
+	return e.rehash(s, 0, buf)
+}
+
+// rehash recomputes the components of the threads in the dirty mask and
+// of every thread s gained since its components were last brought up to
+// date, and adjusts the sum.
+func (e *engine) rehash(s *state, dirty uint32, buf []uint64) []uint64 {
+	for tid := len(s.thr); tid < len(s.Threads); tid++ {
+		s.thr = append(s.thr, h128{})
+		dirty |= stepBit(tid)
+	}
+	var c h128
+	for ; dirty != 0; dirty &= dirty - 1 {
+		tid := bits.TrailingZeros32(dirty)
+		c, buf = e.threadComp(s, tid, buf)
+		s.sum = s.sum.sub(s.thr[tid]).add(c)
+		s.thr[tid] = c
+	}
+	return buf
+}
+
+// memDelta subtracts from s's sum (add false) or adds to it the
+// components of the memory words at addrs, a sorted write set. Repeated
+// addresses count once, and addresses outside memory — those of a step
+// that is about to fail — not at all.
+func (s *state) memDelta(addrs []int64, add bool) {
+	prev := int64(-1)
+	for _, addr := range addrs {
+		if addr == prev || addr < 0 || addr >= int64(len(s.Mem)) {
+			continue
+		}
+		prev = addr
+		if v := s.Mem[addr]; v != 0 {
+			if add {
+				s.sum = s.sum.add(memComp(addr, v))
+			} else {
+				s.sum = s.sum.sub(memComp(addr, v))
+			}
+		}
+	}
+}
+
+// fingerprint is s's seen-set key: hash128w of the failed flag with the
+// memory size, the thread count and the two lanes of the carried sum.
+func fingerprint(s *state) h128 {
+	head := uint64(len(s.Mem)) << 1
+	if s.failed {
+		head |= 1
+	}
+	w := [4]uint64{head, uint64(len(s.Threads)), s.sum.hi, s.sum.lo}
+	return hash128w(w[:])
 }
 
 // appendOutcomeKey renders the printable outcome key of a terminal state
@@ -478,7 +570,11 @@ func (e *engine) stepFP(a *analysis, s *state, tid int, in *ir.Instr) fp {
 	case ir.Alloca, ir.Malloc:
 		return fp{alloc: true}
 	case ir.Spawn:
-		return fp{univ: true}
+		// The parent's buffer drains first; the write set gives fire the
+		// words that changed.
+		f := a.writeBuf(t, false, 0)
+		f.univ = true
+		return f
 	}
 	return fp{univ: true} // unknown kinds: maximally conservative
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"testing"
 	"time"
 	"unsafe"
@@ -318,20 +319,37 @@ func TestHash128wMatchesBytes(t *testing.T) {
 	}
 }
 
-// TestHash128wEncodeAllocs pins the per-state fingerprint path: encoding a
-// state into a warm buffer and hashing the words allocates nothing.
-func TestHash128wEncodeAllocs(t *testing.T) {
+// TestFireFingerprintAllocs pins the per-transition path: firing every
+// transition of a state into a warm child shell — copy, step, normalize
+// and the fingerprint update — and taking the child's fingerprint
+// allocate nothing.
+func TestFireFingerprintAllocs(t *testing.T) {
 	e, s, err := newEngine(medium3(), []string{"t0", "t1", "t2"}, Config{Mode: tso.TSO, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := e.encode(s, nil)
+	w := &workerCtx{}
+	if _, _, ok := e.normalize(w, s, 0, 0); !ok {
+		t.Fatal(e.err)
+	}
+	w.encBuf = e.components(s, w.encBuf)
+	e.analyze(s, &w.an)
+	if bits.OnesCount32(w.an.enabled) < 4 {
+		t.Fatalf("root enables %#x: too few transitions to measure", w.an.enabled)
+	}
+	child := &state{}
 	var h h128
-	if allocs := testing.AllocsPerRun(100, func() {
-		buf = e.encode(s, buf)
-		h = hash128w(buf)
-	}); allocs != 0 {
-		t.Errorf("encode + hash128w allocated %.1f times per state, want 0", allocs)
+	fireAll := func() {
+		for todo := w.an.enabled; todo != 0; todo &= todo - 1 {
+			if _, ok := e.fire(w, &w.an, s, child, bits.TrailingZeros32(todo), 0); !ok {
+				t.Fatal(e.err)
+			}
+			h = fingerprint(child)
+		}
+	}
+	fireAll() // grow the child shell and the word buffer
+	if allocs := testing.AllocsPerRun(100, fireAll); allocs != 0 {
+		t.Errorf("fire + fingerprint allocated %.1f times per state, want 0", allocs)
 	}
 	if h == (h128{}) {
 		t.Error("zero fingerprint")
