@@ -30,10 +30,10 @@ func scExplorations() int64 { return telemetry.Default().Counter("mc.sc_explore_
 // exploration reuse: certifying all three placement strategies of one
 // program through an Analyzer must run exactly one SC exploration plus
 // one TSO exploration per distinct instrumented build (strategies that
-// place the same fences share one), with no worker panic recovered along
-// the way, and certifying again must explore nothing. The assertions ride
-// on the model checker's process-wide counters, which is safe here
-// because root-package tests do not run in parallel.
+// place the same effective fences share one), with no worker panic
+// recovered along the way, and certifying again must explore nothing. The
+// assertions ride on the model checker's process-wide counters, which is
+// safe here because root-package tests do not run in parallel.
 func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "") // exploration counts assume no disk cache
 	m := progs.ByName("dekker")
@@ -83,18 +83,20 @@ func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 
 // TestAnalyzerExploresEachBuildOnce pins the session's exploration memo on
 // the TSO side, on dekker 2/1, whose Control and Address+Control builds
-// place the same fences and whose Pensieve build places more.
+// place the same fences and whose Pensieve build places more, though only
+// fences that cannot fire under TSO, and whose Manual build places others.
 func TestAnalyzerExploresEachBuildOnce(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "") // exploration counts assume no disk cache
-	build := func() *fenceplace.Program {
+	build := func(manual bool) *fenceplace.Program {
 		m := progs.ByName("dekker")
 		pp := m.Defaults
 		pp.Threads = 2
 		pp.Size = 1
+		pp.Manual = manual
 		return m.Build(pp)
 	}
 	ctx := context.Background()
-	az := fenceplace.NewAnalyzer(build())
+	az := fenceplace.NewAnalyzer(build(false))
 	pens, ctl, ac := az.Analyze(fenceplace.PensieveOnly), az.Analyze(fenceplace.Control), az.Analyze(fenceplace.AddressControl)
 	certify := func(ctx context.Context, res *fenceplace.Result, opts ...fenceplace.Option) (*fenceplace.CertReport, int64, error) {
 		t.Helper()
@@ -119,9 +121,11 @@ func TestAnalyzerExploresEachBuildOnce(t *testing.T) {
 		t.Errorf("reports differ:\nControl         %s\nAddress+Control %s", repC, repAC)
 	}
 
-	// Pensieve's build places more fences: its own TSO exploration.
-	if _, d, err := certify(ctx, pens); err != nil || d != 1 {
-		t.Errorf("Pensieve ran %d explorations (err %v), want 1", d, err)
+	// Pensieve's build adds full fences at thread entry, where the store
+	// buffer is empty: they cannot change a TSO execution, so the TSO key
+	// leaves them out and Pensieve shares Control's exploration too.
+	if _, d, err := certify(ctx, pens); err != nil || d != 0 {
+		t.Errorf("Pensieve ran %d explorations (err %v), want 0", d, err)
 	}
 
 	// Re-certifying explores nothing.
@@ -133,18 +137,24 @@ func TestAnalyzerExploresEachBuildOnce(t *testing.T) {
 
 	// A cancelled TSO exploration is not memoized: the retry explores. The
 	// SC side is memoized already, so the cancelled call reaches the TSO
-	// memo of a fresh session.
-	az = fenceplace.NewAnalyzer(build())
-	pens, ctl = az.Analyze(fenceplace.PensieveOnly), az.Analyze(fenceplace.Control)
-	if _, _, err := certify(ctx, pens); err != nil {
+	// memo of a fresh session, on the Manual build, whose TSO key differs
+	// from Pensieve's.
+	az = fenceplace.NewAnalyzer(build(false))
+	if _, _, err := certify(ctx, az.Analyze(fenceplace.PensieveOnly)); err != nil {
 		t.Fatal(err)
+	}
+	manual := build(true)
+	certifyManual := func(ctx context.Context) (*fenceplace.CertReport, int64, error) {
+		before := explorations()
+		rep, err := az.CertifyProgramCtx(ctx, manual, nil)
+		return rep, explorations() - before, err
 	}
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, d, err := certify(dead, ctl); !errors.Is(err, context.Canceled) || d != 0 {
+	if _, d, err := certifyManual(dead); !errors.Is(err, context.Canceled) || d != 0 {
 		t.Fatalf("certifying under a cancelled context: %d explorations, err %v; want 0 and context.Canceled", d, err)
 	}
-	if rep, d, err := certify(ctx, ctl); err != nil || d != 1 || !rep.Equivalent {
+	if rep, d, err := certifyManual(ctx); err != nil || d != 1 || !rep.Equivalent {
 		t.Errorf("retry after cancellation ran %d explorations (err %v, report %v), want 1 and a certificate", d, err, rep)
 	}
 
@@ -152,7 +162,7 @@ func TestAnalyzerExploresEachBuildOnce(t *testing.T) {
 	// fits in the budget, the TSO side does not, and asking again — for
 	// either build that places these fences — explores nothing. The
 	// budget comes from a full one-worker run.
-	full, err := fenceplace.CertifyCtx(ctx, fenceplace.NewAnalyzer(build()).Analyze(fenceplace.Control), nil,
+	full, err := fenceplace.CertifyCtx(ctx, fenceplace.NewAnalyzer(build(false)).Analyze(fenceplace.Control), nil,
 		fenceplace.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +173,7 @@ func TestAnalyzerExploresEachBuildOnce(t *testing.T) {
 			full.VisitedSC, full.VisitedTSO)
 	}
 	budget := []fenceplace.Option{fenceplace.WithMaxStates(n), fenceplace.WithWorkers(1)}
-	az = fenceplace.NewAnalyzer(build())
+	az = fenceplace.NewAnalyzer(build(false))
 	ctl, ac = az.Analyze(fenceplace.Control), az.Analyze(fenceplace.AddressControl)
 	for i, res := range []*fenceplace.Result{ctl, ac, ctl} {
 		want := int64(0)

@@ -412,7 +412,8 @@ func CertifyCtx(ctx context.Context, res *Result, threads []string, opts ...Opti
 // explorations (passes.Session.CertBaselineAtCtx and
 // Session.CertifyAgainstCtx): the SC baseline once per configuration and
 // the TSO side once per distinct build, so strategies that place the same
-// fences share one TSO exploration and re-certifying explores nothing.
+// effective fences share one TSO exploration and re-certifying explores
+// nothing.
 // With no options given, the analyzer's construction-time options apply;
 // passing any option replaces the configuration wholesale. With a cache
 // directory in play (WithCacheDir or $FENCEPLACE_CACHE_DIR) both

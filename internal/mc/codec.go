@@ -20,6 +20,7 @@ package mc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fenceplace/internal/ir"
@@ -72,7 +73,7 @@ const tsoSchema = 1
 // performs and retries its disk I/O is not part of Config at all.
 func BaselineKey(orig *ir.Program, threadFns []string, cfg Config) Key {
 	cfg = cfg.withDefaults()
-	return explorationKey("fpbase", orig, threadFns, int64(cfg.MemoryCap))
+	return explorationKey("fpbase", orig, threadFns, false, int64(cfg.MemoryCap))
 }
 
 // ExplorationKey derives the canonical key of the complete exploration of
@@ -81,17 +82,29 @@ func BaselineKey(orig *ir.Program, threadFns []string, cfg Config) Key {
 // and adds tsoSchema and BufferCap, which decides how far stores may be
 // delayed. It excludes the same search-shaping knobs BaselineKey does:
 // Workers, MaxStates, ExactSeen and NoPOR.
+//
+// A TSO key also leaves out the fences that cannot change a TSO execution
+// (see tsoEffective): compiler barriers, and full fences that only ever
+// drain an empty store buffer. Both are det steps, which normalize merges,
+// so no stored state sits at one, and two builds with the same effective
+// fences have isomorphic reduced state graphs: the same outcome set and
+// the same one-worker visit count (NoPOR, which the key excludes anyway,
+// stores every step and counts the fences). They share one key. This
+// needs no tsoSchema bump: two keys can only newly coincide for builds
+// that differ only in such fences, and a program without them keys
+// exactly as before.
 func ExplorationKey(p *ir.Program, threadFns []string, cfg Config) Key {
 	if cfg.Mode == tso.SC {
 		return BaselineKey(p, threadFns, cfg)
 	}
 	cfg = cfg.withDefaults()
-	return explorationKey("fptso", p, threadFns, tsoSchema, int64(cfg.MemoryCap), int64(cfg.BufferCap))
+	return explorationKey("fptso", p, threadFns, true, tsoSchema, int64(cfg.MemoryCap), int64(cfg.BufferCap))
 }
 
 // explorationKey hashes the domain tag, the key schema, the semantic
-// config parameters, the entry configuration and the program structure.
-func explorationKey(tag string, p *ir.Program, threadFns []string, params ...int64) Key {
+// config parameters, the entry configuration and the program structure,
+// less the no-op fences when dropNoOps is set (see appendProgram).
+func explorationKey(tag string, p *ir.Program, threadFns []string, dropNoOps bool, params ...int64) Key {
 	p.Finalize()
 
 	fnPos := make(map[*ir.Fn]int64, len(p.Funcs))
@@ -122,7 +135,7 @@ func explorationKey(tag string, p *ir.Program, threadFns []string, params ...int
 		}
 	}
 
-	b = appendProgram(b, p, fnIdx)
+	b = appendProgram(b, p, fnIdx, dropNoOps)
 	h := hash128(b)
 	return Key{Hi: h.hi, Lo: h.lo}
 }
@@ -130,7 +143,9 @@ func explorationKey(tag string, p *ir.Program, threadFns []string, params ...int
 // appendProgram renders the program's semantic structure into b. Globals
 // and functions are referenced by index (their order defines the memory
 // layout and the engine's function table), blocks by their finalized IDs.
-func appendProgram(b []byte, p *ir.Program, fnIdx func(string) int64) []byte {
+// With dropNoOps it renders only the instructions tsoEffective keeps, and
+// each block's instruction count counts only those.
+func appendProgram(b []byte, p *ir.Program, fnIdx func(string) int64, dropNoOps bool) []byte {
 	gPos := make(map[*ir.Global]int64, len(p.Globals))
 	b = binary.AppendVarint(b, int64(len(p.Globals)))
 	for i, g := range p.Globals {
@@ -147,14 +162,28 @@ func appendProgram(b []byte, p *ir.Program, fnIdx func(string) int64) []byte {
 		}
 		return int64(blk.ID())
 	}
+	var called []bool
+	var bufIn []uint8
+	var kept []*ir.Instr
+	if dropNoOps {
+		called = calledFns(p, fnIdx)
+	}
 	b = binary.AppendVarint(b, int64(len(p.Funcs)))
-	for _, f := range p.Funcs {
+	for fi, f := range p.Funcs {
 		b = binary.AppendVarint(b, int64(f.NParams))
 		b = binary.AppendVarint(b, int64(f.NRegs))
 		b = binary.AppendVarint(b, int64(len(f.Blocks)))
+		if dropNoOps {
+			bufIn = bufAtEntry(f, !called[fi], bufIn)
+		}
 		for _, blk := range f.Blocks {
-			b = binary.AppendVarint(b, int64(len(blk.Instrs)))
-			for _, in := range blk.Instrs {
+			instrs := blk.Instrs
+			if dropNoOps {
+				kept = tsoEffective(kept[:0], blk, bufIn)
+				instrs = kept
+			}
+			b = binary.AppendVarint(b, int64(len(instrs)))
+			for _, in := range instrs {
 				b = append(b, byte(in.Kind), byte(in.Op))
 				for _, r := range [...]ir.Reg{in.Dst, in.A, in.B, in.Idx, in.Addr} {
 					b = binary.AppendVarint(b, int64(r))
@@ -180,6 +209,108 @@ func appendProgram(b []byte, p *ir.Program, fnIdx func(string) int64) []byte {
 		}
 	}
 	return b
+}
+
+// The no-op fence analysis asks one question per program point: may this
+// thread's store buffer hold a store here? Its states are ordered so that
+// the join of two is their maximum.
+const (
+	bufUnreached uint8 = iota // no path reaches the point (yet)
+	bufEmpty                  // every path arrives with an empty buffer
+	bufMaybe                  // some path may arrive with a store buffered
+)
+
+// calledFns reports, per function position, whether some Call targets the
+// function. A function no Call targets only ever starts a thread (main, a
+// Spawn target, a litmus thread function), so it starts with an empty
+// store buffer.
+func calledFns(p *ir.Program, fnIdx func(string) int64) []bool {
+	called := make([]bool, len(p.Funcs))
+	for _, f := range p.Funcs {
+		for _, blk := range f.Blocks {
+			for _, in := range blk.Instrs {
+				if in.Kind == ir.Call {
+					if i := fnIdx(in.Callee); i >= 0 {
+						called[i] = true
+					}
+				}
+			}
+		}
+	}
+	return called
+}
+
+// bufAfter is the analysis's transfer function: the buffer state after in
+// executes from state st. A store may leave the buffer non-empty, and so
+// may a call, whose callee may store; a full fence, CAS, FetchAdd and
+// Spawn drain it (tso.Machine.Step calls DrainAll for each).
+func bufAfter(in *ir.Instr, st uint8) uint8 {
+	switch in.Kind {
+	case ir.Store, ir.StorePtr, ir.Call:
+		return bufMaybe
+	case ir.CAS, ir.FetchAdd, ir.Spawn:
+		return bufEmpty
+	case ir.Fence:
+		if ir.FenceKind(in.Imm) == ir.FenceFull {
+			return bufEmpty
+		}
+	}
+	return st
+}
+
+// bufAtEntry runs the forward may-analysis over f and returns, in in
+// (reused, indexed by block ID), the buffer state at each block's entry:
+// the entry block starts empty when entryEmpty holds and maybe non-empty
+// otherwise, and every other block joins its predecessors' exit states.
+// Blocks no path reaches stay bufUnreached.
+func bufAtEntry(f *ir.Fn, entryEmpty bool, in []uint8) []uint8 {
+	n := len(f.Blocks)
+	in = slices.Grow(in[:0], n)[:n]
+	clear(in)
+	if n == 0 {
+		return in
+	}
+	in[0] = bufMaybe
+	if entryEmpty {
+		in[0] = bufEmpty
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, blk := range f.Blocks {
+			st := in[blk.ID()]
+			if st == bufUnreached {
+				continue
+			}
+			for _, ins := range blk.Instrs {
+				st = bufAfter(ins, st)
+				for _, succ := range [...]*ir.Block{ins.Then, ins.Else} {
+					if succ != nil && in[succ.ID()] < st {
+						in[succ.ID()] = st
+						changed = true
+					}
+				}
+			}
+		}
+	}
+	return in
+}
+
+// tsoEffective appends to dst the instructions of blk that can change a
+// TSO execution, given in, the bufAtEntry table of blk's function: every
+// instruction but compiler barriers and the full fences the analysis
+// reaches only with an empty buffer. An unreached block keeps its fences.
+func tsoEffective(dst []*ir.Instr, blk *ir.Block, in []uint8) []*ir.Instr {
+	st := in[blk.ID()]
+	if st == bufUnreached {
+		st = bufMaybe
+	}
+	for _, ins := range blk.Instrs {
+		if !(ins.Kind == ir.Fence && (ir.FenceKind(ins.Imm) != ir.FenceFull || st == bufEmpty)) {
+			dst = append(dst, ins)
+		}
+		st = bufAfter(ins, st)
+	}
+	return dst
 }
 
 // Record magics: the first three bytes name the record's kind, the

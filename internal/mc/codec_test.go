@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fenceplace/internal/ir"
@@ -269,11 +270,54 @@ func TestExplorationKeyGoldenAndSensitivity(t *testing.T) {
 	if k := tsoKey(sbProgram(), []string{"t1", "t0"}, Config{}); k == base {
 		t.Error("thread order did not change the TSO key")
 	}
-	fenced := sbProgram()
-	fenced.Fn("t0").Blocks[0].Insert(1, &ir.Instr{Kind: ir.Fence, Imm: int64(ir.FenceFull)})
-	fenced.Finalize()
-	if k := tsoKey(fenced, threads, Config{}); k == base {
+	// t0 is Const, Store x, Load y, Store o0, Ret: a full fence after the
+	// store (index 2) orders it before the load.
+	fenced := withFences(sbProgram(), "t0", ir.FenceFull, 2)
+	fencedKey := tsoKey(fenced, threads, Config{})
+	if fencedKey == base {
 		t.Error("an inserted fence did not change the TSO key")
+	}
+
+	// Fences that cannot change a TSO execution leave the key alone: a
+	// compiler barrier anywhere, and a full fence that only ever drains an
+	// empty buffer — at thread entry, before the thread's first store, or
+	// right after another full fence.
+	for pos := 0; pos < len(sbProgram().Fn("t0").Blocks[0].Instrs); pos++ {
+		if k := tsoKey(withFences(sbProgram(), "t0", ir.FenceCompiler, pos), threads, Config{}); k != base {
+			t.Errorf("a compiler barrier at t0[%d] changed the TSO key", pos)
+		}
+	}
+	for _, pos := range []int{0, 1} {
+		if k := tsoKey(withFences(sbProgram(), "t0", ir.FenceFull, pos), threads, Config{}); k != base {
+			t.Errorf("a full fence at t0[%d], before any store, changed the TSO key", pos)
+		}
+	}
+	if k := tsoKey(withFences(sbProgram(), "t0", ir.FenceFull, 2, 3), threads, Config{}); k != fencedKey {
+		t.Error("a full fence right after a full fence changed the TSO key")
+	}
+
+	// And right after Spawn, CAS or FetchAdd, which drain the buffer.
+	for _, tc := range []struct {
+		prog  *ir.Program
+		drain ir.Kind
+	}{{spawnProgram(), ir.Spawn}, {drainProgram(true), ir.CAS}, {drainProgram(false), ir.FetchAdd}} {
+		k := tsoKey(tc.prog, nil, Config{})
+		entry := tc.prog.Fn("main").Blocks[0]
+		pos := slices.IndexFunc(entry.Instrs, func(in *ir.Instr) bool { return in.Kind == tc.drain })
+		if got := tsoKey(withFences(tc.prog, "main", ir.FenceFull, pos+1), nil, Config{}); got != k {
+			t.Errorf("a full fence right after %s changed the TSO key", tc.drain)
+		}
+	}
+	// drainProgram buffers its store at index 1: a fence after it counts.
+	if tsoKey(withFences(drainProgram(true), "main", ir.FenceFull, 2), nil, Config{}) == tsoKey(drainProgram(true), nil, Config{}) {
+		t.Error("a full fence after a buffered store did not change the TSO key")
+	}
+	// spawnProgram's fence after the Spawn is itself a no-op.
+	noFence := spawnProgram()
+	noFence.Fn("main").Blocks[0].Instrs = slices.Delete(noFence.Fn("main").Blocks[0].Instrs, 2, 3)
+	noFence.Finalize()
+	if tsoKey(noFence, nil, Config{}) != tsoKey(spawnProgram(), nil, Config{}) {
+		t.Error("deleting spawnProgram's fence after the Spawn changed the TSO key")
 	}
 }
 
@@ -331,4 +375,33 @@ func TestExplorationRecordKinds(t *testing.T) {
 	if _, err := MarshalExploration(tso.TSO, ts); err == nil {
 		t.Error("a truncated exploration marshaled")
 	}
+}
+
+// withFences inserts a fence of kind k into fn's entry block of p at each
+// position of pos, in order, and returns p.
+func withFences(p *ir.Program, fn string, k ir.FenceKind, pos ...int) *ir.Program {
+	for _, i := range pos {
+		p.Fn(fn).Blocks[0].Insert(i, &ir.Instr{Kind: ir.Fence, Imm: int64(k)})
+	}
+	p.Finalize()
+	return p
+}
+
+// drainProgram's main buffers a store to x (Const, Store x: indices 0
+// and 1), drains it with a CAS or a FetchAdd on y and then loads z.
+func drainProgram(cas bool) *ir.Program {
+	pb := ir.NewProgram("drain")
+	x, y, z := pb.Global("x", 1), pb.Global("y", 1), pb.Global("z", 1)
+	m := pb.Func("main", 0)
+	m.Store(x, m.Const(1))
+	addr := m.AddrOf(y)
+	if cas {
+		m.CAS(addr, m.Const(0), m.Const(1))
+	} else {
+		m.FetchAdd(addr, m.Const(1))
+	}
+	m.Store(x, m.Load(z))
+	m.RetVoid()
+	pb.SetMain("main")
+	return pb.MustBuild()
 }

@@ -154,3 +154,28 @@ func DetStepAgreement(p *ir.Program, threadFns []string, cfg Config, maxStates i
 	}
 	return checked, nil
 }
+
+// StripNoOpFences returns a copy of p without the fences a TSO
+// ExplorationKey leaves out (tsoEffective), and how many it removed.
+func StripNoOpFences(p *ir.Program) (*ir.Program, int) {
+	q, _, _ := p.Clone()
+	called := calledFns(q, func(name string) int64 {
+		for i, f := range q.Funcs {
+			if f.Name == name {
+				return int64(i)
+			}
+		}
+		return -1
+	})
+	removed := 0
+	for i, f := range q.Funcs {
+		in := bufAtEntry(f, !called[i], nil)
+		for _, blk := range f.Blocks {
+			kept := tsoEffective(nil, blk, in)
+			removed += len(blk.Instrs) - len(kept)
+			blk.Instrs = kept
+		}
+	}
+	q.Finalize()
+	return q, removed
+}

@@ -436,8 +436,10 @@ func (s *Session) CertBaselineAtCtx(ctx context.Context, threadFns []string, cfg
 // CertifyAgainstCtx certifies inst, an instrumented build of the session's
 // program, against base: the complete TSO exploration of inst comes from
 // the session memo (see explore) and mc.Compare decides the verdict.
-// Builds that place the same fences share one exploration, so certifying
-// strategies that agree explores the build once; with a warm store in
+// Builds that place the same effective fences share one exploration (the
+// TSO key leaves out fences that cannot change a TSO execution, see
+// mc.ExplorationKey), so certifying strategies that agree explores the
+// build once; with a warm store in
 // cache a repeated certification costs a store read and an outcome-set
 // comparison, no exploration.
 func (s *Session) CertifyAgainstCtx(ctx context.Context, base *mc.Baseline, inst *ir.Program, cfg mc.Config, cache Cache) (*mc.Report, error) {
@@ -453,7 +455,8 @@ func (s *Session) CertifyAgainstCtx(ctx context.Context, base *mc.Baseline, inst
 // explore returns the session's memoized complete exploration of (p,
 // threadFns) under ncfg, a normalized config whose Mode picks the side:
 // the SC baseline or a build's TSO outcome set. Entries are keyed by
-// explorationKey, so two structurally identical builds share one entry.
+// explorationKey, so two structurally identical builds share one entry,
+// and on the TSO side so do two that differ only in no-op fences.
 // Each exploration is recorded as a pass ("mc-baseline" or "mc-tso",
 // with a "/warm" suffix when the store served it).
 //

@@ -406,13 +406,14 @@ func TestStateBudgetVerdict(t *testing.T) {
 }
 
 // TestDeadlineEnforced: a job that cannot finish inside its clamped
-// deadline fails with the deadline error instead of running forever.
+// deadline fails with the deadline error instead of running forever. The
+// job is the endless blocker program under a budget it would take far
+// longer than the deadline to exhaust, so the deadline is what ends it
+// however fast the model checker gets.
 func TestDeadlineEnforced(t *testing.T) {
 	m := newTestManager(t, Config{MaxStatesCap: 1 << 26})
 	c, _, err := m.Submit(&Request{
-		Corpus:  "msqueue",
-		Threads: 3,
-		Size:    4,
+		Program: blockerSrc,
 		Budget:  Budget{MaxStates: 1 << 26, DeadlineMS: 50},
 	})
 	if err != nil {
