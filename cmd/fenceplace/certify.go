@@ -34,8 +34,8 @@ const (
 // the baseline and every variant's TSO outcome set persist in a
 // content-addressed store, so repeated invocations skip both explorations
 // (inspect the store with cmd/fencecache). -json emits a corpus Report
-// (one Row, cert verdicts per strategy) that merges with other corpus
-// reports and feeds the same table renderers.
+// (one Row, cert verdicts per strategy) that corpus.DecodeJSON reads back
+// for the same table renderers.
 func certify(args []string) int {
 	fs := flag.NewFlagSet("fenceplace certify", flag.ExitOnError)
 	progName, file := inputFlags(fs, "certify")

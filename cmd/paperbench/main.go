@@ -6,20 +6,20 @@
 //	paperbench -fig7 -fig9  # selected figures
 //	paperbench -seeds 3     # average Figure 10 over 3 simulator seeds
 //	paperbench -j 4         # analyze the corpus with 4 parallel workers
+//	paperbench -cert -json c.json  # certification table; its report as JSON
 //
-// The evaluation is driven through the public fenceplace/corpus package,
-// which makes runs shardable across processes and machines:
+// The evaluation runs in one process through the public fenceplace/corpus
+// package: each report is one corpus.Runner run, and its rows, sorted by
+// corpus index, render the tables. The figures and their report are
+// identical at every -j; so are the certification table and its report
+// when exploration runs on one core (GOMAXPROCS=1), since state counts
+// above one exploration worker depend on the schedule.
 //
-//	paperbench -shard 1/2 -json s1.json     # analyze half the corpus
-//	paperbench -shard 2/2 -json s2.json     # ...the other half elsewhere
-//	paperbench -merge s1.json,s2.json       # render tables from the merged
-//	                                        # reports — byte-identical to an
-//	                                        # unsharded run
-//
-// -json writes the run's corpus Report (the evaluation report when
-// figures ran, else the certification report); -merge skips analysis and
-// renders the requested tables from previously written reports. Shards of
-// a -cert run merge the same way.
+// -json writes the run's corpus Report: the evaluation report when a
+// figure ran, else the certification report. Table II and Figure 2 produce
+// no report, so -json with only -table2 or -fig2 is a usage error (exit 2),
+// as is -seeds below 1 when Figure 10 renders. Both are rejected before
+// any work runs.
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"fenceplace"
@@ -60,36 +59,30 @@ func run(args []string) int {
 		cert    = fs.Bool("cert", false, "certification column: model-check SC-equivalence of every placement")
 		budget  = fs.Int64("certbudget", 1<<21, "model-checker state budget per exploration")
 		jobs    = fs.Int("j", 0, "corpus analysis workers (0 = GOMAXPROCS)")
-		shard   = fs.String("shard", "", "run only shard i/n of the corpus (e.g. 2/4); rows keep their unsharded index")
 		jsonOut = fs.String("json", "", "write the run's corpus Report JSON to this file")
-		mergeIn = fs.String("merge", "", "comma-separated report JSON files: skip analysis, merge them and render the requested tables")
 	)
 	fl := cli.Register(fs, cli.Store|cli.Run)
 	if !fl.Parse(fs, args) {
 		return 0
 	}
+
+	all := !*table2 && !*fig2 && !*fig7 && !*fig8 && !*fig9 && !*fig10 && !*manual && !*cert
+	eval := all || *fig7 || *fig8 || *fig9 || *fig10 || *manual
+	switch {
+	case *jsonOut != "" && !eval && !*cert:
+		fmt.Fprintln(os.Stderr, "-json: Table II and Figure 2 produce no report; select a figure, -manual or -cert")
+		return 2
+	case *seeds < 1 && (all || *fig10):
+		fmt.Fprintf(os.Stderr, "-seeds %d: Figure 10 needs at least one simulator seed\n", *seeds)
+		return 2
+	}
+
 	ctx, finish, err := fl.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	defer finish()
-
-	all := !*table2 && !*fig2 && !*fig7 && !*fig8 && !*fig9 && !*fig10 && !*manual && !*cert
-
-	if *mergeIn != "" {
-		if err := renderMerged(*mergeIn, all, *fig7, *fig8, *fig9, *fig10, *manual, *cert); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
-	shardI, shardN, err := parseShard(*shard)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 
 	if all || *table2 {
 		fmt.Println(renderTable2())
@@ -101,7 +94,6 @@ func run(args []string) int {
 	opts := append([]fenceplace.Option{fenceplace.WithMaxStates(*budget)}, fl.StoreOptions()...)
 
 	var out *corpus.Report
-	var certRan bool
 	if all || *cert {
 		// Exhaustive certification runs the sync kernels at a reduced
 		// instantiation (2 threads) so the whole state space fits. Rows are
@@ -109,26 +101,18 @@ func run(args []string) int {
 		// baseline all four variants certify against. With a warm
 		// -cache-dir both the baselines and the variants' TSO outcome sets
 		// are served from the persistent store without exploring.
-		rep, err := runCert(ctx, os.Stdout, shardI, shardN, *jobs, opts, dir)
+		rep, err := runCert(ctx, os.Stdout, *jobs, opts, dir)
 		if err != nil {
 			return cli.FailCode(err, 1)
 		}
 		out = rep
-		certRan = true
 	}
 	if all || *fig2 {
 		fmt.Println(renderFig2())
 	}
-	if all || *fig7 || *fig8 || *fig9 || *fig10 || *manual {
-		src := corpus.EvalSource()
-		if shardN > 0 {
-			if src, err = corpus.Shard(src, shardI, shardN); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-		}
+	if eval {
 		runner := corpus.Runner{Seeds: *seeds, Workers: *jobs, Options: opts}
-		rep, err := runner.Run(ctx, src)
+		rep, err := runner.Run(ctx, corpus.EvalSource())
 		if err != nil {
 			return cli.FailCode(err, 1)
 		}
@@ -137,14 +121,14 @@ func run(args []string) int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		if certRan && *jsonOut != "" {
+		if (all || *cert) && *jsonOut != "" {
 			// The cert and eval reports come from different sources and
-			// cannot merge into one file; the eval report wins, loudly.
+			// one file holds one report; the eval report wins, loudly.
 			fmt.Fprintln(os.Stderr, "-json: writing the evaluation report; the certification report is separate — rerun with -cert alone to export it")
 		}
 	}
 
-	if *jsonOut != "" && out != nil {
+	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)
 		if err == nil {
 			err = out.EncodeJSON(f)
@@ -160,32 +144,10 @@ func run(args []string) int {
 	return 0
 }
 
-// parseShard parses "i/n" (empty: unsharded, n = 0).
-func parseShard(s string) (i, n int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	is, ns, ok := strings.Cut(s, "/")
-	i, ierr := strconv.Atoi(is)
-	n, nerr := strconv.Atoi(ns)
-	if !ok || ierr != nil || nerr != nil || i < 1 || n < 1 || i > n {
-		return 0, 0, fmt.Errorf("invalid -shard %q (want i/n with 1 <= i <= n)", s)
-	}
-	return i, n, nil
-}
-
 // runCert certifies the kernel corpus and writes the certification table
 // to w with its warm-vs-cold footer (SC and TSO explorations performed;
 // store deltas when an exploration cache is in play).
-func runCert(ctx context.Context, w io.Writer, shardI, shardN, jobs int, opts []fenceplace.Option, dir string) (*corpus.Report, error) {
-	src := corpus.CertSource()
-	if shardN > 0 {
-		var err error
-		if src, err = corpus.Shard(src, shardI, shardN); err != nil {
-			return nil, err
-		}
-	}
-
+func runCert(ctx context.Context, w io.Writer, jobs int, opts []fenceplace.Option, dir string) (*corpus.Report, error) {
 	runs := telemetry.Default().Counter("mc.explore_runs")
 	scRuns := telemetry.Default().Counter("mc.sc_explore_runs")
 	allBefore, scBefore := runs.Value(), scRuns.Value()
@@ -198,7 +160,7 @@ func runCert(ctx context.Context, w io.Writer, shardI, shardN, jobs int, opts []
 	}
 
 	runner := corpus.Runner{Certify: true, Workers: jobs, Options: opts}
-	rep, err := runner.Run(ctx, src)
+	rep, err := runner.Run(ctx, corpus.CertSource())
 	if err != nil {
 		return nil, err
 	}
@@ -238,42 +200,6 @@ func renderFigures(rep *corpus.Report, all, fig7, fig8, fig9, fig10, manual bool
 		fmt.Println(s)
 	}
 	return nil
-}
-
-// renderMerged loads shard reports, merges them and renders the requested
-// tables from the combined data — the cross-process half of the sharded
-// evaluation.
-func renderMerged(files string, all, fig7, fig8, fig9, fig10, manual, cert bool) error {
-	var merged *corpus.Report
-	for _, name := range strings.Split(files, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		f, err := os.Open(name)
-		if err != nil {
-			return err
-		}
-		rep, err := corpus.DecodeJSON(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if merged == nil {
-			merged = rep
-			continue
-		}
-		if err := merged.Merge(rep); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-	}
-	if merged == nil {
-		return fmt.Errorf("-merge: no report files given")
-	}
-	if cert {
-		fmt.Println(corpus.CertTable(merged))
-	}
-	return renderFigures(merged, all, fig7, fig8, fig9, fig10, manual)
 }
 
 // renderTable2 regenerates the paper's Table II: the signature breakdown

@@ -11,8 +11,6 @@ import (
 	"testing"
 
 	"fenceplace"
-	"fenceplace/corpus"
-	"fenceplace/internal/progs"
 )
 
 // TestMain runs the command in place of the tests when runPaperbench
@@ -58,7 +56,7 @@ func TestCertTableRenders(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "") // never read or write the operator's cache
 	var out strings.Builder
 	opts := []fenceplace.Option{fenceplace.WithMaxStates(1 << 20), fenceplace.WithCacheDir("")}
-	rep, err := runCert(context.Background(), &out, 0, 0, 0, opts, "")
+	rep, err := runCert(context.Background(), &out, 0, opts, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,35 +74,18 @@ func TestCertTableRenders(t *testing.T) {
 	}
 }
 
-// TestFailedRunLeavesValidTrace renders Figure 10 from a certification
-// report, which has no dynamic runs, so the run fails with exit 1. The
+// TestFailedRunLeavesValidTrace points -json at a directory, so writing
+// the report fails after the figures rendered and the run exits 1. The
 // -trace file must still be finalized into valid JSON on that path.
 func TestFailedRunLeavesValidTrace(t *testing.T) {
 	dir := t.TempDir()
-	m := progs.ByName("dekker")
-	runner := corpus.Runner{Certify: true, Options: []fenceplace.Option{fenceplace.WithCacheDir("")}}
-	rep, err := runner.Run(context.Background(), corpus.SingleSource("dekker", m.Build(m.CertParams(0, 0)), nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	certJSON, trace := filepath.Join(dir, "c.json"), filepath.Join(dir, "t.json")
-	f, err := os.Create(certJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.EncodeJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	out, code := runPaperbench(t, "-merge", certJSON, "-fig10", "-trace", trace)
+	trace := filepath.Join(dir, "t.json")
+	out, code := runPaperbench(t, "-fig7", "-json", dir, "-trace", trace)
 	if code != 1 {
 		t.Fatalf("want exit code 1, got %d\n%s", code, out)
 	}
-	if !strings.Contains(out, "figure 10 failed") {
-		t.Errorf("stderr does not report the figure 10 failure:\n%s", out)
+	if !strings.Contains(out, "writing report") {
+		t.Errorf("stderr does not report the failed write:\n%s", out)
 	}
 	raw, err := os.ReadFile(trace)
 	if err != nil {
@@ -116,16 +97,31 @@ func TestFailedRunLeavesValidTrace(t *testing.T) {
 	}
 }
 
-// TestShardRejectsTrailingJunk pins strict -shard parsing: anything after
-// "i/n" is a usage error (exit 2), not a valid shard.
-func TestShardRejectsTrailingJunk(t *testing.T) {
-	for _, shard := range []string{"2/2/9", "1/2x", "1/2 "} {
-		out, code := runPaperbench(t, "-shard", shard, "-table2")
+// TestUsageErrors pins the flag combinations that are refused with exit 2
+// before any work runs: -json when no selected section produces a report,
+// and -seeds below 1 when Figure 10 renders. Nothing is printed to stdout
+// and no report file is written.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-table2"}, "produce no report"},
+		{[]string{"-fig2"}, "produce no report"},
+		{[]string{"-seeds", "0", "-fig10"}, "at least one simulator seed"},
+		{[]string{"-seeds", "0"}, "at least one simulator seed"}, // every section, Figure 10 included
+	} {
+		jsonPath := filepath.Join(t.TempDir(), "r.json")
+		args := append(tc.args, "-json", jsonPath)
+		out, code := runPaperbench(t, args...)
 		if code != 2 {
-			t.Errorf("-shard %q: exit code %d, want 2\n%s", shard, code, out)
+			t.Errorf("%v: exit code %d, want 2\n%s", args, code, out)
 		}
-		if !strings.Contains(out, "want i/n") {
-			t.Errorf("-shard %q: output does not explain the i/n form:\n%s", shard, out)
+		if !strings.Contains(out, tc.want) || strings.Contains(out, "acquire signatures") {
+			t.Errorf("%v: want only a usage error mentioning %q, got:\n%s", args, tc.want, out)
+		}
+		if _, err := os.Stat(jsonPath); err == nil {
+			t.Errorf("%v: a report file was written", args)
 		}
 	}
 }

@@ -1,9 +1,8 @@
 package corpus_test
 
 // Tests of the public corpus API, exercised exactly as an external caller
-// would use it: shard the source, run the shards, round-trip the reports
-// through JSON, merge, and demand tables byte-identical to the unsharded
-// run.
+// would use it: run a source, round-trip the report through JSON, and
+// check the tables it renders.
 
 import (
 	"bytes"
@@ -11,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -54,123 +52,62 @@ func variant(t *testing.T, r corpus.Row, name string) corpus.Variant {
 	return corpus.Variant{}
 }
 
-// TestShardPartition pins the partition law: the n shards of a source are
-// disjoint, cover it, and keep the members' names.
-func TestShardPartition(t *testing.T) {
-	src := corpus.EvalSource()
-	for _, n := range []int{1, 2, 3, src.Len(), src.Len() + 3} {
-		var names []string
-		total := 0
-		for i := 1; i <= n; i++ {
-			sh, err := corpus.Shard(src, i, n)
-			if err != nil {
-				t.Fatalf("Shard(%d, %d): %v", i, n, err)
-			}
-			total += sh.Len()
-			for j := 0; j < sh.Len(); j++ {
-				names = append(names, sh.Name(j))
-			}
-		}
-		if total != src.Len() {
-			t.Fatalf("n=%d: shards cover %d members, want %d", n, total, src.Len())
-		}
-		var want []string
-		for j := 0; j < src.Len(); j++ {
-			want = append(want, src.Name(j))
-		}
-		sort.Strings(names)
-		sort.Strings(want)
-		for i := range want {
-			if names[i] != want[i] {
-				t.Fatalf("n=%d: shard union mismatch at %d: %s vs %s", n, i, names[i], want[i])
-			}
-		}
+// TestReportJSONRoundTrip pins the versioned JSON codec on the evaluation
+// report: a decoded report renders every evaluation table byte-identical
+// to the live one and re-encodes to the same bytes, and a report from
+// another wire-format version is refused.
+func TestReportJSONRoundTrip(t *testing.T) {
+	rep := evalReport(t)
+	if len(rep.Rows) != corpus.EvalSource().Len() {
+		t.Fatalf("%d rows, want %d", len(rep.Rows), corpus.EvalSource().Len())
 	}
-	for _, bad := range [][2]int{{0, 2}, {3, 2}, {1, 0}, {-1, 4}} {
-		if _, err := corpus.Shard(src, bad[0], bad[1]); err == nil {
-			t.Errorf("Shard(%d, %d) accepted", bad[0], bad[1])
-		}
+	var enc bytes.Buffer
+	if err := rep.EncodeJSON(&enc); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestShardMergeIdenticalTables is the acceptance check for cross-process
-// sharding: two complementary shard reports, round-tripped through the
-// versioned JSON codec and merged, must render tables byte-identical to an
-// unsharded run — and encode to byte-identical JSON.
-func TestShardMergeIdenticalTables(t *testing.T) {
-	runner := corpus.Runner{Seeds: 1}
-	ctx := context.Background()
-
-	full := evalReport(t)
-	if len(full.Rows) != corpus.EvalSource().Len() {
-		t.Fatalf("unsharded run produced %d rows, want %d", len(full.Rows), corpus.EvalSource().Len())
+	dec, err := corpus.DecodeJSON(bytes.NewReader(enc.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	var merged *corpus.Report
-	for i := 1; i <= 2; i++ {
-		sh, err := corpus.Shard(corpus.EvalSource(), i, 2)
+	fig10 := func(r *corpus.Report) string {
+		s, err := corpus.Fig10(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := runner.Run(ctx, sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Shard != i || rep.Shards != 2 {
-			t.Errorf("shard %d report stamped %d/%d", i, rep.Shard, rep.Shards)
-		}
-		// Round-trip through the wire format: what merges is what ships.
-		var buf bytes.Buffer
-		if err := rep.EncodeJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		dec, err := corpus.DecodeJSON(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if merged == nil {
-			merged = dec
-		} else if err := merged.Merge(dec); err != nil {
-			t.Fatal(err)
-		}
+		return s
 	}
-
-	type render struct {
+	for _, r := range []struct {
 		name string
 		fn   func(*corpus.Report) string
-	}
-	renders := []render{
+	}{
 		{"Fig7", corpus.Fig7},
 		{"Fig8", corpus.Fig8},
 		{"Fig9", corpus.Fig9},
+		{"Fig10", fig10},
 		{"ManualTable", corpus.ManualTable},
-	}
-	for _, r := range renders {
-		if got, want := r.fn(merged), r.fn(full); got != want {
-			t.Errorf("%s from merged shards differs from unsharded run:\n--- merged ---\n%s\n--- full ---\n%s", r.name, got, want)
+	} {
+		if got, want := r.fn(dec), r.fn(rep); got != want {
+			t.Errorf("%s from the decoded report differs from the live one:\n--- decoded ---\n%s\n--- live ---\n%s", r.name, got, want)
 		}
 	}
-	g10, err := corpus.Fig10(merged)
-	if err != nil {
+
+	var re bytes.Buffer
+	if err := dec.EncodeJSON(&re); err != nil {
 		t.Fatal(err)
 	}
-	w10, err := corpus.Fig10(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g10 != w10 {
-		t.Errorf("Fig10 from merged shards differs from unsharded run")
+	if !bytes.Equal(re.Bytes(), enc.Bytes()) {
+		t.Error("the decoded report re-encodes to different JSON")
 	}
 
-	var mj, fj bytes.Buffer
-	if err := merged.EncodeJSON(&mj); err != nil {
+	future := *dec
+	future.Version = corpus.Version + 1
+	var fj bytes.Buffer
+	if err := future.EncodeJSON(&fj); err != nil {
 		t.Fatal(err)
 	}
-	if err := full.EncodeJSON(&fj); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mj.Bytes(), fj.Bytes()) {
-		t.Error("merged report JSON differs from the unsharded report's")
+	if _, err := corpus.DecodeJSON(&fj); err == nil {
+		t.Error("decoder accepted a future version")
 	}
 }
 
@@ -336,46 +273,6 @@ func TestReportsRender(t *testing.T) {
 	}
 	if s := corpus.ManualTable(rep); !strings.Contains(s, "volrend") {
 		t.Error("manual table incomplete")
-	}
-}
-
-// TestMergeRejections pins the merge guards: version skew, source skew and
-// overlapping indices must all refuse.
-func TestMergeRejections(t *testing.T) {
-	mk := func(source string, idx ...int) *corpus.Report {
-		r := &corpus.Report{Version: corpus.Version, Source: source}
-		for _, i := range idx {
-			r.Rows = append(r.Rows, corpus.Row{Index: i, Program: "p"})
-		}
-		return r
-	}
-	a := mk("eval", 0, 2)
-	if err := a.Merge(mk("eval", 1, 3)); err != nil {
-		t.Fatalf("disjoint merge refused: %v", err)
-	}
-	for i, r := range a.Rows {
-		if r.Index != i {
-			t.Fatalf("merged rows not sorted by index: %v at %d", r.Index, i)
-		}
-	}
-	if err := a.Merge(mk("eval", 2)); err == nil {
-		t.Error("overlapping index merged")
-	}
-	if err := a.Merge(mk("cert", 9)); err == nil {
-		t.Error("cross-source merge accepted")
-	}
-	bad := mk("eval", 9)
-	bad.Version = corpus.Version + 1
-	if err := a.Merge(bad); err == nil {
-		t.Error("version-skewed merge accepted")
-	}
-
-	var buf bytes.Buffer
-	if err := bad.EncodeJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := corpus.DecodeJSON(&buf); err == nil {
-		t.Error("decoder accepted a future version")
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // The table renderers below are pure views over Report data: they read
-// only row fields, so rendering a merged report is byte-identical to
-// rendering the unsharded run's. Variant lookups are by display name;
-// rows missing a variant render zeros for it.
+// only row fields, so rendering a report decoded from JSON is
+// byte-identical to rendering the live one. Variant lookups are by
+// display name; rows missing a variant render zeros for it.
 
 // analyzed variant display names.
 const (

@@ -8,26 +8,23 @@ import (
 )
 
 // Version is the Report wire-format version. Decode rejects mismatches:
-// a report written by an incompatible build must fail loudly, not merge
+// a report written by an incompatible build must fail loudly, not render
 // silently wrong numbers into a table.
 const Version = 1
 
 // Report is the plain-data result of a corpus run: one Row per program,
-// sorted by unsharded corpus Index. Everything the paper's tables render
-// is in here — counts, timings, cert verdicts — so reports are the unit
-// of cross-process sharding: serialize each shard's report, Merge them,
-// and the rendered tables equal an unsharded run's byte for byte.
+// sorted by corpus Index. Everything the paper's tables render is in
+// here — counts, timings, cert verdicts — so a report written to JSON and
+// decoded again renders the same tables byte for byte.
 type Report struct {
 	Version int    `json:"version"`
 	Source  string `json:"source,omitempty"` // provenance: the producing Source's label
-	Shard   int    `json:"shard,omitempty"`  // 1-based shard index; 0 = unsharded or merged
-	Shards  int    `json:"shards,omitempty"` // shard count the run was partitioned into
 	Rows    []Row  `json:"rows"`
 }
 
 // Row is the full record for one program.
 type Row struct {
-	Index    int       `json:"index"` // position in the unsharded source
+	Index    int       `json:"index"` // position in the source
 	Program  string    `json:"program"`
 	EscReads int       `json:"escaping_reads"` // Figure 7's denominator
 	Variants []Variant `json:"variants"`       // display order: Manual (if built), Pensieve, Address+Control, Control
@@ -107,37 +104,9 @@ func (r *Row) variant(name string) *Variant {
 	return nil
 }
 
-// sortRows orders rows by unsharded corpus index.
+// sortRows orders rows by corpus index.
 func (r *Report) sortRows() {
 	sort.Slice(r.Rows, func(i, j int) bool { return r.Rows[i].Index < r.Rows[j].Index })
-}
-
-// Merge folds another shard's report into r: rows are combined and
-// re-sorted by Index, so merging the n shards of one source — in any
-// order — reproduces the unsharded report exactly. Merging is refused
-// when the reports disagree on version or source, or when an Index
-// appears in both (overlapping shards would double-count).
-func (r *Report) Merge(o *Report) error {
-	if r.Version != o.Version {
-		return fmt.Errorf("corpus: merge: version mismatch (%d vs %d)", r.Version, o.Version)
-	}
-	if r.Source != o.Source {
-		return fmt.Errorf("corpus: merge: reports from different sources (%q vs %q)", r.Source, o.Source)
-	}
-	seen := make(map[int]string, len(r.Rows))
-	for _, row := range r.Rows {
-		seen[row.Index] = row.Program
-	}
-	for _, row := range o.Rows {
-		if prev, dup := seen[row.Index]; dup {
-			return fmt.Errorf("corpus: merge: index %d present in both reports (%s, %s)", row.Index, prev, row.Program)
-		}
-	}
-	r.Rows = append(r.Rows, o.Rows...)
-	r.sortRows()
-	// The merged report is no single shard; drop the shard provenance.
-	r.Shard, r.Shards = 0, 0
-	return nil
 }
 
 // EncodeJSON writes the report as indented JSON. The encoding is

@@ -17,7 +17,7 @@ import (
 	"fenceplace/internal/tso"
 )
 
-// Runner streams a Source through the pipeline: per program one shared
+// Runner drives a Source through the pipeline: per program one shared
 // analyzer session evaluates every strategy, the fence plans are verified,
 // and — as configured — the dynamic experiment and certification run on
 // each variant. The zero value analyzes the three paper strategies with
@@ -46,39 +46,18 @@ type Runner struct {
 	Workers int
 
 	// Options configures analysis and certification alike. They are
-	// resolved exactly once per Run/Stream — environment-derived defaults
+	// resolved exactly once per Run — environment-derived defaults
 	// (the baseline cache directory) are pinned up front, so one run can
 	// never split across two stores.
 	Options []fenceplace.Option
 }
 
-// Run streams src through the pipeline and collects the rows into a
-// Report (sorted by corpus index, stamped with the source's label and
-// shard provenance). Cancelling ctx abandons in-flight work — including
-// any running exploration — and returns ctx's error.
+// Run drives src through the pipeline and collects one row per program
+// into a Report sorted by corpus index and stamped with the source's
+// label. Programs run on Workers goroutines; the first failing row stops
+// the run and its error is returned. Cancelling ctx abandons in-flight
+// work — including any running exploration — and returns ctx's error.
 func (r *Runner) Run(ctx context.Context, src Source) (*Report, error) {
-	rep := &Report{Version: Version, Source: src.Label()}
-	if sh, ok := src.(*shardSource); ok {
-		rep.Shard, rep.Shards = sh.i, sh.n
-	}
-	var mu sync.Mutex
-	err := r.Stream(ctx, src, func(row Row) error {
-		mu.Lock()
-		rep.Rows = append(rep.Rows, row)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.sortRows()
-	return rep, nil
-}
-
-// Stream is the streaming form of Run: emit is called once per completed
-// program row, serialized, in completion order (not corpus order — rows
-// carry their Index). An error from emit stops the run.
-func (r *Runner) Stream(ctx context.Context, src Source, emit func(Row) error) error {
 	strategies := r.Strategies
 	if len(strategies) == 0 {
 		strategies = []fenceplace.Strategy{
@@ -100,59 +79,57 @@ func (r *Runner) Stream(ctx context.Context, src Source, emit func(Row) error) e
 		innerOpts = append(append([]fenceplace.Option{}, opts...), fenceplace.WithWorkers(1))
 	}
 
-	var (
-		emitMu   sync.Mutex
-		failMu   sync.Mutex
-		firstErr error
-		stopped  atomic.Bool
-		done     atomic.Int64
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		failMu.Unlock()
-		stopped.Store(true)
-	}
 	// Row-completion progress: when the run's options carry a WithProgress
-	// sink, every finished row reports its corpus position. Delivery shares
-	// emit's mutex, so sink calls are serialized like emit calls.
+	// sink, every finished row reports its corpus position. mu serializes
+	// the sink calls and guards firstErr and done.
 	sink := fenceplace.ProgressSink(opts...)
+	var (
+		mu       sync.Mutex
+		firstErr error
+		done     int
+		stopped  atomic.Bool
+	)
 	total := src.Len()
+	rows := make([]Row, total)
 	runStart := time.Now()
 
-	par.ForEach(src.Len(), workers, func(i int) {
+	par.ForEach(total, workers, func(i int) {
 		if stopped.Load() || ctx.Err() != nil {
 			return
 		}
 		row, err := r.runOne(ctx, src, i, strategies, opts, innerOpts)
 		if err != nil {
-			fail(err)
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+			stopped.Store(true)
 			return
 		}
-		emitMu.Lock()
-		err = emit(*row)
+		rows[i] = *row
 		if sink != nil {
+			mu.Lock()
+			done++
 			sink(fenceplace.ProgressEvent{
 				Kind:      fenceplace.ProgressRow,
 				Program:   row.Program,
 				Elapsed:   time.Since(runStart),
 				Index:     row.Index,
-				RowsDone:  int(done.Add(1)),
+				RowsDone:  done,
 				RowsTotal: total,
 			})
-		}
-		emitMu.Unlock()
-		if err != nil {
-			fail(err)
+			mu.Unlock()
 		}
 	})
 
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	return firstErr
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return &Report{Version: Version, Source: src.Label(), Rows: rows}, nil
 }
 
 // runOne drives one program through analysis, verification, the dynamic
@@ -168,10 +145,6 @@ func (r *Runner) runOne(ctx context.Context, src Source, i int, strategies []fen
 			row, err = nil, fmt.Errorf("%s: %w", name, mc.AsInternalError("corpus: row "+name, rec))
 		}
 	}()
-	index := i
-	if ix, ok := src.(indexed); ok {
-		index = ix.origIndex(i)
-	}
 	if telemetry.TraceEnabled() {
 		start := time.Now()
 		defer func() {
@@ -181,7 +154,7 @@ func (r *Runner) runOne(ctx context.Context, src Source, i int, strategies []fen
 				Track: telemetry.NextTrack(),
 				Start: start,
 				Dur:   time.Since(start),
-				Args:  []telemetry.Arg{{Key: "index", Val: int64(index)}},
+				Args:  []telemetry.Arg{{Key: "index", Val: int64(i)}},
 			})
 		}()
 	}
@@ -192,7 +165,7 @@ func (r *Runner) runOne(ctx context.Context, src Source, i int, strategies []fen
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 
-	row = &Row{Index: index, Program: name, EscReads: results[0].EscapingReads}
+	row = &Row{Index: i, Program: name, EscReads: results[0].EscapingReads}
 
 	if manual := src.BuildManual(i); manual != nil {
 		full, _ := manual.CountFences(false)

@@ -1,32 +1,25 @@
-// Package corpus is the public corpus-driver API: it streams named
-// programs through the fence-placement pipeline (analysis, the dynamic
-// experiment, certification) and emits plain-data Report rows that
-// serialize to versioned JSON, merge across shards, and render into the
-// paper's tables.
-//
-// The package exists so the paper's evaluation scales past one process:
-// Shard(i, n) deterministically partitions any Source, rows produced from
-// a shard keep their unsharded corpus index, and Report.Merge recombines
-// shard outputs into a report whose rendered tables are byte-identical to
-// an unsharded run — run `paperbench -shard 2/4` on four machines, merge
-// the four JSON files, and read the same Figures 7–10. Table rendering is
-// a view over the Report data, never the source of truth.
+// Package corpus is the public corpus-driver API: a Runner drives the
+// named programs of a Source through the fence-placement pipeline
+// (analysis, the dynamic experiment, certification) in one process and
+// collects one plain-data Row per program into a Report. The Report
+// serializes to versioned JSON and renders into the paper's tables. Its
+// rows sort by corpus index, so their order never depends on which worker
+// finished first. Table rendering is a view over the Report data, never
+// the source of truth.
 package corpus
 
 import (
-	"fmt"
-
 	"fenceplace"
 	"fenceplace/internal/progs"
 )
 
 // Source is an iterator of named programs: the unit the Runner drives.
-// Programs are built lazily, so a shard only pays for its own members.
+// Programs are built lazily, when the Runner reaches them.
 // Implementations must be safe for concurrent use — the Runner builds
 // members from several goroutines.
 type Source interface {
 	// Label names the source ("eval", "cert-kernels", a program name);
-	// reports carry it as provenance and Merge refuses to mix labels.
+	// reports carry it as provenance.
 	Label() string
 	// Len is the number of member programs.
 	Len() int
@@ -37,13 +30,6 @@ type Source interface {
 	// BuildManual instantiates member i's expert build (the paper's §5.3
 	// manual baseline), or nil when the member has none.
 	BuildManual(i int) *fenceplace.Program
-}
-
-// indexed is the optional interface a partitioned Source implements so
-// the Runner can stamp rows with their unsharded corpus index; Shard's
-// views provide it, plain Sources get identity indices.
-type indexed interface {
-	origIndex(i int) int
 }
 
 // progsSource serves a slice of corpus programs at per-member parameters.
@@ -124,35 +110,3 @@ func (s *singleSource) Len() int                            { return 1 }
 func (s *singleSource) Name(int) string                     { return s.name }
 func (s *singleSource) Build(int) *fenceplace.Program       { return s.prog }
 func (s *singleSource) BuildManual(int) *fenceplace.Program { return s.manual }
-
-// Shard returns the i-of-n partition of src (i is 1-based): the members
-// whose corpus index is congruent to i-1 modulo n. The partition is
-// deterministic and exhaustive — the n shards of one source are disjoint
-// and cover it — and rows produced from a shard keep their unsharded
-// Index, so the shard reports Merge back into exactly the unsharded
-// report.
-func Shard(src Source, i, n int) (Source, error) {
-	if n < 1 || i < 1 || i > n {
-		return nil, fmt.Errorf("corpus: invalid shard %d/%d", i, n)
-	}
-	sh := &shardSource{src: src, i: i, n: n}
-	for j := 0; j < src.Len(); j++ {
-		if j%n == i-1 {
-			sh.idx = append(sh.idx, j)
-		}
-	}
-	return sh, nil
-}
-
-type shardSource struct {
-	src  Source
-	idx  []int
-	i, n int
-}
-
-func (s *shardSource) Label() string                         { return s.src.Label() }
-func (s *shardSource) Len() int                              { return len(s.idx) }
-func (s *shardSource) Name(i int) string                     { return s.src.Name(s.idx[i]) }
-func (s *shardSource) Build(i int) *fenceplace.Program       { return s.src.Build(s.idx[i]) }
-func (s *shardSource) BuildManual(i int) *fenceplace.Program { return s.src.BuildManual(s.idx[i]) }
-func (s *shardSource) origIndex(i int) int                   { return s.idx[i] }

@@ -40,7 +40,7 @@ type ProgressEvent struct {
 	// Corpus rows (Kind == ProgressRow):
 	Index     int // the row's corpus index
 	RowsDone  int // rows completed so far, this one included
-	RowsTotal int // rows in the (sharded) run
+	RowsTotal int // rows in the run
 }
 
 // WithProgress streams ProgressEvents to fn: exploration heartbeats from
