@@ -46,7 +46,6 @@ func certify(args []string) int {
 		size     = fs.Int64("size", 0, "problem size for corpus instantiation (0 = reduced default)")
 		budget   = fs.Int64("budget", 0, "model-checker state budget per exploration (<= 0 = default 2M)")
 		workers  = fs.Int("workers", 0, "exploration workers (0 = GOMAXPROCS)")
-		exact    = fs.Bool("exact", false, "exact string-keyed seen sets instead of fingerprints (slow oracle mode)")
 		unfenced = fs.Bool("unfenced", false, "certify the unfenced legacy build instead of the instrumented one")
 		memCap   = fs.Int("memcap", 0, "per-state arena limit in words; an allocation past it fails the run (0 = default 1<<22, negative = uncapped)")
 		jsonOut  = fs.Bool("json", false, "emit the certification as a corpus Report row (JSON) instead of prose")
@@ -84,9 +83,6 @@ func certify(args []string) int {
 		fenceplace.WithWorkers(*workers),
 		fenceplace.WithMemoryCap(*memCap),
 	}, fl.StoreOptions()...)
-	if *exact {
-		opts = append(opts, fenceplace.WithExactSeen())
-	}
 
 	if *jsonOut {
 		if *unfenced {

@@ -32,6 +32,7 @@ import (
 	"fenceplace/internal/annotate"
 	"fenceplace/internal/cli"
 	"fenceplace/internal/litmus"
+	"fenceplace/internal/passes"
 	"fenceplace/internal/progs"
 	"fenceplace/internal/stats"
 	"fenceplace/internal/tso"
@@ -119,6 +120,15 @@ func analyze(args []string) int {
 	if !cli.Register(fs, 0).Parse(fs, args) {
 		return 0
 	}
+	strategies, err := fenceplace.ParseStrategies(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	if *annot && (*dump || *run || *timing || len(strategies) == 1) {
+		fmt.Fprintln(os.Stderr, "-annotate prints annotations, not fences; it takes no -dump, -run, -timing or -strategy other than all")
+		return 2
+	}
 
 	if *list {
 		for _, m := range progs.All() {
@@ -132,13 +142,8 @@ func analyze(args []string) int {
 		return 2
 	}
 	if *annot {
-		fmt.Print(annotate.Generate(prog).Report())
+		fmt.Print(annotate.Generate(passes.NewSession(prog, passes.Workers(*workers))).Report())
 		return 0
-	}
-	strategies, err := fenceplace.ParseStrategies(*strategy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
 	}
 
 	opts := []fenceplace.Option{fenceplace.WithWorkers(*workers)}

@@ -196,6 +196,16 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"certify", "-prog", "dekker", "-budget", "-5"}, 0, "SC-equivalent"}, // <= 0 means the default
 		{[]string{"certify", "-prog", "nosuch"}, 2, ""},
 		{[]string{"analyze", "-prog", "nosuch"}, 2, ""},
+		// -strategy is parsed before any work, in every mode.
+		{[]string{"analyze", "-prog", "dekker", "-annotate", "-strategy", "bogus"}, 2, ""},
+		{[]string{"analyze", "-list", "-strategy", "bogus"}, 2, ""},
+		// -annotate prints annotations only; flags about fences are usage errors.
+		{[]string{"analyze", "-prog", "dekker", "-annotate", "-dump"}, 2, ""},
+		{[]string{"analyze", "-prog", "dekker", "-annotate", "-run"}, 2, ""},
+		{[]string{"analyze", "-prog", "dekker", "-annotate", "-timing"}, 2, ""},
+		{[]string{"analyze", "-prog", "dekker", "-annotate", "-strategy", "control"}, 2, ""},
+		{[]string{"analyze", "-prog", "dekker", "-annotate", "-strategy", "all"}, 0, "minimal DRF annotations"},
+		{[]string{"analyze", "-prog", "dekker", "-annotate"}, 0, "minimal DRF annotations"},
 		{[]string{"nosuch"}, 2, ""},
 		{[]string{}, 2, ""},
 		{[]string{"litmus"}, 0, "verdict"},

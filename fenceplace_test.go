@@ -280,6 +280,46 @@ func TestAnalyzerDifferential(t *testing.T) {
 	}
 }
 
+// TestAnalyzerAllOrderAndFirstError pins AnalyzeAllCtx's contract inline
+// (WithWorkers(1)) and fanned out: results in argument order (a repeated
+// strategy included), and on failure the first error in argument order
+// with no results.
+func TestAnalyzerAllOrderAndFirstError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"workers=1", []Option{WithWorkers(1)}},
+		{"workers=2", []Option{WithWorkers(2)}},
+		{"default", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			az := NewAnalyzer(MustParse(mpSrc), tc.opts...)
+			order := []Strategy{Control, PensieveOnly, AddressControl, Control}
+			all, err := az.AnalyzeAllCtx(context.Background(), order...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(all) != len(order) {
+				t.Fatalf("%d results for %d strategies", len(all), len(order))
+			}
+			for i, res := range all {
+				if res.Strategy != order[i] {
+					t.Errorf("result %d is %s, want %s", i, res.Strategy, order[i])
+				}
+			}
+
+			all, err = az.AnalyzeAllCtx(context.Background(), Control, Strategy(99), Strategy(98), PensieveOnly)
+			if all != nil {
+				t.Errorf("failed call returned %d results, want none", len(all))
+			}
+			if err == nil || !strings.Contains(err.Error(), "unknown strategy strategy(99)") {
+				t.Errorf("error = %v, want the unknown-strategy error for strategy(99)", err)
+			}
+		})
+	}
+}
+
 // TestAnalyzerTimingSummary: WithTiming surfaces per-pass wall times in
 // Summary; without the option the summary stays a single line.
 func TestAnalyzerTimingSummary(t *testing.T) {

@@ -157,11 +157,6 @@ type Signatures struct {
 	Address map[*ir.Instr]bool
 }
 
-// Classify computes both signature sets independently.
-func Classify(p *ir.Program, al *alias.Analysis, esc *escape.Result) Signatures {
-	return SignaturesOf(Detect(p, al, esc, Control), Detect(p, al, esc, AddressOnly))
-}
-
 // HasControl reports whether any read matches the control signature.
 func (s Signatures) HasControl() bool { return len(s.Control) > 0 }
 

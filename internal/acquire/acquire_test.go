@@ -138,7 +138,7 @@ func TestAddressSignature(t *testing.T) {
 	if !ac.IsSync(yLoad) {
 		t.Error("y load must match the address signature")
 	}
-	sig := Classify(p, al, esc)
+	sig := SignaturesOf(ctl, Detect(p, al, esc, AddressOnly))
 	if !sig.HasAddress() {
 		t.Error("classification must report an address acquire")
 	}

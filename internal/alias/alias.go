@@ -301,9 +301,6 @@ func (a *Analysis) Locs() []*Loc { return a.locs }
 // GlobalLocOf returns the location modeling global g.
 func (a *Analysis) GlobalLocOf(g *ir.Global) *Loc { return a.globalLoc[g] }
 
-// SiteLocOf returns the location created by an Alloca/Malloc site, or nil.
-func (a *Analysis) SiteLocOf(in *ir.Instr) *Loc { return a.siteLoc[in] }
-
 // PointsTo returns the locations register r of fn may point to, ordered by
 // location ID.
 func (a *Analysis) PointsTo(f *ir.Fn, r ir.Reg) []*Loc {

@@ -3,7 +3,9 @@
 // reads to emit the minimal acquire annotations that would make the legacy
 // program data-race-free under an annotation-aware compiler (C11-style
 // memory_order_acquire on the flagged loads; every escaping write is
-// conservatively a release).
+// conservatively a release). It reads the escape analysis and the acquire
+// signatures from the analyzer's pass session (internal/passes), so a
+// program is analyzed once whether it is annotated, fenced or both.
 package annotate
 
 import (
@@ -11,10 +13,8 @@ import (
 	"sort"
 	"strings"
 
-	"fenceplace/internal/acquire"
-	"fenceplace/internal/alias"
-	"fenceplace/internal/escape"
 	"fenceplace/internal/ir"
+	"fenceplace/internal/passes"
 )
 
 // Kind is the annotation attached to one access.
@@ -63,13 +63,10 @@ type Result struct {
 // synchronization read (classified by signature) and one release per
 // escaping write. The annotated program is DRF by the paper's Theorem 3.1:
 // every read that could be an acquire is annotated.
-func Generate(p *ir.Program) *Result {
-	al := alias.Analyze(p)
-	esc := escape.Analyze(p, al)
-	sig := acquire.Classify(p, al, esc)
-
+func Generate(sess *passes.Session) *Result {
+	esc, sig := sess.Escape(), sess.Signatures()
 	res := &Result{}
-	for _, f := range p.Funcs {
+	for _, f := range sess.Program().Funcs {
 		f.Instrs(func(in *ir.Instr) {
 			ctl, adr := sig.Control[in], sig.Address[in]
 			if ctl || adr {

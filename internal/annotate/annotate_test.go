@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fenceplace/internal/ir"
+	"fenceplace/internal/passes"
 	"fenceplace/internal/progs"
 )
 
@@ -34,7 +35,7 @@ func buildMP(t *testing.T) *ir.Program {
 }
 
 func TestMPAnnotations(t *testing.T) {
-	res := Generate(buildMP(t))
+	res := Generate(passes.NewSession(buildMP(t)))
 	if len(res.Acquires) != 1 {
 		t.Fatalf("got %d acquires, want 1 (the flag spin): %v", len(res.Acquires), res.Acquires)
 	}
@@ -84,7 +85,7 @@ func TestPureAddressSurfaced(t *testing.T) {
 	main.Join(t2)
 	main.RetVoid()
 	pb.SetMain("main")
-	res := Generate(pb.MustBuild())
+	res := Generate(passes.NewSession(pb.MustBuild()))
 	pure := res.PureAddressAcquires()
 	if len(pure) != 1 {
 		t.Fatalf("got %d pure-address acquires, want 1 (the y load): %v", len(pure), res.Acquires)
@@ -94,7 +95,7 @@ func TestPureAddressSurfaced(t *testing.T) {
 func TestCorpusKernelsHaveNoPureAddressAnnotations(t *testing.T) {
 	// Table II through the annotator's lens.
 	for _, m := range progs.ByKind(progs.SyncKernel) {
-		res := Generate(m.Default())
+		res := Generate(passes.NewSession(m.Default()))
 		if len(res.Acquires) == 0 {
 			t.Errorf("%s: no acquires annotated", m.Name)
 		}
@@ -105,7 +106,7 @@ func TestCorpusKernelsHaveNoPureAddressAnnotations(t *testing.T) {
 }
 
 func TestAnnotationCountsMatchDescribe(t *testing.T) {
-	res := Generate(progs.ByName("msqueue").Default())
+	res := Generate(passes.NewSession(progs.ByName("msqueue").Default()))
 	for _, a := range append(append([]Annotation{}, res.Acquires...), res.Releases...) {
 		d := a.Describe()
 		if !strings.Contains(d, a.Fn.Name) || len(d) < 10 {

@@ -88,13 +88,6 @@ func (f *FaultFS) Ops() uint64 {
 	return f.ops
 }
 
-// Injected returns the number of faults injected so far.
-func (f *FaultFS) Injected() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.injected
-}
-
 // next is a splitmix64 step — the deterministic fault dice.
 func (f *FaultFS) next() uint64 {
 	f.rng += 0x9e3779b97f4a7c15

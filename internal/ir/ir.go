@@ -283,17 +283,6 @@ func (i *Instr) AppendUses(u []Reg) []Reg {
 	return u
 }
 
-// AddrOperand returns the register holding the pointer this instruction
-// dereferences, or NoReg if the instruction addresses memory directly (via
-// G) or does not access memory.
-func (i *Instr) AddrOperand() Reg {
-	switch i.Kind {
-	case LoadPtr, StorePtr, CAS, FetchAdd:
-		return i.Addr
-	}
-	return NoReg
-}
-
 // Global is a shared memory location: a scalar (Size 1) or a word array.
 // Every Global thread-escapes by definition — it is reachable from every
 // thread — which is exactly the Pensieve escape rule for globals.

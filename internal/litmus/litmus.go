@@ -7,6 +7,7 @@
 package litmus
 
 import (
+	"context"
 	"fmt"
 
 	"fenceplace/internal/ir"
@@ -43,15 +44,7 @@ func (t *Test) Explore(mode tso.Mode) (*mc.StateSet, error) {
 }
 
 func (t *Test) exploreBudget(mode tso.Mode, maxStates int64) (*mc.StateSet, error) {
-	res, err := mc.Explore(t.Prog, t.Threads, mc.Config{Mode: mode, MaxStates: maxStates})
-	if err != nil {
-		return nil, err
-	}
-	if res.Truncated {
-		return nil, fmt.Errorf("litmus %s under %s: gave up after %d states: %w",
-			t.Name, mode, res.Visited, mc.ErrTruncated)
-	}
-	return res, nil
+	return mc.ExploreCompleteCtx(context.Background(), t.Prog, t.Threads, mc.Config{Mode: mode, MaxStates: maxStates})
 }
 
 func (t *Test) observedBudget(mode tso.Mode, maxStates int64) (bool, error) {

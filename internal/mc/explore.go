@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -187,16 +186,6 @@ func (w *workerCtx) release() {
 		nodePool.Put(n)
 	}
 	w.freeNodes = nil
-}
-
-// fnv1a hashes the canonical encoding for shard routing in exact mode.
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // newEngine builds an engine and the initial state for the given entry
@@ -600,10 +589,12 @@ func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32, path *link) {
 	var revisit uint32
 	if e.cfg.ExactSeen {
 		// The oracle keys by the encoding's bytes; keyBuf is free scratch
-		// until record renders the next outcome key into it.
+		// until record renders the next outcome key into it. Shards are
+		// routed by a hash of the encoding itself, not by the carried
+		// fingerprint this mode exists to check.
 		w.encBuf = e.encode(s, w.encBuf)
 		w.keyBuf = appendWordBytes(w.keyBuf[:0], w.encBuf)
-		sh := &e.shards[fnv1a(w.keyBuf)%nShards]
+		sh := &e.shards[hash128w(w.encBuf).hi%nShards]
 		sh.mu.Lock()
 		if sh.m == nil {
 			sh.m = make(map[string]uint32)
@@ -763,14 +754,4 @@ func (e *engine) record(w *workerCtx, n *node, suffix string) {
 		}
 	}
 	e.outMu.Unlock()
-}
-
-// Keys returns the printable outcome keys, sorted.
-func (s *StateSet) Keys() []string {
-	keys := make([]string, 0, len(s.Outcomes))
-	for k := range s.Outcomes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

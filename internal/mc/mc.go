@@ -58,7 +58,8 @@
 //   - tso.Explore, a sequential enumerator of flat litmus threads with
 //     none of the reductions above and its own interpreter, the one
 //     execution of the IR that shares no code with the step: it is the
-//     independent reference. litmus.TestModelCheckerAgreesWithLegacyExplorer,
+//     independent reference. It returns the StateSet the engine returns.
+//     litmus.TestModelCheckerAgreesWithLegacyExplorer,
 //     the crossCheck differential of mc_test.go and the dead-register
 //     tests of dead_test.go demand the same final-state sets from it;
 //
@@ -66,8 +67,7 @@
 //     fingerprints: the fingerprint differentials of seen_test.go
 //     (TestFingerprintMatchesExactSeen, TestTwoLevelSeenMatchesExactSeen
 //     over presized tables, and their random twins) compare visit counts
-//     and outcomes against it, and `fenceplace certify
-//     -exact` exposes it;
+//     and outcomes against it;
 //
 //   - Config.NoPOR, the exploration without partial-order reduction: the
 //     POR differentials (crossCheck in mc_test.go,
@@ -153,39 +153,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// StateSet is the set of reachable final states of an exploration, keyed by
-// a printable form of the final global values (suffixed with "!assert" or
-// "!deadlock" for failing terminals).
-type StateSet struct {
-	Outcomes  map[string][]int64
-	Visited   int64
-	Truncated bool
-}
-
-// Has reports whether a final state assigning the given scalar-global
-// values was reached. Globals not mentioned may hold anything.
-func (s *StateSet) Has(want map[string]int64, prog *ir.Program) bool {
-	idx := make(map[string]int, len(prog.Globals))
-	off := 0
-	for _, g := range prog.Globals {
-		idx[g.Name] = off
-		off += g.Size
-	}
-	for _, vec := range s.Outcomes {
-		match := true
-		for name, v := range want {
-			off, ok := idx[name]
-			if !ok || vec[off] != v {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
-}
+// StateSet is the set of reachable final states of an exploration; the
+// engine and the reference explorer tso.Explore share it.
+type StateSet = tso.StateSet
 
 // --- machine state -----------------------------------------------------------
 

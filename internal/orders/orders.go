@@ -192,16 +192,3 @@ func (s *Set) Total() int {
 	}
 	return n
 }
-
-// CountFull returns how many orderings need a full fence on x86-TSO.
-func (s *Set) CountFull() int {
-	n := 0
-	for _, list := range s.ByFn {
-		for _, o := range list {
-			if NeedsFullFenceTSO(o) {
-				n++
-			}
-		}
-	}
-	return n
-}

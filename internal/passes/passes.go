@@ -180,20 +180,8 @@ func (s *Session) record(pass string, start time.Time) {
 	s.tmu.Unlock()
 }
 
-// Spans returns a copy of the pass spans recorded so far, in completion
-// order — the full record (start time, duration, trace lane) behind the
-// Timings view.
-func (s *Session) Spans() []telemetry.Span {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	out := make([]telemetry.Span, len(s.spans))
-	copy(out, s.spans)
-	return out
-}
-
 // Timings returns the wall time of every pass executed so far, in
-// completion order. It is a view over the session's span log; the spans
-// themselves (Spans) carry the start times and trace attribution.
+// completion order: a view over the session's span log (see record).
 func (s *Session) Timings() []Timing {
 	s.tmu.Lock()
 	defer s.tmu.Unlock()

@@ -169,7 +169,7 @@ func TestTable2Classification(t *testing.T) {
 			p := m.Default()
 			al := alias.Analyze(p)
 			esc := escape.Analyze(p, al)
-			sig := acquire.Classify(p, al, esc)
+			sig := acquire.SignaturesOf(acquire.Detect(p, al, esc, acquire.Control), acquire.Detect(p, al, esc, acquire.AddressOnly))
 			if m.Table2 == nil {
 				t.Fatal("kernel missing Table2 expectation")
 			}

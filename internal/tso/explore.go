@@ -15,16 +15,18 @@ type ExploreConfig struct {
 	MaxStates int // default 1<<20; exceeded => Truncated
 }
 
-// StateSet is the set of reachable final states of an exploration. Each
-// outcome is the final value vector of the program's globals, keyed by a
-// printable form.
+// StateSet is the set of reachable final states of an exploration, by
+// Explore or by the model checker of package mc. Each outcome is the final
+// value vector of the program's globals, keyed by a printable form; the
+// model checker suffixes the key with "!assert" or "!deadlock" for
+// failing terminals.
 type StateSet struct {
 	Outcomes  map[string][]int64
-	Visited   int
+	Visited   int64
 	Truncated bool
 }
 
-// Has reports whether the final state assigning the given scalar-global
+// Has reports whether a final state assigning the given scalar-global
 // values was reached. Globals not mentioned may hold anything; a name that
 // is no global of prog never matches.
 func (s *StateSet) Has(want map[string]int64, prog *ir.Program) bool {
@@ -157,7 +159,7 @@ func Explore(p *ir.Program, threadFns []string, cfg ExploreConfig) (*StateSet, e
 		}
 		seen[k] = true
 		res.Visited++
-		if res.Visited > cfg.MaxStates {
+		if res.Visited > int64(cfg.MaxStates) {
 			res.Truncated = true
 			return res, nil
 		}

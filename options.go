@@ -28,7 +28,6 @@ type config struct {
 
 	maxStates int64 // model-checker state budget per exploration
 	memoryCap int   // model-checker arena limit in words
-	exactSeen bool  // exact string-keyed seen sets (oracle mode)
 
 	cacheDir    string // persistent baseline store directory ("" = none)
 	cacheDirSet bool   // WithCacheDir was given; skip the env default
@@ -66,7 +65,6 @@ func (c config) mcConfig() mc.Config {
 		MaxStates: c.maxStates,
 		Workers:   c.workers,
 		MemoryCap: c.memoryCap,
-		ExactSeen: c.exactSeen,
 	}
 }
 
@@ -104,12 +102,6 @@ func WithCacheDir(dir string) Option {
 // verdict. n <= 0 means the checker's default (2M states).
 func WithMaxStates(n int64) Option {
 	return func(c *config) { c.maxStates = n }
-}
-
-// WithExactSeen switches the model checker to exact string-keyed seen
-// sets — the slow cross-checking oracle for the fingerprint tables.
-func WithExactSeen() Option {
-	return func(c *config) { c.exactSeen = true }
 }
 
 // WithMemoryCap sets the model checker's per-state arena limit in words
